@@ -173,11 +173,9 @@ def cmd_sort(args) -> int:
 
     out = result.output
     sorted_ok = bool(np.all(np.diff(out[:, 0].astype(np.int64)) >= 0))
-    multiset_ok = bool(
-        np.array_equal(np.sort(out[:, 0]), np.sort(np.asarray(data)[:, 0]))
-    )
+    multiset_ok = _same_records(out, data)
     passed = sorted_ok and multiset_ok
-    message = "ok" if passed else ("output not sorted" if not sorted_ok else "key multiset changed")
+    message = "ok" if passed else ("output not sorted" if not sorted_ok else "record multiset changed")
     if args.out:
         dataset.save(out, args.out)
     report = {
@@ -187,7 +185,7 @@ def cmd_sort(args) -> int:
         "dry_run": False,
         "config": _config_dict(cfg),
         "plan": _plan_dict(result.plan),
-        "observed_passes": result.observed_passes,
+        "observed_passes": result.plan.phase1_passes,
         "timing": _timing_dict(result.timing) if result.timing else None,
         "reference": _reference_dict(app.reference),
         "validation": {"passed": passed, "message": message},
@@ -195,6 +193,14 @@ def cmd_sort(args) -> int:
     _write_report(report, args.report)
     _print_sort_summary(report)
     return EXIT_OK if passed else EXIT_VALIDATION
+
+
+def _same_records(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when a and b hold the same multiset of whole 8-byte records."""
+    def packed(x):
+        return np.sort(np.ascontiguousarray(x, dtype=np.uint32).view(np.uint64).ravel())
+
+    return bool(np.array_equal(packed(a), packed(b)))
 
 
 def _print_sort_summary(report: dict):

@@ -5,7 +5,9 @@ the measured efficiency table as ``MxM,BURST = fraction`` entries,
 [resource] the comparator/LUT cost model, [floorplan] the die-placement
 instance, [reference] reported hardware anchor figures used by the
 analytic reports.  Unknown sections or keys are errors; missing ones fall
-back to defaults.  See configs/default.cfg for a documented example.
+back to the field defaults of ``SortConfig``, ``HbmTopology``,
+``BandwidthProfile``, ``ResourceModelParams``, ``FloorplanProblem`` and
+``Reference``.
 """
 
 from __future__ import annotations

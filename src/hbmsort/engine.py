@@ -8,14 +8,17 @@ next phase).  Phase two: one pass of a four-times-wider tree, built by
 reusing four phase-one trees, merges all 64 sub-runs; its output is cut
 into batches and written round-robin across four targets.
 
-The functional data path is vectorized: every pass is a grouped stable
-sort, which is decision-equivalent to streaming the blocks through the
-unit hierarchy (equal keys resolve in leaf order in both).  Equivalence
-against the unit-level path is pinned by tests.  Cycle accounting is
-trace-driven: per-run-shape costs are measured once on the unit-level
-simulator with synthetic balanced feeds and scaled, so timing depends
-only on the run-length structure, never on key values, and a dry run
-reports exactly what a materialized run would.
+The functional data path computes what the passes produce, not each
+pass: a merge tree resolves equal keys in leaf order, so the sub-runs of
+phase one are stable sorts of their input ranges and phase two is a
+stable merge of the sub-runs.  Each phase is one unstable sort of unique
+64-bit composite keys (group, key, input position) and one gather.
+``tests/test_engine.py`` checks the result against a heap merge and
+phase two against the unit-level wide tree (``run_pass_functional``).
+Cycle accounting is trace-driven: per-run-shape costs are measured once
+on the unit-level simulator with synthetic balanced feeds and scaled, so
+timing depends only on the run-length structure, never on key values,
+and a dry run reports exactly what a materialized run would.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .hbm import BandwidthProfile, CapacityError, HbmTopology
-from .mergenet import MAX_KEY
+from .mergenet import KEY_BITS, MAX_KEY
 from .mergetree import (
     AnyTree,
     TreeSpec,
@@ -46,6 +49,10 @@ _CAL_RUN = 64  # records per run at the smallest calibration point
 
 class IntegrityError(ValueError):
     pass
+
+
+class RecordFormatError(ValueError):
+    """Input is not an (n, 2) integer array of 32-bit keys and payloads."""
 
 
 class CalibrationError(RuntimeError):
@@ -165,48 +172,48 @@ def split_channels(padded: np.ndarray, cfg: SortConfig) -> list[np.ndarray]:
     return [padded[c * per : (c + 1) * per] for c in range(cfg.parallel_trees)]
 
 
-def _grouped_stable_sort(chan: np.ndarray, group_len: int) -> np.ndarray:
-    """Stable sort within consecutive groups: one tree pass, vectorized.
+def _stable_order(keys: np.ndarray, group_len: int) -> np.ndarray:
+    """Positions that stably sort ``keys`` within consecutive groups.
 
-    The composite key (group id, record key) sorted stably reproduces the
-    tree's merge of the group's runs, ties resolving in leaf order.
+    Record i gets the unique composite (i // group_len, key, i), so an
+    unstable sort orders by group, then key, then input position; the low
+    position bits of the sorted composites are the gather indices.
     """
-    composite = (np.arange(len(chan), dtype=np.uint64) // group_len) << np.uint64(32)
-    composite |= chan[:, 0].astype(np.uint64)
-    return chan[np.argsort(composite, kind="stable")]
+    n = len(keys)
+    pos_bits = (n - 1).bit_length()
+    group_shift = KEY_BITS + pos_bits
+    groups = -(-n // group_len)
+    if group_shift + (groups - 1).bit_length() > 64:
+        raise ValueError(f"{n} records in {groups} groups overflow a 64-bit sort key")
+    comp = keys.astype(np.uint64)
+    comp <<= np.uint64(pos_bits)
+    comp |= np.arange(n, dtype=np.uint64)
+    for g in range(1, groups):
+        comp[g * group_len : (g + 1) * group_len] |= np.uint64(g << group_shift)
+    comp.sort()
+    comp &= np.uint64((1 << pos_bits) - 1)
+    return comp.view(np.int64)
 
 
-def _phase1_channel(chan: np.ndarray, cfg: SortConfig, plan: SortPlan) -> tuple[np.ndarray, int]:
-    passes = 0
-    group = 1
-    for _ in range(plan.untuned_passes):
-        group *= cfg.phase1_leaves
-        chan = _grouped_stable_sort(chan, group)
-        passes += 1
-    chan = _grouped_stable_sort(chan, plan.subrun_records)
-    passes += 1
-    return chan, passes
+def _phase1_channel(chan: np.ndarray, plan: SortPlan) -> np.ndarray:
+    return np.take(chan, _stable_order(chan[:, 0], plan.subrun_records), axis=0)
 
 
 def run_phase1(
     channels: list[np.ndarray], cfg: SortConfig, plan: SortPlan, threads: int = 1
-) -> tuple[list[np.ndarray], int]:
+) -> list[np.ndarray]:
     """Sort every channel into four independent sub-runs.
 
-    Returns the per-channel outputs and the observed pass count (equal for
-    all channels; asserted against the plan).
+    The untuned passes only lengthen runs inside a channel, so the final
+    sub-runs are stable sorts of their input ranges whatever the pass
+    count; channels are sorted on ``threads`` worker threads.
     """
     if len(channels) != cfg.parallel_trees:
         raise ValueError(f"expected {cfg.parallel_trees} channels, got {len(channels)}")
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: _phase1_channel(c, cfg, plan), channels))
-    else:
-        results = [_phase1_channel(c, cfg, plan) for c in channels]
-    outs = [r[0] for r in results]
-    observed = results[0][1]
-    assert observed == plan.phase1_passes
-    return outs, observed
+            return list(pool.map(lambda c: _phase1_channel(c, plan), channels))
+    return [_phase1_channel(c, plan) for c in channels]
 
 
 @dataclass
@@ -239,7 +246,7 @@ def run_phase2(channels: list[np.ndarray], cfg: SortConfig, plan: SortPlan) -> B
     """One pass of the wide tree over all 64 sub-runs, batched output."""
     _check_phase2_feeds(channels, plan)
     merged = np.concatenate(channels)
-    merged = merged[np.argsort(merged[:, 0], kind="stable")]
+    merged = np.take(merged, _stable_order(merged[:, 0], len(merged)), axis=0)
     batch = plan.batch_records
     total = len(merged)
     n_batches = -(-total // batch)
@@ -469,9 +476,21 @@ def build_timing(
 class SortResult:
     output: np.ndarray
     plan: SortPlan
-    observed_passes: int
     batched: BatchedOutput
     timing: Optional[RunTiming] = None
+
+
+def _check_records(records: np.ndarray):
+    if records.ndim != 2 or records.shape[1] != 2:
+        raise RecordFormatError(f"records must have shape (n, 2), got {records.shape}")
+    if not np.issubdtype(records.dtype, np.integer):
+        raise RecordFormatError(f"records must be integers, got dtype {records.dtype}")
+    if records.size and not np.can_cast(records.dtype, np.uint32):
+        lo, hi = int(records.min()), int(records.max())
+        if lo < 0 or hi > MAX_KEY:
+            raise RecordFormatError(
+                f"keys and payloads must lie in 0..{MAX_KEY}, found {lo}..{hi}"
+            )
 
 
 def sort_records(
@@ -483,7 +502,13 @@ def sort_records(
     profile: Optional[BandwidthProfile] = None,
     model: Optional[CycleModel] = None,
 ) -> SortResult:
-    """Run the full two-phase pipeline over an (n, 2) uint32 record array."""
+    """Run the full two-phase pipeline over an (n, 2) array of records.
+
+    Keys and payloads must be integers in 0..MAX_KEY; any integer dtype is
+    accepted, others raise :class:`RecordFormatError`.
+    """
+    records = np.asarray(records)
+    _check_records(records)
     if mode not in ("functional", "cycles"):
         raise ValueError(f"mode must be 'functional' or 'cycles', got {mode!r}")
     cfg = cfg or SortConfig(records=len(records))
@@ -492,7 +517,7 @@ def sort_records(
     plan = plan_sort(cfg, topo)
     padded = pad_input(records, cfg)
     channels = split_channels(padded, cfg)
-    sorted_channels, observed = run_phase1(channels, cfg, plan, threads)
+    sorted_channels = run_phase1(channels, cfg, plan, threads)
     batched = run_phase2(sorted_channels, cfg, plan)
     output = reconstruct_output(batched)
     if plan.pad_count:
@@ -503,4 +528,4 @@ def sort_records(
     timing = None
     if mode == "cycles":
         timing = build_timing(cfg, plan, topo, profile, model)
-    return SortResult(output, plan, observed, batched, timing)
+    return SortResult(output, plan, batched, timing)

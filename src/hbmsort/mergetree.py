@@ -386,6 +386,8 @@ class TreeCycleSim:
     """
 
     def __init__(self, tree: AnyTree, feeds, feed_rate_per_leaf: Optional[float] = None):
+        if feed_rate_per_leaf is not None and not feed_rate_per_leaf > 0:
+            raise ValueError(f"feed_rate_per_leaf must be positive, got {feed_rate_per_leaf}")
         tagged = _normalize_feeds(tree, feeds)
         self.total = sum(len(f) for f in tagged)
         levels = tree.levels

@@ -197,6 +197,12 @@ class TestCyclePass:
         # 16 leaves x 0.25 records/cycle caps the tree at 4 records/cycle
         assert res.root_active_rate == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("rate", [0, -1.0, float("nan")])
+    def test_bad_feed_rate_rejected(self, rate):
+        feeds = [np.arange(i, 32, 16, dtype=np.uint32) for i in range(16)]
+        with pytest.raises(ValueError, match="feed_rate_per_leaf"):
+            run_pass_cycles(build_tree(8, 16), feeds, feed_rate_per_leaf=rate)
+
     def test_leaf_feed_objects(self):
         t = build_tree(1, 2)
         res = run_pass_cycles(t, [LeafFeed(np.arange(8, dtype=np.uint32)), LeafFeed(np.arange(8, 16, dtype=np.uint32))])
