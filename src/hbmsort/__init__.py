@@ -16,12 +16,10 @@ from .mergenet import (
     mms_step,
 )
 from .mergetree import (
-    LeafFeed,
     PassResult,
     TreeShapeError,
     TreeSpec,
     UnsortedFeedError,
-    WideTreeSpec,
     build_tree,
     compose_wide_tree,
     run_pass_cycles,
@@ -32,10 +30,8 @@ from .hbm import (
     CapacityError,
     ChannelLayout,
     Conflict,
-    HbmState,
     HbmTopology,
     ProfileKeyError,
-    effective_bandwidth,
     route,
     table_layout,
     validate_layout,
@@ -51,7 +47,6 @@ from .analytics import (
     floorplan_solve,
     perf_overall,
     perf_phase1,
-    perf_phase1_planned,
     perf_single_tree,
     resource_tree,
     select_burst_sizes,

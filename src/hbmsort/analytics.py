@@ -15,8 +15,6 @@ from .hbm import BandwidthProfile
 from .mergenet import mms_stats
 from .mergetree import build_tree
 
-RECORD_BYTES = 8
-
 
 def ceil_log(base: int, n: int) -> int:
     """Smallest j with base**j >= n (exact integer arithmetic)."""
@@ -36,9 +34,6 @@ class PerfModelInput:
     memory_bandwidth: float            # bytes/s available to one tree (write side)
     channel_bandwidth: float = 420e9 / 32
     parallel_trees: int = 16
-    phase2_rate: int = 32              # records per cycle at the wide root
-    clock_hz: float = 214e6
-    record_bytes: int = RECORD_BYTES
 
     def __post_init__(self):
         if self.parallel_trees > 16:
@@ -52,17 +47,10 @@ def perf_single_tree(inp: PerfModelInput) -> float:
     return inp.memory_bandwidth / passes
 
 
-def perf_phase1(inp: PerfModelInput) -> float:
-    """First-phase aggregate: k trees, each sorting records/k from one
-    channel at channel bandwidth."""
-    passes = ceil_log(inp.leaves, inp.records // inp.parallel_trees)
+def perf_phase1(inp: PerfModelInput, passes: int) -> float:
+    """First-phase aggregate: k trees, each streaming one channel at
+    channel bandwidth ``passes`` times."""
     return inp.parallel_trees * inp.channel_bandwidth / passes
-
-
-def perf_phase1_planned(inp: PerfModelInput, planned_passes: int) -> float:
-    """Variant of the phase-1 formula using a scheduler-supplied pass
-    count (the tuned final pass can shave one pass off the naive count)."""
-    return inp.parallel_trees * inp.channel_bandwidth / planned_passes
 
 
 def perf_overall(beta1: float, beta2: float) -> float:
@@ -203,7 +191,6 @@ class BurstChoice(NamedTuple):
 class BurstSelection(NamedTuple):
     phase1: BurstChoice
     phase2: BurstChoice
-    within_budget: Optional[bool]
 
 
 def _select_for_pattern(profile: BandwidthProfile, pattern: int) -> BurstChoice:
@@ -225,20 +212,9 @@ class ProfileCoverageError(ValueError):
     pass
 
 
-def select_burst_sizes(
-    profile: BandwidthProfile, lut_budget: Optional[int] = None,
-    leaf_buffers: int = 16 * 16,
-) -> BurstSelection:
+def select_burst_sizes(profile: BandwidthProfile) -> BurstSelection:
     """Pick per-phase burst sizes: the cheapest burst that reaches the
     pattern's peak efficiency (1x1 traffic in phase one, 4x4 in phase
     two).  A pattern whose profile never reaches 95% of peak channel
     efficiency is flagged via ``at_peak=False``."""
-    phase1 = _select_for_pattern(profile, 1)
-    phase2 = _select_for_pattern(profile, 4)
-    within = None
-    if lut_budget is not None:
-        # 12 of 16 trees keep phase-1 bursts; 4 reused trees need phase-2 bursts.
-        per_tree = leaf_buffers // 16
-        total = (12 * per_tree * phase1.buffer_luts + 4 * per_tree * phase2.buffer_luts)
-        within = total <= lut_budget
-    return BurstSelection(phase1, phase2, within)
+    return BurstSelection(_select_for_pattern(profile, 1), _select_for_pattern(profile, 4))

@@ -236,16 +236,19 @@ def cmd_model(args) -> int:
         records=n, leaves=cfg.phase1_leaves,
         memory_bandwidth=app.topo.channel_bandwidth,
         channel_bandwidth=app.topo.channel_bandwidth,
-        parallel_trees=cfg.parallel_trees, clock_hz=cfg.clock_hz,
+        parallel_trees=cfg.parallel_trees,
     )
-    eq_phase1 = analytics.perf_phase1(phase1_inp) / 1e9
-    planned_phase1 = analytics.perf_phase1_planned(phase1_inp, plan.phase1_passes) / 1e9
+    eq_passes = analytics.ceil_log(cfg.phase1_leaves, n // cfg.parallel_trees)
+    eq_phase1 = analytics.perf_phase1(phase1_inp, eq_passes) / 1e9
+    planned_phase1 = analytics.perf_phase1(phase1_inp, plan.phase1_passes) / 1e9
 
     tree1 = resource_tree(cfg.phase1_rate, cfg.phase1_leaves, app.resource,
                           burst_bytes=cfg.phase1_burst)
     tree_reused = resource_tree(cfg.phase1_rate, cfg.phase1_leaves, app.resource,
                                 burst_bytes=cfg.phase2_burst)
-    wide = compose_wide_tree([build_tree(cfg.phase1_rate, cfg.phase1_leaves)] * 4)
+    tree = build_tree(cfg.phase1_rate, cfg.phase1_leaves)
+    wide = compose_wide_tree([tree] * 4)
+    extra_comparators = wide.comparator_total() - 4 * tree.comparator_total()
     recurrence = {
         str(p): analytics.comparator_recurrence(p, app.resource)
         for p in (2, 4, 8, 16, 32)
@@ -268,7 +271,7 @@ def cmd_model(args) -> int:
         "resources": {
             "tree_phase1_only": tree1._asdict(),
             "tree_reused": tree_reused._asdict(),
-            "extra_units_comparators": wide.extra_unit_comparators(),
+            "extra_units_comparators": extra_comparators,
             "comparator_recurrence": recurrence,
         },
         "floorplan": {

@@ -98,7 +98,10 @@ class AppConfig:
             kwargs["records"] = records
         if "records" not in kwargs:
             raise ConfigError("record count required: set [sort] records or pass --records")
-        return SortConfig(**kwargs)
+        try:
+            return SortConfig(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(f"[sort] {exc}") from None
 
 
 def _parse_bandwidth_key(key: str) -> tuple[int, int]:
@@ -120,36 +123,47 @@ def load_config(path: Optional[str] = None) -> AppConfig:
         return cfg
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     parser.optionxform = str  # keep bandwidth keys like "4x4,4096" verbatim
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-
     for section in parser.sections():
-        if section == "bandwidth":
-            table = dict(cfg.profile.table)
-            for key, raw in parser.items(section):
-                table[_parse_bandwidth_key(key)] = float(raw)
-            cfg.profile = BandwidthProfile(table=table).validate()
-            continue
-        schema = _SECTION_FIELDS.get(section)
-        if schema is None:
-            raise ConfigError(f"unknown config section [{section}]")
-        parsed = {}
-        for key, raw in parser.items(section):
-            if key not in schema:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            try:
-                parsed[key] = schema[key](raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
-        if section == "sort":
-            cfg.sort_overrides.update(parsed)
-        elif section == "hbm":
-            cfg.topo = replace(cfg.topo, **parsed)
-        elif section == "resource":
-            cfg.resource = replace(cfg.resource, **parsed)
-        elif section == "floorplan":
-            cfg.floorplan = replace(cfg.floorplan, **parsed)
-        elif section == "reference":
-            cfg.reference = replace(cfg.reference, **parsed)
+        try:
+            _apply_section(cfg, section, parser.items(section))
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
     return cfg
+
+
+def _apply_section(cfg: AppConfig, section: str, items: list[tuple[str, str]]):
+    if section == "bandwidth":
+        table = dict(cfg.profile.table)
+        for key, raw in items:
+            table[_parse_bandwidth_key(key)] = float(raw)
+        cfg.profile = BandwidthProfile(table=table).validate()
+        return
+    schema = _SECTION_FIELDS.get(section)
+    if schema is None:
+        raise ConfigError(f"unknown config section [{section}]")
+    parsed = {}
+    for key, raw in items:
+        if key not in schema:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        try:
+            parsed[key] = schema[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+    if section == "sort":
+        cfg.sort_overrides.update(parsed)
+    elif section == "hbm":
+        cfg.topo = replace(cfg.topo, **parsed)
+    elif section == "resource":
+        cfg.resource = replace(cfg.resource, **parsed)
+    elif section == "floorplan":
+        cfg.floorplan = replace(cfg.floorplan, **parsed)
+    elif section == "reference":
+        cfg.reference = replace(cfg.reference, **parsed)

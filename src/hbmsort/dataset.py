@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RECORD_BYTES = 8
+from .mergenet import RECORD_BYTES
+
 _VALUE_MASK = 0xA5A5A5A5
 
 

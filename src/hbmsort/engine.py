@@ -30,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
+from .analytics import ceil_log
 from .hbm import BandwidthProfile, CapacityError, HbmTopology
-from .mergenet import KEY_BITS, MAX_KEY
+from .mergenet import KEY_BITS, MAX_KEY, RECORD_BYTES
 from .mergetree import (
-    AnyTree,
     TreeSpec,
     UnsortedFeedError,
     build_tree,
@@ -41,7 +41,6 @@ from .mergetree import (
     run_pass_cycles,
 )
 
-RECORD_BYTES = 8
 PAD_VALUE = 0xFFFFFFFF
 
 _CAL_RUN = 64  # records per run at the smallest calibration point
@@ -76,12 +75,15 @@ class SortConfig:
     def __post_init__(self):
         if self.records < 1:
             raise ValueError("records must be positive")
+        if self.parallel_trees < 1:
+            raise ValueError("parallel_trees must be positive")
+        build_tree(self.phase1_rate, self.phase1_leaves)  # TreeShapeError on a bad shape
         if self.phase2_leaves != 4 * self.phase1_leaves:
             raise ValueError("the reuse composition requires phase2_leaves == 4 * phase1_leaves")
         if self.phase2_rate != 4 * self.phase1_rate:
             raise ValueError("the reuse composition requires phase2_rate == 4 * phase1_rate")
-        if self.batch_bytes % RECORD_BYTES:
-            raise ValueError("batch_bytes must be a multiple of the record size")
+        if self.batch_bytes < RECORD_BYTES or self.batch_bytes % RECORD_BYTES:
+            raise ValueError("batch_bytes must be a positive multiple of the record size")
 
     @property
     def feed_align(self) -> int:
@@ -131,10 +133,7 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
         )
     quantum = n_pad // cfg.feed_align
     l = cfg.phase1_leaves
-    j, reach = 0, 1
-    while reach < quantum:
-        reach *= l
-        j += 1
+    j = ceil_log(l, quantum)
     subrun = n_pad // (cfg.parallel_trees * 4)
     return SortPlan(
         records=cfg.records,
@@ -219,72 +218,76 @@ def run_phase1(
 @dataclass
 class BatchedOutput:
     """Phase-two output, cut into batches dealt round-robin to the write
-    targets; concatenating batches in visit order restores the sorted run."""
+    targets; interleaving the streams batch by batch restores the sorted run."""
 
     streams: tuple[np.ndarray, ...]
     batch_records: int
     total_records: int
-    visit_order: tuple[int, ...] = (0, 1, 2, 3)
 
 
-def _check_phase2_feeds(channels, plan: SortPlan):
+def _batch_layout(total: int, batch: int, targets: int) -> tuple[int, list[int]]:
+    """Whole rounds of ``targets`` batches, and each stream's share of the
+    last, incomplete round (the final batch may be short)."""
+    rounds, tail = divmod(total, batch * targets)
+    return rounds, [min(batch, max(0, tail - s * batch)) for s in range(targets)]
+
+
+def _check_phase2_feeds(channels, merged: np.ndarray, plan: SortPlan):
     if len(channels) * plan.subruns_per_channel != plan.phase2_feeds:
         raise ValueError(
             f"{len(channels)} channels x {plan.subruns_per_channel} sub-runs "
             f"!= {plan.phase2_feeds} leaves"
         )
     for c, chan in enumerate(channels):
-        for s in range(plan.subruns_per_channel):
-            sub = chan[s * plan.subrun_records : (s + 1) * plan.subrun_records, 0]
-            if len(sub) != plan.subrun_records:
-                raise ValueError(f"channel {c} sub-run {s} is short")
-            if len(sub) > 1 and np.any(np.diff(sub.astype(np.int64)) < 0):
-                raise UnsortedFeedError(c * plan.subruns_per_channel + s)
+        if len(chan) != plan.channel_records:
+            raise ValueError(
+                f"channel {c} holds {len(chan)} records, expected {plan.channel_records}"
+            )
+    keys = merged[:, 0]
+    drops = np.flatnonzero(keys[1:] < keys[:-1]) + 1
+    drops = drops[drops % plan.subrun_records != 0]  # a new sub-run may start lower
+    if len(drops):
+        raise UnsortedFeedError(int(drops[0]) // plan.subrun_records)
 
 
 def run_phase2(channels: list[np.ndarray], cfg: SortConfig, plan: SortPlan) -> BatchedOutput:
     """One pass of the wide tree over all 64 sub-runs, batched output."""
-    _check_phase2_feeds(channels, plan)
     merged = np.concatenate(channels)
+    _check_phase2_feeds(channels, merged, plan)
     merged = np.take(merged, _stable_order(merged[:, 0], len(merged)), axis=0)
-    batch = plan.batch_records
-    total = len(merged)
-    n_batches = -(-total // batch)
-    per_stream: list[list[np.ndarray]] = [[] for _ in range(plan.write_targets)]
-    for b in range(n_batches):
-        per_stream[b % plan.write_targets].append(merged[b * batch : (b + 1) * batch])
-    streams = tuple(
-        np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.uint32)
-        for parts in per_stream
-    )
-    return BatchedOutput(streams=streams, batch_records=batch, total_records=total)
+    batch, targets, total = plan.batch_records, plan.write_targets, len(merged)
+    rounds, tails = _batch_layout(total, batch, targets)
+    cut = rounds * targets * batch
+    whole = merged[:cut].reshape(rounds, targets, batch, 2)
+    streams = []
+    for s, tail in enumerate(tails):
+        stream = np.empty((rounds * batch + tail, 2), dtype=merged.dtype)
+        stream[: rounds * batch].reshape(rounds, batch, 2)[...] = whole[:, s]
+        stream[rounds * batch :] = merged[cut + s * batch : cut + s * batch + tail]
+        streams.append(stream)
+    return BatchedOutput(streams=tuple(streams), batch_records=batch, total_records=total)
 
 
 def reconstruct_output(batched: BatchedOutput) -> np.ndarray:
-    """Re-concatenate batches channel by channel in visit order."""
-    batch = batched.batch_records
-    total = batched.total_records
-    n_batches = -(-total // batch)
-    cursors = [0] * len(batched.streams)
-    parts = []
-    for b in range(n_batches):
-        s = batched.visit_order[b % len(batched.streams)]
-        want = batch if (b + 1) * batch <= total else total - b * batch
-        stream = batched.streams[s]
-        cur = cursors[s]
-        if cur + want > len(stream):
+    """Interleave the streams batch by batch back into one run."""
+    batch, total = batched.batch_records, batched.total_records
+    targets = len(batched.streams)
+    rounds, tails = _batch_layout(total, batch, targets)
+    cut = rounds * targets * batch
+    out = np.empty((total, 2), dtype=np.uint32)
+    whole = out[:cut].reshape(rounds, targets, batch, 2)
+    for s, (stream, tail) in enumerate(zip(batched.streams, tails)):
+        want = rounds * batch + tail
+        if len(stream) < want:
             raise IntegrityError(
-                f"batch {b} missing or short: stream {s} holds {len(stream)} records, "
-                f"needed {cur + want}"
+                f"batch missing or short: stream {s} holds {len(stream)} records, "
+                f"needed {want}"
             )
-        parts.append(stream[cur : cur + want])
-        cursors[s] = cur + want
-    for s, cur in enumerate(cursors):
-        if cur != len(batched.streams[s]):
-            raise IntegrityError(f"stream {s} has {len(batched.streams[s]) - cur} stray records")
-    if not parts:
-        return np.empty((0, 2), dtype=np.uint32)
-    return np.concatenate(parts)
+        if len(stream) > want:
+            raise IntegrityError(f"stream {s} has {len(stream) - want} stray records")
+        whole[:, s] = stream[: rounds * batch].reshape(rounds, batch, 2)
+        out[cut + s * batch : cut + s * batch + tail] = stream[rounds * batch :]
+    return out
 
 
 @dataclass(frozen=True)
@@ -348,7 +351,7 @@ class CycleModel:
                 pos += take
         return feeds
 
-    def group_cycles(self, tree: AnyTree, runs: int, r_out: int) -> int:
+    def group_cycles(self, tree: TreeSpec, runs: int, r_out: int) -> int:
         if r_out <= 0:
             return 0
         runs = max(1, min(runs, tree.leaves, r_out))

@@ -12,9 +12,8 @@ measured quantities and ship as configuration, not code constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-GiB = 1 << 30
 MiB = 1 << 20
 
 
@@ -36,14 +35,6 @@ class HbmTopology:
     group_size: int = 4
     channel_bandwidth: float = 420e9 / 32  # bytes/s per pseudo-channel
     channel_capacity: int = 256 * MiB      # bytes per pseudo-channel
-
-    @property
-    def groups(self) -> int:
-        return self.channels // self.group_size
-
-    @property
-    def lateral_links(self) -> int:
-        return self.groups - 1
 
     def group_of(self, channel: int) -> int:
         return channel // self.group_size
@@ -158,9 +149,6 @@ DEFAULT_EFFICIENCY = {
     (8, 1024): 0.68, (8, 2048): 0.80, (8, 4096): 0.90,
 }
 
-PATTERNS = (1, 2, 4, 8)
-BURSTS = (64, 128, 256, 512, 1024, 2048, 4096)
-
 
 @dataclass
 class BandwidthProfile:
@@ -169,7 +157,6 @@ class BandwidthProfile:
     table: dict[tuple[int, int], float] = field(
         default_factory=lambda: dict(DEFAULT_EFFICIENCY)
     )
-    outstanding_bursts: int = 32
 
     def efficiency(self, pattern: int, burst: int) -> float:
         try:
@@ -191,88 +178,3 @@ class BandwidthProfile:
                 if hi < lo:
                     raise ValueError(f"pattern {m}x{m} efficiency not monotone in burst size")
         return self
-
-
-def effective_bandwidth(
-    pattern: int, burst: int, profile: BandwidthProfile, topo: Optional[HbmTopology] = None
-) -> float:
-    """Aggregate bytes/s for an m x m pattern at the given burst size."""
-    topo = topo or HbmTopology()
-    if pattern not in PATTERNS:
-        raise ValueError(f"pattern must be one of {PATTERNS}, got {pattern}")
-    if burst not in BURSTS:
-        raise ValueError(f"burst must be a power of two in [64, 4096], got {burst}")
-    return pattern * topo.channel_bandwidth * profile.efficiency(pattern, burst)
-
-
-class BurstCompletion(NamedTuple):
-    start: float
-    delta: float
-    end: float
-
-
-class HbmState:
-    """Discrete-event channel service with data retention.
-
-    Bursts on one channel serialize; bursts on distinct channels proceed
-    in parallel; a burst whose route crosses an occupied lateral link
-    waits for the link.  Arbitration is first-come-first-served in
-    submission order, so callers wanting the deterministic discipline
-    submit sorted by (issue time, AXI index).  Reads and writes on one
-    channel share its bandwidth (half duplex).  Written bytes are stored
-    and can be read back verbatim.
-    """
-
-    def __init__(self, topo: Optional[HbmTopology] = None,
-                 profile: Optional[BandwidthProfile] = None):
-        self.topo = topo or HbmTopology()
-        self.profile = profile or BandwidthProfile()
-        self.channel_free = [0.0] * self.topo.channels
-        self.link_free = [0.0] * self.topo.lateral_links
-        self.stored = [bytearray() for _ in range(self.topo.channels)]
-        self.read_cursor = [0] * self.topo.channels
-
-    def service_burst(
-        self,
-        axi: int,
-        channel: int,
-        direction: str,
-        nbytes: int,
-        issue: float = 0.0,
-        pattern: int = 1,
-        data: Optional[bytes] = None,
-    ) -> BurstCompletion:
-        """Schedule one burst; returns (start, service delta, completion)."""
-        if direction not in ("read", "write"):
-            raise ValueError(f"direction must be 'read' or 'write', got {direction!r}")
-        eff = self.profile.efficiency(pattern, nbytes)
-        delta = nbytes / (self.topo.channel_bandwidth * eff)
-        links = route(axi, channel, self.topo)
-        start = max([issue, self.channel_free[channel]]
-                    + [self.link_free[l] for l in links])
-        end = start + delta
-        self.channel_free[channel] = end
-        for l in links:
-            self.link_free[l] = end
-        if direction == "write":
-            if len(self.stored[channel]) + nbytes > self.topo.channel_capacity:
-                raise CapacityError(
-                    f"write of {nbytes} B overflows channel {channel} "
-                    f"({len(self.stored[channel])}/{self.topo.channel_capacity} B used)"
-                )
-            self.stored[channel].extend(data if data is not None else bytes(nbytes))
-        return BurstCompletion(start, delta, end)
-
-    def read_back(self, channel: int, offset: int, nbytes: int) -> bytes:
-        blob = self.stored[channel]
-        if offset + nbytes > len(blob):
-            raise CapacityError(
-                f"read of [{offset}, {offset + nbytes}) beyond {len(blob)} B "
-                f"stored on channel {channel}"
-            )
-        return bytes(blob[offset : offset + nbytes])
-
-    def run_batch(self, bursts: Iterable[tuple]) -> list[BurstCompletion]:
-        """Service bursts in deterministic (issue, axi) order."""
-        ordered = sorted(bursts, key=lambda b: (b[4] if len(b) > 4 else 0.0, b[0]))
-        return [self.service_burst(*b) for b in ordered]

@@ -24,6 +24,8 @@ from typing import NamedTuple, Optional, Sequence
 KEY_BITS = 32
 MAX_KEY = (1 << KEY_BITS) - 1
 MAX_VALUE = (1 << 32) - 1
+#: Bytes per record: a 32-bit key followed by a 32-bit payload.
+RECORD_BYTES = 8
 
 #: Block rates the dataflow supports (power-of-two records per cycle).
 BLOCK_RATES = (1, 2, 4, 8, 16, 32)

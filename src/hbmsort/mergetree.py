@@ -5,7 +5,8 @@ and leaf count ``l``.  Rates halve level by level toward the leaves; when
 ``l`` exceeds twice the root rate, extra rate-1 levels sit above the leaf
 buffers.  Four identical trees can be composed into one four-times-wider
 tree by adding two half-rate units and one full-rate unit at the top; the
-subtree structures are shared, not copied.
+result is an ordinary :class:`TreeSpec` whose levels below the top two
+are the four subtrees' levels side by side.
 
 Two execution modes are provided over the same element representation:
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,54 +82,6 @@ class TreeSpec:
         return sum(mms_stats(r).comparators for level in self.levels for r in level)
 
 
-@dataclass(frozen=True)
-class WideTreeSpec:
-    """Four shared subtrees plus two half-rate units and one root unit."""
-
-    subtrees: tuple[TreeSpec, TreeSpec, TreeSpec, TreeSpec]
-    root_rate: int
-    leaves: int
-    levels: tuple[tuple[int, ...], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    @property
-    def leaf_port_width(self) -> int:
-        return self.levels[-1][0]
-
-    @property
-    def leaf_buffer_depth(self) -> int:
-        return self.subtrees[0].leaf_buffer_depth
-
-    def unit_count(self) -> int:
-        return sum(len(level) for level in self.levels)
-
-    def extra_unit_comparators(self) -> int:
-        """Cost of the three units added on top of the reused subtrees."""
-        sub = self.subtrees[0].root_rate
-        return 2 * mms_stats(2 * sub).comparators + mms_stats(4 * sub).comparators
-
-    def comparator_total(self) -> int:
-        return sum(mms_stats(r).comparators for level in self.levels for r in level)
-
-
-AnyTree = Union[TreeSpec, WideTreeSpec]
-
-
-@dataclass
-class LeafFeed:
-    """A sorted run bound for one leaf, with an optional delivery rate.
-
-    ``rate`` is the number of records per cycle the memory system can
-    refill this leaf's buffer with; None models an always-full buffer.
-    """
-
-    run: Union[np.ndarray, Sequence[Record]]
-    rate: Optional[float] = None
-
-
 def _is_pow2(n: int) -> bool:
     return n >= 1 and not n & (n - 1)
 
@@ -161,7 +114,7 @@ def build_tree(p: int, l: int, leaf_buffer_depth: int = DEFAULT_LEAF_BUFFER_DEPT
     return spec
 
 
-def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> WideTreeSpec:
+def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
     """Reuse four identical (p/4, l/4) trees under three extra units."""
     if len(subtrees) != 4:
         raise TreeShapeError(f"wide tree needs exactly 4 subtrees, got {len(subtrees)}")
@@ -176,12 +129,7 @@ def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> WideTreeSpec:
         for st in subtrees:
             combined += st.levels[j]
         levels.append(combined)
-    return WideTreeSpec(
-        subtrees=tuple(subtrees),
-        root_rate=4 * q,
-        leaves=4 * first.leaves,
-        levels=tuple(levels),
-    )
+    return TreeSpec(4 * q, 4 * first.leaves, tuple(levels), first.leaf_buffer_depth)
 
 
 # ----------------------------------------------------------------------
@@ -189,8 +137,7 @@ def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> WideTreeSpec:
 # the tag encodes (leaf index, position) so ties resolve in leaf order.
 # ----------------------------------------------------------------------
 
-def _tag_feed(feed, leaf: int) -> list:
-    run = feed.run if isinstance(feed, LeafFeed) else feed
+def _tag_feed(run, leaf: int) -> list:
     base = leaf << _LEAF_TAG_SHIFT
     if isinstance(run, np.ndarray):
         if run.size == 0:
@@ -215,7 +162,7 @@ def _tag_feed(feed, leaf: int) -> list:
     return out
 
 
-def _normalize_feeds(tree: AnyTree, feeds) -> list[list]:
+def _normalize_feeds(tree: TreeSpec, feeds) -> list[list]:
     if len(feeds) > tree.leaves:
         raise TreeShapeError(f"{len(feeds)} feeds for a {tree.leaves}-leaf tree")
     tagged = [_tag_feed(f, i) for i, f in enumerate(feeds)]
@@ -288,7 +235,7 @@ def _functional_merge(levels, j: int, k: int, feeds: list[list]) -> list:
     return _merge_runs_blockwise(left, right, rate)
 
 
-def run_pass_functional(tree: AnyTree, feeds) -> np.ndarray:
+def run_pass_functional(tree: TreeSpec, feeds) -> np.ndarray:
     """Merge all leaf feeds into one sorted run, returned as (n, 2) uint32."""
     tagged = _normalize_feeds(tree, feeds)
     merged = _functional_merge(tree.levels, 0, 0, tagged)
@@ -353,7 +300,8 @@ class _LeafPort:
 
     @property
     def done(self) -> bool:
-        return self.pos >= len(self.elems)
+        """Every remaining record is visible: nothing more will arrive."""
+        return len(self.elems) - self.pos <= self.avail()
 
 
 class _Unit:
@@ -385,7 +333,7 @@ class TreeCycleSim:
     or when the input it would have to select from cannot yet offer one.
     """
 
-    def __init__(self, tree: AnyTree, feeds, feed_rate_per_leaf: Optional[float] = None):
+    def __init__(self, tree: TreeSpec, feeds, feed_rate_per_leaf: Optional[float] = None):
         if feed_rate_per_leaf is not None and not feed_rate_per_leaf > 0:
             raise ValueError(f"feed_rate_per_leaf must be positive, got {feed_rate_per_leaf}")
         tagged = _normalize_feeds(tree, feeds)
@@ -517,7 +465,7 @@ class TreeCycleSim:
 
 
 def run_pass_cycles(
-    tree: AnyTree, feeds, feed_rate_per_leaf: Optional[float] = None
+    tree: TreeSpec, feeds, feed_rate_per_leaf: Optional[float] = None
 ) -> PassResult:
     """Simulate one pass; returns the merged run, cycle count and the
     average root emission rate in records per cycle."""

@@ -1,0 +1,51 @@
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hbmsort.analytics import (
+    FloorplanProblem,
+    PerfModelInput,
+    ceil_log,
+    floorplan_solve,
+    perf_phase1,
+    select_burst_sizes,
+)
+from hbmsort.hbm import BandwidthProfile
+
+from oracles import brute_force_floorplan
+
+
+class TestCeilLog:
+    @pytest.mark.parametrize("base,n,want", [
+        (2, 1, 0), (2, 2, 1), (2, 3, 2), (16, 16, 1), (16, 17, 2), (16, 1 << 24, 6),
+    ])
+    def test_values(self, base, n, want):
+        assert ceil_log(base, n) == want
+
+    @pytest.mark.parametrize("base,n", [(1, 5), (0, 5), (-2, 5), (2, 0)])
+    def test_rejects_degenerate_arguments(self, base, n):
+        with pytest.raises(ValueError):
+            ceil_log(base, n)
+
+
+def test_perf_phase1_divides_by_passes():
+    inp = PerfModelInput(records=1 << 20, leaves=16, memory_bandwidth=1e9, channel_bandwidth=2e9)
+    assert perf_phase1(inp, 4) == 16 * 2e9 / 4
+
+
+def test_default_bursts():
+    sel = select_burst_sizes(BandwidthProfile())
+    assert (sel.phase1.burst_bytes, sel.phase2.burst_bytes) == (1024, 4096)
+    assert sel.phase1.at_peak and sel.phase2.at_peak
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 60), st.integers(0, 400), st.integers(0, 400),
+    st.integers(0, 40), st.integers(0, 300),
+)
+def test_floorplan_matches_brute_force(tree, die1, die2, width, budget):
+    prob = FloorplanProblem(tree, die1, die2, width, budget)
+    sol = floorplan_solve(prob)
+    assert (sol.die1_trees, sol.die2_trees) == brute_force_floorplan(prob)
+    assert sol.objective == sol.die1_trees + sol.die2_trees

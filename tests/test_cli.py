@@ -1,0 +1,123 @@
+"""CLI reports against golden files, config loading and config exit codes."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from hbmsort import cli
+from hbmsort.config import _SECTION_FIELDS, ConfigError, load_config
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: Modelled reports pinned byte for byte; regenerate only with a stated reason.
+GOLDEN_COMMANDS = {
+    "model.json": ["model"],
+    "sort_dry_4194304.json": ["sort", "--dry-run", "--records", "4194304"],
+    "sort_dry_536870912.json": ["sort", "--dry-run", "--records", "536870912"],
+    "sweep.json": ["sweep", "--sizes", "32M,128M,256M,512M,2G,4G"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_report_matches_golden(name, tmp_path, capsys):
+    report = tmp_path / name
+    assert cli.main(GOLDEN_COMMANDS[name] + ["--report", str(report)]) == cli.EXIT_OK
+    assert json.loads(report.read_text()) == json.loads((GOLDEN / name).read_text())
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "hbmsort.ini"
+    path.write_text(text)
+    return str(path)
+
+
+BAD_CONFIGS = {
+    "non-monotone-bandwidth": "[bandwidth]\n4x4,4096 = 0.9\n",
+    "non-numeric-bandwidth": "[bandwidth]\n4x4,4096 = abc\n",
+    "non-square-pattern": "[bandwidth]\n4x3,4096 = 0.9\n",
+    "no-4x-composition": "[sort]\nphase2_leaves = 10\n",
+    "one-leaf-tree": "[sort]\nphase1_leaves = 1\nphase2_leaves = 4\n",
+    "non-numeric-int": "[sort]\nphase1_rate = abc\n",
+    "zero-trees": "[sort]\nparallel_trees = 0\n",
+    "zero-batch": "[sort]\nbatch_bytes = 0\n",
+    "zero-tree-resources": "[floorplan]\ntree_resources = 0\n",
+    "unknown-section": "[sorting]\nrecords = 5\n",
+    "unknown-key": "[sort]\nleaves = 16\n",
+    "no-section-header": "records = 5\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_exits_with_usage_status(text, tmp_path, capsys):
+    argv = ["sort", "--dry-run", "--records", "1000", "--config", _write(tmp_path, text)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+
+
+#: One non-default value per settable key: (raw text, value it must load as).
+ROUND_TRIP = {
+    "sort": {
+        "records": ("4096", 4096), "parallel_trees": ("8", 8),
+        "phase1_leaves": ("32", 32), "phase1_rate": ("4", 4),
+        "phase2_leaves": ("128", 128), "phase2_rate": ("16", 16),
+        "batch_bytes": ("8192", 8192), "phase1_burst": ("2048", 2048),
+        "phase2_burst": ("2048", 2048), "clock_hz": ("3e8", 3e8),
+        "reset_cycles": ("7", 7),
+    },
+    "hbm": {
+        "channels": ("16", 16), "group_size": ("2", 2),
+        "channel_bandwidth": ("1e10", 1e10), "channel_capacity": ("1048576", 1 << 20),
+    },
+    "resource": {
+        "base_comparators": ("3", 3), "lut_per_comparator": ("100", 100),
+        "axi_converter_luts": ("4000", 4000), "axi_converter_ffs": ("5000", 5000),
+        "lut_buffer_fraction": ("0.5", 0.5),
+    },
+    "floorplan": {
+        "tree_resources": ("30000", 30000), "die1_available": ("200000", 200000),
+        "die2_available": ("150000", 150000), "axi_width": ("1000", 1000),
+        "crossing_budget": ("9000", 9000),
+    },
+    "reference": {
+        "phase1_gbps": ("20.5", 20.5), "phase2_gbps": ("30", 30.0),
+        "phase1_passes": ("5", 5), "single_tree_leaves": ("128", 128),
+    },
+}
+
+
+def test_round_trip_covers_every_key():
+    assert {s: set(keys) for s, keys in ROUND_TRIP.items()} == \
+        {s: set(keys) for s, keys in _SECTION_FIELDS.items()}
+
+
+def test_every_key_loads_to_its_value(tmp_path):
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{k} = {raw}\n" for k, (raw, _) in keys.items())
+        for section, keys in ROUND_TRIP.items()
+    ) + "[bandwidth]\n4x4,4096 = 0.97\n"
+    app = load_config(_write(tmp_path, text))
+    loaded = {
+        "sort": app.sort_config(), "hbm": app.topo, "resource": app.resource,
+        "floorplan": app.floorplan, "reference": app.reference,
+    }
+    for section, keys in ROUND_TRIP.items():
+        for key, (_, want) in keys.items():
+            assert getattr(loaded[section], key) == want, (section, key)
+    assert app.profile.efficiency(4, 4096) == 0.97
+
+
+def test_empty_reset_cycles_means_default(tmp_path):
+    app = load_config(_write(tmp_path, "[sort]\nreset_cycles =\n"))
+    assert app.sort_config(100).reset_cycles is None
+
+
+@pytest.mark.parametrize("text", ["[sorting]\nrecords = 5\n", "[hbm]\nlanes = 4\n"])
+def test_unknown_section_or_key_raises(text, tmp_path):
+    with pytest.raises(ConfigError, match="unknown"):
+        load_config(_write(tmp_path, text))
+
+
+def test_missing_file_raises(tmp_path):
+    with pytest.raises(ConfigError):
+        load_config(str(tmp_path / "absent.ini"))

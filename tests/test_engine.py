@@ -17,7 +17,12 @@ from hbmsort.engine import (
     split_channels,
 )
 from hbmsort.mergenet import MAX_KEY
-from hbmsort.mergetree import build_tree, compose_wide_tree, run_pass_functional
+from hbmsort.mergetree import (
+    UnsortedFeedError,
+    build_tree,
+    compose_wide_tree,
+    run_pass_functional,
+)
 
 from oracles import kway_heap_merge
 
@@ -106,8 +111,42 @@ class TestPhases:
         cfg, plan, _padded, channels = _phase1(recs)
         batched = run_phase2(channels, cfg, plan)
         batched.streams = (batched.streams[0][:-1],) + batched.streams[1:]
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="missing or short"):
             reconstruct_output(batched)
+
+    def test_reconstruct_rejects_stray_records(self):
+        recs = _records(np.arange(4096)[::-1])
+        cfg, plan, _padded, channels = _phase1(recs)
+        batched = run_phase2(channels, cfg, plan)
+        streams = list(batched.streams)
+        streams[2] = np.concatenate([streams[2], streams[2][:1]])
+        batched.streams = tuple(streams)
+        with pytest.raises(IntegrityError, match="stray"):
+            reconstruct_output(batched)
+
+    @pytest.mark.parametrize("batch", [100, 3000])  # 3000: no whole round, two empty streams
+    def test_short_last_batch_deals_round_robin(self, batch):
+        rng = np.random.default_rng(7)
+        recs = _records(rng.integers(0, 500, size=5000))
+        cfg = SortConfig(records=len(recs), batch_bytes=8 * batch)
+        plan = plan_sort(cfg)
+        assert plan.padded_records % batch  # the last batch is short
+        channels = run_phase1(split_channels(pad_input(recs, cfg), cfg), cfg, plan)
+        batched = run_phase2(channels, cfg, plan)
+        whole = _heap_sorted(pad_input(recs, cfg))
+        batches = [whole[i : i + batch] for i in range(0, len(whole), batch)]
+        for s, stream in enumerate(batched.streams):
+            np.testing.assert_array_equal(stream, np.concatenate([whole[:0]] + batches[s::4]))
+        np.testing.assert_array_equal(reconstruct_output(batched), whole)
+
+    def test_unsorted_subrun_identifies_leaf(self):
+        recs = _records(np.arange(4096))
+        cfg, plan, _padded, channels = _phase1(recs)
+        channels[1] = channels[1].copy()
+        channels[1][plan.subrun_records + 1, 0] = 0  # inside channel 1, sub-run 1
+        with pytest.raises(UnsortedFeedError) as err:
+            run_phase2(channels, cfg, plan)
+        assert err.value.leaf == plan.subruns_per_channel + 1
 
 
 class TestInputValidation:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbmsort.mergenet import Record, mms_stats
 from hbmsort.mergetree import (
-    LeafFeed,
     TreeShapeError,
     UnsortedFeedError,
     build_tree,
@@ -74,13 +75,13 @@ class TestComposeWideTree:
 
     def test_extra_unit_cost(self):
         wide = compose_wide_tree([build_tree(8, 16)] * 4)
-        assert wide.extra_unit_comparators() == 2 * mms_stats(16).comparators + mms_stats(32).comparators
+        extra = wide.comparator_total() - 4 * build_tree(8, 16).comparator_total()
+        assert extra == 2 * mms_stats(16).comparators + mms_stats(32).comparators
 
     def test_subtrees_shared_not_copied(self):
         sub = build_tree(8, 16)
         before = (sub.root_rate, sub.leaves, sub.levels)
-        wide = compose_wide_tree([sub, sub, sub, sub])
-        assert all(st is sub for st in wide.subtrees)
+        compose_wide_tree([sub, sub, sub, sub])
         assert (sub.root_rate, sub.leaves, sub.levels) == before
 
     def test_mismatched_subtrees_rejected(self):
@@ -203,10 +204,25 @@ class TestCyclePass:
         with pytest.raises(ValueError, match="feed_rate_per_leaf"):
             run_pass_cycles(build_tree(8, 16), feeds, feed_rate_per_leaf=rate)
 
-    def test_leaf_feed_objects(self):
-        t = build_tree(1, 2)
-        res = run_pass_cycles(t, [LeafFeed(np.arange(8, dtype=np.uint32)), LeafFeed(np.arange(8, 16, dtype=np.uint32))])
-        assert list(res.records[:, 0]) == list(range(16))
+    def test_partial_leaf_tail_on_wide_port(self):
+        res = run_pass_cycles(build_tree(2, 2), [[1], [2]])
+        assert list(res.records[:, 0]) == [1, 2]
+        assert res.cycles == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(2, 2), (4, 4), (16, 16)]),
+        st.sampled_from([None, 0.25, 1.0, 3.0]),
+        st.data(),
+    )
+    def test_ragged_feeds_match_oracles(self, shape, rate, data):
+        tree = build_tree(*shape)
+        lengths = data.draw(st.lists(st.integers(0, 13), max_size=tree.leaves))
+        feeds = [np.sort(np.array(data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)),
+                                  dtype=np.uint32)) for n in lengths]
+        res = run_pass_cycles(tree, feeds, feed_rate_per_leaf=rate)
+        np.testing.assert_array_equal(res.records, kway_heap_merge(feeds))
+        np.testing.assert_array_equal(res.records, run_pass_functional(tree, feeds))
 
     def test_empty_feeds(self):
         t = build_tree(2, 4)
