@@ -3,8 +3,8 @@
 from .mergenet import (
     BLOCK_RATES,
     MAX_KEY,
-    DrainedUnitError,
-    MergeUnitState,
+    LeafPort,
+    MergeUnit,
     RateError,
     Record,
     bitonic_merge_blocks,
@@ -13,7 +13,6 @@ from .mergenet import (
     merger_stats,
     mms_merge_runs,
     mms_stats,
-    mms_step,
 )
 from .mergetree import (
     PassResult,

@@ -8,7 +8,7 @@ write-side number.  All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .hbm import BandwidthProfile
@@ -34,10 +34,6 @@ class PerfModelInput:
     memory_bandwidth: float            # bytes/s available to one tree (write side)
     channel_bandwidth: float = 420e9 / 32
     parallel_trees: int = 16
-
-    def __post_init__(self):
-        if self.parallel_trees > 16:
-            raise ValueError("at most 16 parallel trees are supported")
 
 
 def perf_single_tree(inp: PerfModelInput) -> float:

@@ -75,8 +75,8 @@ class SortConfig:
     def __post_init__(self):
         if self.records < 1:
             raise ValueError("records must be positive")
-        if self.parallel_trees < 1:
-            raise ValueError("parallel_trees must be positive")
+        if not 1 <= self.parallel_trees <= 16:
+            raise ValueError("parallel_trees must be between 1 and 16")
         build_tree(self.phase1_rate, self.phase1_leaves)  # TreeShapeError on a bad shape
         if self.phase2_leaves != 4 * self.phase1_leaves:
             raise ValueError("the reuse composition requires phase2_leaves == 4 * phase1_leaves")

@@ -36,6 +36,11 @@ class HbmTopology:
     channel_bandwidth: float = 420e9 / 32  # bytes/s per pseudo-channel
     channel_capacity: int = 256 * MiB      # bytes per pseudo-channel
 
+    def __post_init__(self):
+        for name in ("channels", "group_size", "channel_bandwidth", "channel_capacity"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
     def group_of(self, channel: int) -> int:
         return channel // self.group_size
 

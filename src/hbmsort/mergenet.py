@@ -4,9 +4,12 @@ The building blocks of the hardware model, bottom up:
 
 * a compare-swap cell orders two records by key;
 * a bitonic merge network of fixed depth merges two sorted E-blocks;
-* a streaming merge unit pairs two such networks so that it accepts one
-  E-block and emits one sorted E-block every invocation (initiation
-  interval 1), carrying the larger half of each merge between steps.
+* a streaming merge unit (:class:`MergeUnit`) pairs two such networks so
+  that it accepts one E-block and emits one sorted E-block every
+  invocation (initiation interval 1), carrying the larger half of each
+  merge between steps.  It is the only implementation of the unit: the
+  tree simulator in :mod:`hbmsort.mergetree` wires these units together,
+  and :func:`mms_merge_runs` fires one over two whole runs.
 
 Records are 64-bit: a 32-bit unsigned key that defines the order and a
 32-bit opaque payload that rides along.  All merges are stable with
@@ -18,7 +21,7 @@ their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 KEY_BITS = 32
@@ -31,16 +34,14 @@ RECORD_BYTES = 8
 BLOCK_RATES = (1, 2, 4, 8, 16, 32)
 
 # Internal elements are (sort_key, tag, value) tuples.  Padding slots use a
-# sort key one past the real key range so they order after every record.
+# sort key one past the real key range so they order after every record,
+# and a tag above any real tag so that padding elements stay distinct.
 _PAD_KEY = 1 << KEY_BITS
+_PAD_TAG_BASE = 1 << 60
 
 
 class RateError(ValueError):
     """Block rate is not supported or two blocks disagree on rate."""
-
-
-class DrainedUnitError(RuntimeError):
-    """A merge unit was stepped after emitting its entire output."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,142 +159,157 @@ def bitonic_merge_blocks(a: Sequence[Record], b: Sequence[Record]) -> tuple[Reco
     return _untag(merged)
 
 
-_FLUSH_TAG = 1 << 60  # tags for pad elements; orders after any real tag
+class LeafPort:
+    """A sorted tagged run read by a unit: always full, or refilled at `rate`
+    records per cycle into a buffer of `depth` records by :meth:`tick`."""
 
+    __slots__ = ("elems", "pos", "rate", "credit", "depth")
 
-@dataclass
-class MergeUnitState:
-    """State carried by a streaming merge unit between invocations.
+    def __init__(self, elems: list, rate: Optional[float] = None, depth: int = 0):
+        self.elems = elems
+        self.pos = 0
+        self.rate = rate
+        self.credit = 0.0
+        self.depth = depth
 
-    `retained` is the larger half of the previous merge, always sorted.
-    `pipeline_depth` is the structural latency of the two networks and
-    `run_epoch` counts resets at run boundaries.  `reset_cycles` is the
-    modeled idle time charged per reset; it defaults to the pipeline
-    depth and may be tuned.
-    """
+    def tick(self):
+        if self.rate is not None:
+            self.credit = min(self.credit + self.rate, float(self.depth))
 
-    rate: int
-    reset_cycles: Optional[int] = None
-    run_epoch: int = 0
-    pipeline_depth: int = field(init=False)
-    _retained: list = field(default_factory=list, repr=False)
-    _blocks_in: list = field(default_factory=lambda: [0, 0], repr=False)
-    _pads: int = field(default=0, repr=False)
+    def avail(self) -> int:
+        left = len(self.elems) - self.pos
+        if self.rate is None:
+            return left
+        return min(left, int(self.credit))
 
-    def __post_init__(self):
-        _check_rate(self.rate)
-        self.pipeline_depth = mms_stats(self.rate).stages
-        if self.reset_cycles is None:
-            self.reset_cycles = self.pipeline_depth
+    def head(self):
+        return self.elems[self.pos]
+
+    def take(self, k: int) -> list:
+        out = self.elems[self.pos : self.pos + k]
+        self.pos += k
+        if self.rate is not None:
+            self.credit -= k
+        return out
 
     @property
-    def retained(self) -> tuple[Record, ...]:
-        return _untag(self._retained)
-
-    @property
-    def drained(self) -> bool:
-        """True once the retained half has been flushed (or never filled)."""
-        return not self._retained
-
-    def reset(self):
-        """Clear state for the next run; costs `reset_cycles` idle cycles."""
-        self._retained.clear()
-        self._blocks_in = [0, 0]
-        self._pads = 0
-        self.run_epoch += 1
-
-    def _ingest(self, port, block):
-        if len(block) > self.rate:
-            raise RateError(f"block of {len(block)} exceeds unit rate {self.rate}")
-        seq = self._blocks_in[port] * self.rate
-        self._blocks_in[port] += 1
-        tagged = _tag_block(block, port, seq)
-        for _ in range(self.rate - len(block)):  # pad a short run tail
-            tagged.append((_PAD_KEY, _FLUSH_TAG + self._pads, 0))
-            self._pads += 1
-        return tagged
+    def done(self) -> bool:
+        """Every remaining record is visible: nothing more will arrive."""
+        return len(self.elems) - self.pos <= self.avail()
 
 
-def mms_step(
-    state: MergeUnitState,
-    head_a: Optional[Sequence[Record]],
-    head_b: Optional[Sequence[Record]],
-) -> tuple[tuple[Record, ...], str]:
-    """Advance a streaming merge unit by one invocation.
+class MergeUnit:
+    """Streaming merge unit: one E-block in and one E-block out per firing.
 
-    `head_a` / `head_b` are the current head blocks of the two input runs,
-    or None once a run is exhausted.  Each invocation emits exactly one
-    block and reports what it consumed:
-
-    * ``"both"``  - first invocation primes the unit from both ports;
-    * ``"A"`` / ``"B"`` - steady state, the port whose head block has the
-      smaller minimum key (ties go to A) was merged with the retained half;
-    * ``"flush"`` - both runs exhausted, the retained half is emitted.
-
-    Blocks shorter than the rate are only legal as the final block of a
-    run; the unit pads them internally and strips padding on emission, so
-    tail blocks may come out short.
+    The unit reads two sources (a :class:`LeafPort` or a FIFO offering
+    ``avail``/``head``/``take``/``done``) and writes to an optional sink
+    FIFO (a deque ``q`` of at most ``cap`` elements plus a ``done`` flag).
+    The first firing primes it from both inputs and emits the lower half
+    of the two head blocks; every later firing merges the retained upper
+    half with the head block of the input whose head is smaller (ties go
+    to input 0) and emits the lower half.  Once both inputs are exhausted
+    it flushes the retained half.  An input that ends while the other has
+    never been merged passes through block by block.  A short tail block
+    is padded internally and the padding is stripped on emission.
     """
-    if head_a is None and head_b is None and state.drained:
-        raise DrainedUnitError("merge unit stepped with both runs exhausted and nothing retained")
 
-    e = state.rate
-    if not state._retained:
-        if head_a is not None and head_b is not None:
-            merged = _merge_tagged(state._ingest(0, head_a), state._ingest(1, head_b))
-            state._retained = merged[e:]
-            return _untag(merged[:e]), "both"
-        # One run exhausted before the unit ever filled: pass blocks through.
-        port, block = (0, head_a) if head_a is not None else (1, head_b)
-        out = _untag(state._ingest(port, block))
-        return out, "AB"[port]
+    __slots__ = ("rate", "srcs", "sink", "cap", "retained", "pads", "finished")
 
-    if head_a is None and head_b is None:
-        out = _untag(state._retained)
-        state._retained = []
-        return out, "flush"
+    def __init__(self, rate: int, srcs=(None, None)):
+        _check_rate(rate, cap=None)
+        self.rate = rate
+        self.srcs = list(srcs)
+        self.sink = None  # None: output goes only to the caller of fire()
+        self.cap = 0
+        self.retained: list = []
+        self.pads = 0
+        self.finished = False
 
-    if head_a is not None and head_b is not None:
-        port = 0 if head_a[0].key <= head_b[0].key else 1
-    else:
-        port = 0 if head_a is not None else 1
-    block = head_a if port == 0 else head_b
-    merged = _merge_tagged(state._retained, state._ingest(port, block))
-    state._retained = merged[e:]
-    return _untag(merged[:e]), "AB"[port]
+    def _take_block(self, src) -> list:
+        blk = src.take(min(self.rate, src.avail()))
+        while len(blk) < self.rate:
+            blk.append((_PAD_KEY, _PAD_TAG_BASE + self.pads, 0))
+            self.pads += 1
+        return blk
+
+    def _emit(self, elems) -> list:
+        real = [e for e in elems if e[0] <= MAX_KEY]
+        if self.sink is not None:
+            self.sink.q.extend(real)
+        return real
+
+    def _finish(self):
+        self.finished = True
+        if self.sink is not None:
+            self.sink.done = True
+
+    def fire(self) -> Optional[list]:
+        """Try one invocation; returns the real elements emitted (possibly
+        none, on a flush of padding), or None on a stall or once finished."""
+        if self.finished:
+            return None
+        rate = self.rate
+        if self.sink is not None and self.cap - len(self.sink.q) < rate:
+            return None  # backpressure
+        s0, s1 = self.srcs
+        a0, a1 = s0.avail(), s1.avail()
+        end0 = s0.done and a0 == 0
+        end1 = s1.done and a1 == 0
+
+        if not self.retained:
+            if end0 and end1:
+                self._finish()
+                return None
+            if end0 or end1:
+                src, av = (s1, a1) if end0 else (s0, a0)
+                if av >= rate or (src.done and av > 0):
+                    out = self._emit(self._take_block(src))
+                    if src.done and src.avail() == 0:
+                        self._finish()
+                    return out
+                return None
+            if (a0 >= rate or s0.done) and (a1 >= rate or s1.done):
+                merged = _merge_tagged(self._take_block(s0), self._take_block(s1))
+                self.retained = merged[rate:]
+                return self._emit(merged[:rate])
+            return None
+
+        if end0 and end1:
+            out = self._emit(self.retained)
+            self.retained = []
+            self._finish()
+            return out
+        if end0:
+            src, av = s1, a1
+        elif end1:
+            src, av = s0, a0
+        else:
+            if a0 == 0 or a1 == 0:
+                return None  # a live side has no visible head yet
+            src = s0 if s0.head() <= s1.head() else s1
+            av = src.avail()
+        if av >= rate or (src.done and av > 0):
+            merged = _merge_tagged(self.retained, self._take_block(src))
+            self.retained = merged[rate:]
+            return self._emit(merged[:rate])
+        return None
 
 
 def mms_merge_runs(
-    run_a: Sequence[Record],
-    run_b: Sequence[Record],
-    rate: int,
-    state: Optional[MergeUnitState] = None,
+    run_a: Sequence[Record], run_b: Sequence[Record], rate: int
 ) -> tuple[list[Record], int]:
-    """Merge two sorted runs by repeatedly stepping one merge unit.
+    """Merge two sorted runs by firing one merge unit over always-full ports.
 
     Returns the merged run and the number of invocations taken.  For runs
-    of m and n full blocks the unit takes exactly m + n invocations,
-    counting the final flush.
+    of m and n blocks (a partial tail counts as a block) the unit takes
+    exactly m + n invocations, counting the final flush.
     """
-    state = state if state is not None else MergeUnitState(rate)
-    blocks_a = _chunk(run_a, rate)
-    blocks_b = _chunk(run_b, rate)
-    ia = ib = 0
-    out: list[Record] = []
+    _check_rate(rate)
+    ports = (LeafPort(_tag_block(run_a, 0, 0)), LeafPort(_tag_block(run_b, 1, 0)))
+    unit = MergeUnit(rate, ports)
+    out: list = []
     steps = 0
-    while True:
-        head_a = blocks_a[ia] if ia < len(blocks_a) else None
-        head_b = blocks_b[ib] if ib < len(blocks_b) else None
-        if head_a is None and head_b is None and state.drained:
-            return out, steps
-        block, consumed = mms_step(state, head_a, head_b)
+    while (emitted := unit.fire()) is not None:
+        out += emitted
         steps += 1
-        out.extend(block)
-        if consumed in ("A", "both"):
-            ia += 1
-        if consumed in ("B", "both"):
-            ib += 1
-
-
-def _chunk(run, rate):
-    return [run[i : i + rate] for i in range(0, len(run), rate)]
+    return [Record(k, v) for k, _t, v in out], steps

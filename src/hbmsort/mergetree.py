@@ -8,14 +8,14 @@ tree by adding two half-rate units and one full-rate unit at the top; the
 result is an ordinary :class:`TreeSpec` whose levels below the top two
 are the four subtrees' levels side by side.
 
-Two execution modes are provided over the same element representation:
-
-* :func:`run_pass_functional` streams the leaf feeds through the unit
-  hierarchy blockwise and returns the merged run;
-* :func:`run_pass_cycles` additionally counts cycles under a
-  block-synchronous timing contract: one block hop per level per cycle, a
-  unit fires only when its selected input has a full block (or its run is
-  ending) and its downstream buffer has room.
+A pass is simulated by wiring streaming merge units
+(:class:`~hbmsort.mergenet.MergeUnit`, the one implementation of the
+unit) into the tree under a block-synchronous timing contract: one
+block hop per level per cycle, a unit fires only when its selected input
+has a full block (or its run is ending) and its downstream buffer has
+room.
+:func:`run_pass_cycles` returns the merged run with the cycle count;
+:func:`run_pass_functional` returns the merged run alone.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mergenet import (
-    MAX_KEY,
-    _PAD_KEY,
-    RateError,
-    Record,
-    _merge_tagged,
-    mms_stats,
-)
+from .mergenet import LeafPort, MergeUnit, Record, mms_stats
 
 #: Default leaf buffer depth in records: two 1 KB bursts of 8-byte records.
 DEFAULT_LEAF_BUFFER_DEPTH = 256
@@ -44,7 +37,6 @@ DEFAULT_LEAF_BUFFER_DEPTH = 256
 UNIT_FIFO_BLOCKS = 8
 
 _LEAF_TAG_SHIFT = 44
-_PAD_TAG_BASE = 1 << 60
 
 
 class TreeShapeError(ValueError):
@@ -179,70 +171,6 @@ def _to_records_array(elems) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Functional pass: drive each unit blockwise to completion, bottom up.
-# ----------------------------------------------------------------------
-
-def _merge_runs_blockwise(a: list, b: list, rate: int) -> list:
-    """Streaming-unit semantics on tagged runs: prime, select by head, flush."""
-    if not a:
-        return b
-    if not b:
-        return a
-    pads = 0
-
-    def block(run, pos):
-        nonlocal pads
-        blk = run[pos : pos + rate]
-        while len(blk) < rate:
-            blk.append((_PAD_KEY, _PAD_TAG_BASE + pads, 0))
-            pads += 1
-        return blk
-
-    out: list = []
-    ia = ib = 0
-    merged = _merge_tagged(block(a, 0), block(b, 0))
-    ia, ib = rate, rate
-    out += merged[:rate]
-    retained = merged[rate:]
-    while ia < len(a) or ib < len(b):
-        if ia >= len(a):
-            side_b = True
-        elif ib >= len(b):
-            side_b = False
-        else:
-            side_b = b[ib] < a[ia]
-        if side_b:
-            merged = _merge_tagged(retained, block(b, ib))
-            ib += rate
-        else:
-            merged = _merge_tagged(retained, block(a, ia))
-            ia += rate
-        out += merged[:rate]
-        retained = merged[rate:]
-    out += retained
-    if pads:
-        out = [e for e in out if e[0] <= MAX_KEY]
-    return out
-
-
-def _functional_merge(levels, j: int, k: int, feeds: list[list]) -> list:
-    rate = levels[j][k]
-    if j == len(levels) - 1:
-        left, right = feeds[2 * k], feeds[2 * k + 1]
-    else:
-        left = _functional_merge(levels, j + 1, 2 * k, feeds)
-        right = _functional_merge(levels, j + 1, 2 * k + 1, feeds)
-    return _merge_runs_blockwise(left, right, rate)
-
-
-def run_pass_functional(tree: TreeSpec, feeds) -> np.ndarray:
-    """Merge all leaf feeds into one sorted run, returned as (n, 2) uint32."""
-    tagged = _normalize_feeds(tree, feeds)
-    merged = _functional_merge(tree.levels, 0, 0, tagged)
-    return _to_records_array(merged)
-
-
-# ----------------------------------------------------------------------
 # Cycle-approximate pass: block-synchronous simulation.
 # ----------------------------------------------------------------------
 
@@ -266,57 +194,6 @@ class _Buf:
         return [q.popleft() for _ in range(k)]
 
 
-class _LeafPort:
-    """Leaf buffer refilled at `rate` records/cycle (None = always full)."""
-
-    __slots__ = ("elems", "pos", "rate", "credit", "depth")
-
-    def __init__(self, elems, rate, depth):
-        self.elems = elems
-        self.pos = 0
-        self.rate = rate
-        self.credit = 0.0
-        self.depth = depth
-
-    def tick(self):
-        if self.rate is not None:
-            self.credit = min(self.credit + self.rate, float(self.depth))
-
-    def avail(self) -> int:
-        left = len(self.elems) - self.pos
-        if self.rate is None:
-            return left
-        return min(left, int(self.credit))
-
-    def head(self):
-        return self.elems[self.pos]
-
-    def take(self, k: int) -> list:
-        out = self.elems[self.pos : self.pos + k]
-        self.pos += k
-        if self.rate is not None:
-            self.credit -= k
-        return out
-
-    @property
-    def done(self) -> bool:
-        """Every remaining record is visible: nothing more will arrive."""
-        return len(self.elems) - self.pos <= self.avail()
-
-
-class _Unit:
-    __slots__ = ("rate", "srcs", "sink", "cap", "retained", "pads", "finished")
-
-    def __init__(self, rate):
-        self.rate = rate
-        self.srcs = [None, None]
-        self.sink: Optional[_Buf] = None  # None at the root
-        self.cap = 0
-        self.retained: list = []
-        self.pads = 0
-        self.finished = False
-
-
 @dataclass
 class PassResult:
     records: np.ndarray
@@ -338,130 +215,47 @@ class TreeCycleSim:
             raise ValueError(f"feed_rate_per_leaf must be positive, got {feed_rate_per_leaf}")
         tagged = _normalize_feeds(tree, feeds)
         self.total = sum(len(f) for f in tagged)
-        levels = tree.levels
-        self.units: list[_Unit] = []
-        rows: list[list[_Unit]] = []
-        for level in levels:
-            row = [_Unit(r) for r in level]
-            rows.append(row)
-            self.units.extend(row)
+        rows = [[MergeUnit(r) for r in level] for level in tree.levels]
+        self.units = [unit for row in rows for unit in row]
         for j, row in enumerate(rows[:-1]):
             for k, unit in enumerate(row):
                 for side in (0, 1):
                     child = rows[j + 1][2 * k + side]
-                    buf = _Buf()
-                    child.sink = buf
+                    child.sink = unit.srcs[side] = _Buf()
                     child.cap = UNIT_FIFO_BLOCKS * unit.rate
-                    unit.srcs[side] = buf
-        self.leaf_ports: list[_LeafPort] = []
+        self.leaf_ports = []
         for k, unit in enumerate(rows[-1]):
             for side in (0, 1):
-                port = _LeafPort(
-                    tagged[2 * k + side], feed_rate_per_leaf, tree.leaf_buffer_depth
-                )
+                port = LeafPort(tagged[2 * k + side], feed_rate_per_leaf, tree.leaf_buffer_depth)
                 unit.srcs[side] = port
                 self.leaf_ports.append(port)
-        self.root = rows[0][0]
-        self.out: list = []
-        self.last_emit_cycle = 0
-        self.cycle = 0
-
-    # -- firing logic ---------------------------------------------------
-
-    def _take_block(self, unit: _Unit, src) -> list:
-        take = min(unit.rate, src.avail())
-        blk = src.take(take)
-        while len(blk) < unit.rate:
-            blk.append((_PAD_KEY, _PAD_TAG_BASE + unit.pads, 0))
-            unit.pads += 1
-        return blk
-
-    def _emit(self, unit: _Unit, elems):
-        real = [e for e in elems if e[0] <= MAX_KEY]
-        if unit.sink is None:
-            if real:
-                self.out.extend(real)
-                self.last_emit_cycle = self.cycle
-        else:
-            unit.sink.q.extend(real)
-
-    def _finish(self, unit: _Unit):
-        unit.finished = True
-        if unit.sink is not None:
-            unit.sink.done = True
-
-    def _fire(self, unit: _Unit):
-        if unit.finished:
-            return
-        rate = unit.rate
-        if unit.sink is not None and unit.cap - len(unit.sink.q) < rate:
-            return  # backpressure
-        s0, s1 = unit.srcs
-        a0, a1 = s0.avail(), s1.avail()
-        end0 = s0.done and a0 == 0
-        end1 = s1.done and a1 == 0
-
-        if not unit.retained:
-            if end0 and end1:
-                self._finish(unit)
-                return
-            if end0 or end1:
-                src, av = (s1, a1) if end0 else (s0, a0)
-                if av >= rate or (src.done and av > 0):
-                    self._emit(unit, self._take_block(unit, src))
-                    if src.done and src.avail() == 0:
-                        self._finish(unit)
-                return
-            if (a0 >= rate or s0.done) and (a1 >= rate or s1.done):
-                merged = _merge_tagged(
-                    self._take_block(unit, s0), self._take_block(unit, s1)
-                )
-                self._emit(unit, merged[:rate])
-                unit.retained = merged[rate:]
-            return
-
-        if end0 and end1:
-            self._emit(unit, unit.retained)
-            unit.retained = []
-            self._finish(unit)
-            return
-        if end0:
-            src, av = s1, a1
-        elif end1:
-            src, av = s0, a0
-        else:
-            if a0 == 0 or a1 == 0:
-                return  # a live side has no visible head yet
-            src = s0 if s0.head() <= s1.head() else s1
-            av = src.avail()
-        if av >= rate or (src.done and av > 0):
-            merged = _merge_tagged(unit.retained, self._take_block(unit, src))
-            self._emit(unit, merged[:rate])
-            unit.retained = merged[rate:]
-
-    # -- main loop ------------------------------------------------------
 
     def run(self) -> PassResult:
         if self.total == 0:
             return PassResult(np.empty((0, 2), dtype=np.uint32), 0, 0.0)
         limit = 10_000 + 64 * self.total + 64 * len(self.units)
-        active = self.units
-        while not self.root.finished:
-            self.cycle += 1
-            if self.cycle > limit:
+        root, active = self.units[0], self.units[1:]
+        out: list = []
+        cycle = last_emit_cycle = 0
+        while not root.finished:
+            cycle += 1
+            if cycle > limit:
                 raise RuntimeError(
                     f"tree simulation exceeded {limit} cycles with "
-                    f"{len(self.out)}/{self.total} records emitted"
+                    f"{len(out)}/{self.total} records emitted"
                 )
             for port in self.leaf_ports:
                 port.tick()
+            emitted = root.fire()
+            if emitted:
+                out += emitted
+                last_emit_cycle = cycle
             for unit in active:
-                self._fire(unit)
-            if self.cycle % 256 == 0:
+                unit.fire()
+            if cycle % 256 == 0:
                 active = [u for u in active if not u.finished]
-        cycles = self.last_emit_cycle
-        rate = self.total / cycles if cycles else 0.0
-        return PassResult(_to_records_array(self.out), cycles, rate)
+        rate = self.total / last_emit_cycle if last_emit_cycle else 0.0
+        return PassResult(_to_records_array(out), last_emit_cycle, rate)
 
 
 def run_pass_cycles(
@@ -470,3 +264,8 @@ def run_pass_cycles(
     """Simulate one pass; returns the merged run, cycle count and the
     average root emission rate in records per cycle."""
     return TreeCycleSim(tree, feeds, feed_rate_per_leaf).run()
+
+
+def run_pass_functional(tree: TreeSpec, feeds) -> np.ndarray:
+    """Merge all leaf feeds into one sorted run, returned as (n, 2) uint32."""
+    return run_pass_cycles(tree, feeds).records

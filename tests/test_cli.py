@@ -40,8 +40,13 @@ BAD_CONFIGS = {
     "one-leaf-tree": "[sort]\nphase1_leaves = 1\nphase2_leaves = 4\n",
     "non-numeric-int": "[sort]\nphase1_rate = abc\n",
     "zero-trees": "[sort]\nparallel_trees = 0\n",
+    "too-many-trees": "[sort]\nparallel_trees = 32\n",
     "zero-batch": "[sort]\nbatch_bytes = 0\n",
     "zero-tree-resources": "[floorplan]\ntree_resources = 0\n",
+    "zero-channels": "[hbm]\nchannels = 0\n",
+    "zero-group-size": "[hbm]\ngroup_size = 0\n",
+    "zero-channel-bandwidth": "[hbm]\nchannel_bandwidth = 0\n",
+    "zero-channel-capacity": "[hbm]\nchannel_capacity = 0\n",
     "unknown-section": "[sorting]\nrecords = 5\n",
     "unknown-key": "[sort]\nleaves = 16\n",
     "no-section-header": "records = 5\n",
@@ -53,6 +58,32 @@ def test_bad_config_exits_with_usage_status(text, tmp_path, capsys):
     argv = ["sort", "--dry-run", "--records", "1000", "--config", _write(tmp_path, text)]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_model_exits_with_usage_status(text, tmp_path, capsys):
+    assert cli.main(["model", "--config", _write(tmp_path, text)]) == cli.EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+
+
+def test_gen_sort_validate_round_trip(tmp_path, capsys):
+    data, out = str(tmp_path / "in.bin"), str(tmp_path / "out.bin")
+    assert cli.main(["gen", data, "--records", "4096", "--seed", "3"]) == cli.EXIT_OK
+    assert cli.main(["sort", data, "--out", out, "--threads", "1"]) == cli.EXIT_OK
+    assert cli.main(["validate", out]) == cli.EXIT_OK
+
+
+def test_validate_unsorted_reports_first_violation(tmp_path, capsys):
+    data, report = str(tmp_path / "in.bin"), tmp_path / "validate.json"
+    assert cli.main(["gen", data, "--records", "4096"]) == cli.EXIT_OK
+    assert cli.main(["validate", data, "--report", str(report)]) == cli.EXIT_VALIDATION
+    assert json.loads(report.read_text())["validation"]["first_violation"] is not None
+
+
+def test_gen_to_unwritable_path_exits_with_data_status(tmp_path, capsys):
+    out = str(tmp_path / "no-such-dir" / "in.bin")
+    assert cli.main(["gen", out, "--records", "16"]) == cli.EXIT_DATA
+    assert "cannot write" in capsys.readouterr().err
 
 
 #: One non-default value per settable key: (raw text, value it must load as).

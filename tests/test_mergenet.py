@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hbmsort.mergenet import (
     BLOCK_RATES,
     MAX_KEY,
-    DrainedUnitError,
-    MergeUnitState,
+    LeafPort,
+    MergeUnit,
     RateError,
     Record,
     bitonic_merge_blocks,
@@ -16,7 +16,6 @@ from hbmsort.mergenet import (
     merger_stats,
     mms_merge_runs,
     mms_stats,
-    mms_step,
 )
 from oracles import two_pointer_merge, random_sorted_records
 
@@ -27,6 +26,18 @@ def recs(*keys):
 
 def keys_of(records):
     return [r.key for r in records]
+
+
+def unit_over(rate, keys0, keys1):
+    """A merge unit over two always-full ports of tagged (key, tag, value)
+    elements; input 0's tags order before input 1's."""
+    ports = [LeafPort([(k, (side << 48) | i, side) for i, k in enumerate(keys)])
+             for side, keys in enumerate((keys0, keys1))]
+    return MergeUnit(rate, ports), ports
+
+
+def fired_keys(unit):
+    return [k for k, _t, _v in unit.fire()]
 
 
 class TestCompareSwap:
@@ -124,7 +135,6 @@ class TestBitonicMergeBlocks:
 
 class TestMmsStep:
     def test_blocked_merge_example(self):
-        state = MergeUnitState(4)
         a = recs(1, 3, 5, 7) + recs(9, 11, 13, 15)
         b = recs(2, 4, 6, 8) + recs(10, 12, 14, 16)
         out, steps = mms_merge_runs(a, b, 4)
@@ -133,48 +143,52 @@ class TestMmsStep:
         assert steps == 4  # two blocks per run, one step each, flush included
 
     def test_one_sided_with_retained(self):
-        state = MergeUnitState(4)
-        # prime the unit so that [1,2,3,4] is retained
-        out, consumed = mms_step(state, recs(1, 2, 3, 4), recs(5, 6, 7, 8))
-        assert consumed == "both"
-        assert keys_of(out) == [1, 2, 3, 4]
-        assert keys_of(state.retained) == [5, 6, 7, 8]
-        # A exhausted: consuming B merges against the retained half
-        out, consumed = mms_step(state, None, recs(5, 6, 7, 8))
-        assert consumed == "B"
-        assert keys_of(out) == [5, 5, 6, 6]
+        unit, (p0, p1) = unit_over(4, [1, 3, 10, 12], [2, 4, 6, 8, 9, 11, 13, 15])
+        # priming takes one block from each input and emits the lower half
+        assert fired_keys(unit) == [1, 2, 3, 4]
+        assert (p0.pos, p1.pos) == (4, 4)
+        assert [e[0] for e in unit.retained] == [6, 8, 10, 12]
+        # input 0 has ended: input 1 merges against the retained half
+        assert fired_keys(unit) == [6, 8, 9, 10]
+        assert p1.pos == 8
+        assert fired_keys(unit) == [11, 12, 13, 15]
 
     def test_degenerate_one_sided_merge(self):
-        # retained [1,2,3,4], A exhausted, B=[5,6,7,8] -> out [1,2,3,4]
-        state = MergeUnitState(4)
-        mms_step(state, recs(0, 0, 0, 0), recs(1, 2, 3, 4))
-        assert keys_of(state.retained) == [1, 2, 3, 4]
-        out, consumed = mms_step(state, None, recs(5, 6, 7, 8))
-        assert consumed == "B"
-        assert keys_of(out) == [1, 2, 3, 4]
+        # retained [1,2,3,4], input 0 ended, input 1 offers [5,6,7,8] -> out [1,2,3,4]
+        unit, _ = unit_over(4, [0, 0, 0, 0], [1, 2, 3, 4, 5, 6, 7, 8])
+        assert fired_keys(unit) == [0, 0, 0, 0]
+        assert [e[0] for e in unit.retained] == [1, 2, 3, 4]
+        assert fired_keys(unit) == [1, 2, 3, 4]
 
     def test_selection_prefers_smaller_head(self):
-        state = MergeUnitState(2)
-        mms_step(state, recs(1, 10), recs(2, 11))
-        out, consumed = mms_step(state, recs(20, 21), recs(3, 4))
-        assert consumed == "B"
+        unit, (p0, p1) = unit_over(2, [1, 10, 20, 21], [2, 3, 4, 11])
+        assert fired_keys(unit) == [1, 2]
+        assert fired_keys(unit) == [3, 4]  # head 4 of input 1 beats head 20
+        assert (p0.pos, p1.pos) == (2, 4)
 
-    def test_flush_and_drained_error(self):
-        state = MergeUnitState(2)
-        mms_step(state, recs(1, 2), recs(3, 4))
-        out, consumed = mms_step(state, None, None)
-        assert consumed == "flush"
-        assert keys_of(out) == [3, 4]
-        with pytest.raises(DrainedUnitError):
-            mms_step(state, None, None)
+    def test_tie_on_head_goes_to_input_0(self):
+        unit, (p0, p1) = unit_over(2, [1, 2, 5, 6], [1, 3, 5, 7])
+        assert [v for _k, _t, v in unit.fire()] == [0, 1]  # tied 1s: input 0 first
+        unit.fire()
+        assert (p0.pos, p1.pos) == (4, 2)
 
-    def test_run_epoch_reset(self):
-        state = MergeUnitState(2)
-        mms_step(state, recs(1, 2), recs(3, 4))
-        state.reset()
-        assert state.run_epoch == 1
-        assert state.drained
-        assert state.reset_cycles == state.pipeline_depth
+    def test_flush_then_finished_returns_none(self):
+        unit, _ = unit_over(2, [1, 2], [3, 4])
+        assert fired_keys(unit) == [1, 2]
+        assert fired_keys(unit) == [3, 4]  # both inputs ended: flush
+        assert unit.finished
+        assert unit.fire() is None
+
+    @pytest.mark.parametrize(
+        "na,nb,rate,steps", [(1, 5, 2, 4), (11, 6, 4, 5), (0, 3, 2, 2), (1, 1, 2, 2)]
+    )
+    def test_partial_tail_step_counts(self, na, nb, rate, steps):
+        rng = np.random.default_rng(na + nb)
+        a = random_sorted_records(rng, na)
+        b = random_sorted_records(rng, nb)
+        out, taken = mms_merge_runs(a, b, rate)
+        assert taken == steps  # one step per block, partial tails included
+        assert out == two_pointer_merge(a, b)
 
     @pytest.mark.parametrize("rate", [2, 4, 8])
     def test_run_level_oracle(self, rate):
