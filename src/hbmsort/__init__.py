@@ -3,10 +3,12 @@
 from .mergenet import (
     BLOCK_RATES,
     MAX_KEY,
-    LeafPort,
+    MergeOrderError,
     MergeUnit,
     RateError,
     Record,
+    Source,
+    UnsortedFeedError,
     bitonic_merge_blocks,
     bitonic_merge_network,
     compare_swap,
@@ -18,7 +20,6 @@ from .mergetree import (
     PassResult,
     TreeShapeError,
     TreeSpec,
-    UnsortedFeedError,
     build_tree,
     compose_wide_tree,
     run_pass_cycles,

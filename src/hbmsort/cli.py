@@ -136,7 +136,11 @@ def cmd_sort(args) -> int:
             print("error: --dry-run needs --records or [sort] records", file=sys.stderr)
             return EXIT_USAGE
         cfg = app.sort_config(args.records)
-        plan = plan_sort(cfg, app.topo)
+        try:
+            plan = plan_sort(cfg, app.topo)
+        except CapacityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
         timing = build_timing(cfg, plan, app.topo, app.profile)
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -231,7 +235,11 @@ def cmd_model(args) -> int:
     single_passes = analytics.ceil_log(ref.single_tree_leaves, n)
 
     cfg = app.sort_config(n)
-    plan = plan_sort(cfg, app.topo)
+    try:
+        plan = plan_sort(cfg, app.topo)
+    except CapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     phase1_inp = PerfModelInput(
         records=n, leaves=cfg.phase1_leaves,
         memory_bandwidth=app.topo.channel_bandwidth,

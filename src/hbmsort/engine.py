@@ -14,7 +14,7 @@ phase one are stable sorts of their input ranges and phase two is a
 stable merge of the sub-runs.  Each phase is one unstable sort of unique
 64-bit composite keys (group, key, input position) and one gather.
 ``tests/test_engine.py`` checks the result against a heap merge and
-phase two against the unit-level wide tree (``run_pass_functional``).
+phase two against a pass of the wide tree (``run_pass_functional``).
 Cycle accounting is trace-driven: per-run-shape costs are measured once
 on the unit-level simulator with synthetic balanced feeds and scaled, so
 timing depends only on the run-length structure, never on key values,

@@ -8,25 +8,27 @@ tree by adding two half-rate units and one full-rate unit at the top; the
 result is an ordinary :class:`TreeSpec` whose levels below the top two
 are the four subtrees' levels side by side.
 
-A pass is simulated by wiring streaming merge units
+A pass is simulated cycle by cycle on streaming merge units
 (:class:`~hbmsort.mergenet.MergeUnit`, the one implementation of the
-unit) into the tree under a block-synchronous timing contract: one
-block hop per level per cycle, a unit fires only when its selected input
-has a full block (or its run is ending) and its downstream buffer has
-room.
+unit) wired into the tree.  Each cycle fires every unit once, root
+first, so a block a unit emits reaches its parent one cycle later; a
+unit fires only when its selected input shows a full block (or its run
+is ending) and the FIFO to its parent has room.  No record moves through
+the simulation: the pass output is one stable sort of the feeds, and the
+units count records against the ranks of that sort.
 :func:`run_pass_cycles` returns the merged run with the cycle count;
 :func:`run_pass_functional` returns the merged run alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .mergenet import LeafPort, MergeUnit, Record, mms_stats
+from .mergenet import MAX_KEY, MergeUnit, Record, Source, UnsortedFeedError, mms_stats
 
 #: Default leaf buffer depth in records: two 1 KB bursts of 8-byte records.
 DEFAULT_LEAF_BUFFER_DEPTH = 256
@@ -36,17 +38,9 @@ DEFAULT_LEAF_BUFFER_DEPTH = 256
 #: a tree at ~77% of its rate); 8 blocks absorb the fluctuations.
 UNIT_FIFO_BLOCKS = 8
 
-_LEAF_TAG_SHIFT = 44
-
 
 class TreeShapeError(ValueError):
     """Invalid (p, l) combination or mismatched composition."""
-
-
-class UnsortedFeedError(ValueError):
-    def __init__(self, leaf: int):
-        super().__init__(f"feed for leaf {leaf} is not sorted by key")
-        self.leaf = leaf
 
 
 @dataclass(frozen=True)
@@ -125,73 +119,25 @@ def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
 
 
 # ----------------------------------------------------------------------
-# Feed normalization: everything becomes lists of (key, tag, value) where
-# the tag encodes (leaf index, position) so ties resolve in leaf order.
+# Feeds: validated columns, one stable sort, ranks per leaf and per unit.
 # ----------------------------------------------------------------------
 
-def _tag_feed(run, leaf: int) -> list:
-    base = leaf << _LEAF_TAG_SHIFT
-    if isinstance(run, np.ndarray):
-        if run.size == 0:
-            return []
-        if run.ndim == 1:
-            keys = run.astype(np.int64)
-            vals = np.zeros(len(run), dtype=np.int64)
-        else:
-            keys = run[:, 0].astype(np.int64)
-            vals = run[:, 1].astype(np.int64)
-        if len(keys) > 1 and np.any(np.diff(keys) < 0):
-            raise UnsortedFeedError(leaf)
-        return [(int(k), base | i, int(v)) for i, (k, v) in enumerate(zip(keys, vals))]
-    out = []
-    prev = -1
-    for i, rec in enumerate(run):
-        key, value = (rec.key, rec.value) if isinstance(rec, Record) else (int(rec), 0)
-        if key < prev:
-            raise UnsortedFeedError(leaf)
-        prev = key
-        out.append((key, base | i, value))
-    return out
+def _feed_columns(run, leaf: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and values of one feed: a 1-D key array, an (n, 2) array of
+    (key, value) rows, or a list of :class:`Record` or int keys."""
+    if not isinstance(run, np.ndarray):
+        run = np.array([(r.key, r.value) if isinstance(r, Record) else (int(r), 0) for r in run],
+                       dtype=np.int64).reshape(-1, 2)
+    keys, values = (run, np.zeros_like(run)) if run.ndim == 1 else (run[:, 0], run[:, 1])
+    if np.any(keys[1:] < keys[:-1]):
+        raise UnsortedFeedError(leaf)
+    return keys, values
 
 
-def _normalize_feeds(tree: TreeSpec, feeds) -> list[list]:
-    if len(feeds) > tree.leaves:
-        raise TreeShapeError(f"{len(feeds)} feeds for a {tree.leaves}-leaf tree")
-    tagged = [_tag_feed(f, i) for i, f in enumerate(feeds)]
-    tagged += [[] for _ in range(tree.leaves - len(feeds))]
-    return tagged
-
-
-def _to_records_array(elems) -> np.ndarray:
-    arr = np.empty((len(elems), 2), dtype=np.uint32)
-    for i, (k, _t, v) in enumerate(elems):
-        arr[i, 0] = k
-        arr[i, 1] = v
-    return arr
-
-
-# ----------------------------------------------------------------------
-# Cycle-approximate pass: block-synchronous simulation.
-# ----------------------------------------------------------------------
-
-class _Buf:
-    """Inter-level FIFO; `done` means nothing more will ever arrive."""
-
-    __slots__ = ("q", "done")
-
-    def __init__(self):
-        self.q = deque()
-        self.done = False
-
-    def avail(self) -> int:
-        return len(self.q)
-
-    def head(self):
-        return self.q[0]
-
-    def take(self, k: int) -> list:
-        q = self.q
-        return [q.popleft() for _ in range(k)]
+def _as_u32(col: np.ndarray, what: str) -> np.ndarray:
+    if not np.can_cast(col.dtype, np.uint32) and len(col) and (col.min() < 0 or col.max() > MAX_KEY):
+        raise ValueError(f"feed {what} outside the 32-bit range")
+    return col.astype(np.uint32, copy=False)
 
 
 @dataclass
@@ -208,54 +154,85 @@ class TreeCycleSim:
     visible to its consumer only in the next cycle (one hop per level per
     cycle).  A unit stalls when its downstream FIFO lacks room for a block
     or when the input it would have to select from cannot yet offer one.
+
+    The pass output is the stable sort of the concatenated feeds (ties in
+    leaf order, as the units resolve them), and a record's position in it
+    is its rank.  Each source holds the ranks of the records of the
+    subtree below it, and each unit its guard counts (see
+    :class:`~hbmsort.mergenet.MergeUnit`), as memoryviews of one int64
+    array per level.
     """
 
     def __init__(self, tree: TreeSpec, feeds, feed_rate_per_leaf: Optional[float] = None):
         if feed_rate_per_leaf is not None and not feed_rate_per_leaf > 0:
             raise ValueError(f"feed_rate_per_leaf must be positive, got {feed_rate_per_leaf}")
-        tagged = _normalize_feeds(tree, feeds)
-        self.total = sum(len(f) for f in tagged)
-        rows = [[MergeUnit(r) for r in level] for level in tree.levels]
-        self.units = [unit for row in rows for unit in row]
-        for j, row in enumerate(rows[:-1]):
-            for k, unit in enumerate(row):
-                for side in (0, 1):
-                    child = rows[j + 1][2 * k + side]
-                    child.sink = unit.srcs[side] = _Buf()
-                    child.cap = UNIT_FIFO_BLOCKS * unit.rate
-        self.leaf_ports = []
-        for k, unit in enumerate(rows[-1]):
-            for side in (0, 1):
-                port = LeafPort(tagged[2 * k + side], feed_rate_per_leaf, tree.leaf_buffer_depth)
-                unit.srcs[side] = port
-                self.leaf_ports.append(port)
+        if len(feeds) > tree.leaves:
+            raise TreeShapeError(f"{len(feeds)} feeds for a {tree.leaves}-leaf tree")
+        cols = [_feed_columns(f, i) for i, f in enumerate(feeds)] or [_feed_columns([], 0)]
+        keys = _as_u32(np.concatenate([k for k, _ in cols]), "key")
+        values = _as_u32(np.concatenate([v for _, v in cols]), "value")
+        self.total = len(keys)
+        order = np.argsort(keys, kind="stable")
+        self.records = np.stack([keys[order], values[order]], axis=1)
+        lengths = [len(k) for k, _ in cols] + [0] * (tree.leaves - len(cols))
+        leaf_ids = np.arange(tree.leaves, dtype=np.min_scalar_type(tree.leaves))
+        leaf = np.repeat(leaf_ids, lengths)[order]  # leaf of each rank
+
+        grp, bounds = _by_node(leaf, 0, tree.leaves)
+        srcs = [Source(memoryview(grp[lo:hi]), feed_rate_per_leaf, tree.leaf_buffer_depth)
+                for lo, hi in pairwise(bounds)]
+        self.ticking = srcs if feed_rate_per_leaf is not None else []
+        rows = []
+        for j in range(tree.depth - 1, -1, -1):  # bottom level first
+            shift = tree.depth - j
+            grp, bounds = _by_node(leaf, shift, len(tree.levels[j]))
+            from0 = ((leaf[grp] >> (shift - 1)) & 1) == 0
+            c0 = np.concatenate(([0], np.cumsum(from0)))
+            row = []
+            for k, (rate, (lo, hi)) in enumerate(zip(tree.levels[j], pairwise(bounds))):
+                unit = MergeUnit(rate, srcs[2 * k : 2 * k + 2], memoryview(c0[lo : hi + 1] - c0[lo]))
+                if j:
+                    unit.sink = Source.fifo(memoryview(grp[lo:hi]))
+                    unit.cap = UNIT_FIFO_BLOCKS * tree.levels[j - 1][k // 2]
+                row.append(unit)
+            srcs = [unit.sink for unit in row]
+            rows.append(row)
+        self.units = [unit for row in reversed(rows) for unit in row]  # root first
 
     def run(self) -> PassResult:
         if self.total == 0:
-            return PassResult(np.empty((0, 2), dtype=np.uint32), 0, 0.0)
+            return PassResult(self.records, 0, 0.0)
         limit = 10_000 + 64 * self.total + 64 * len(self.units)
-        root, active = self.units[0], self.units[1:]
-        out: list = []
+        root = self.units[0]
+        fires = [u.fire for u in self.units[1:]]
+        ticks = [p.tick for p in self.ticking]
         cycle = last_emit_cycle = 0
         while not root.finished:
             cycle += 1
             if cycle > limit:
                 raise RuntimeError(
                     f"tree simulation exceeded {limit} cycles with "
-                    f"{len(out)}/{self.total} records emitted"
+                    f"{root.out}/{self.total} records emitted"
                 )
-            for port in self.leaf_ports:
-                port.tick()
-            emitted = root.fire()
-            if emitted:
-                out += emitted
+            for tick in ticks:
+                tick()
+            if root.fire():
                 last_emit_cycle = cycle
-            for unit in active:
-                unit.fire()
-            if cycle % 256 == 0:
-                active = [u for u in active if not u.finished]
+            for fire in fires:
+                fire()
+            if cycle % 256 == 0:  # drop finished units and fully visible leaves
+                fires = [u.fire for u in self.units[1:] if not u.finished]
+                ticks = [p.tick for p in self.ticking if not p.done]
         rate = self.total / last_emit_cycle if last_emit_cycle else 0.0
-        return PassResult(_to_records_array(out), last_emit_cycle, rate)
+        return PassResult(self.records[: root.out], last_emit_cycle, rate)
+
+
+def _by_node(leaf: np.ndarray, shift: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks grouped by the node ``leaf >> shift`` they pass through, each
+    group ascending, and the group bounds (``nodes + 1`` offsets)."""
+    node = leaf >> shift
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(node, minlength=nodes))))
+    return np.argsort(node, kind="stable"), bounds
 
 
 def run_pass_cycles(

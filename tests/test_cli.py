@@ -66,6 +66,16 @@ def test_bad_config_model_exits_with_usage_status(text, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,text", [
+    (["model"], "[sort]\nparallel_trees = 8\n"),
+    (["sort", "--dry-run", "--records", "2000000000"], None),
+], ids=["model-8-trees", "sort-dry-run-2g-records"])
+def test_over_capacity_exits_with_data_status(argv, text, tmp_path, capsys):
+    config = ["--config", _write(tmp_path, text)] if text else []
+    assert cli.main(argv + config) == cli.EXIT_DATA
+    assert "error:" in capsys.readouterr().err
+
+
 def test_gen_sort_validate_round_trip(tmp_path, capsys):
     data, out = str(tmp_path / "in.bin"), str(tmp_path / "out.bin")
     assert cli.main(["gen", data, "--records", "4096", "--seed", "3"]) == cli.EXIT_OK

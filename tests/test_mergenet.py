@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from hbmsort.mergenet import (
     BLOCK_RATES,
     MAX_KEY,
-    LeafPort,
+    MergeOrderError,
     MergeUnit,
     RateError,
     Record,
+    Source,
+    UnsortedFeedError,
     bitonic_merge_blocks,
     bitonic_merge_network,
     compare_swap,
@@ -29,15 +31,32 @@ def keys_of(records):
 
 
 def unit_over(rate, keys0, keys1):
-    """A merge unit over two always-full ports of tagged (key, tag, value)
-    elements; input 0's tags order before input 1's."""
-    ports = [LeafPort([(k, (side << 48) | i, side) for i, k in enumerate(keys)])
-             for side, keys in enumerate((keys0, keys1))]
-    return MergeUnit(rate, ports), ports
+    """A merge unit over two always-full ports, its ports, and its merged
+    stream as (key, input) pairs: a stable sort, so ties take input 0."""
+    tagged = sorted((k, side, i) for side, keys in enumerate((keys0, keys1))
+                    for i, k in enumerate(keys))
+    ranks = ([], [])
+    for r, (_k, side, _i) in enumerate(tagged):
+        ranks[side].append(r)
+    ports = [Source(r) for r in ranks]
+    return MergeUnit(rate, ports), ports, [(k, side) for k, side, _i in tagged]
 
 
-def fired_keys(unit):
-    return [k for k, _t, _v in unit.fire()]
+def fired(unit, merged):
+    """Fire once; the (key, input) pairs emitted, read off the merged stream."""
+    start = unit.out
+    return merged[start : start + unit.fire()]
+
+
+def fired_keys(unit, merged):
+    return [k for k, _side in fired(unit, merged)]
+
+
+def retained_keys(unit, ports, merged):
+    """Keys read but not yet emitted: the real records of the retained half."""
+    read = sorted(r for p in ports for r in p.ranks[: p.pos] if r >= unit.out)
+    assert len(read) == unit.ret_real
+    return [merged[r][0] for r in read]
 
 
 class TestCompareSwap:
@@ -143,41 +162,59 @@ class TestMmsStep:
         assert steps == 4  # two blocks per run, one step each, flush included
 
     def test_one_sided_with_retained(self):
-        unit, (p0, p1) = unit_over(4, [1, 3, 10, 12], [2, 4, 6, 8, 9, 11, 13, 15])
+        unit, ports, merged = unit_over(4, [1, 3, 10, 12], [2, 4, 6, 8, 9, 11, 13, 15])
+        p0, p1 = ports
         # priming takes one block from each input and emits the lower half
-        assert fired_keys(unit) == [1, 2, 3, 4]
+        assert fired_keys(unit, merged) == [1, 2, 3, 4]
         assert (p0.pos, p1.pos) == (4, 4)
-        assert [e[0] for e in unit.retained] == [6, 8, 10, 12]
+        assert unit.ret_real == 4
+        assert retained_keys(unit, ports, merged) == [6, 8, 10, 12]
         # input 0 has ended: input 1 merges against the retained half
-        assert fired_keys(unit) == [6, 8, 9, 10]
+        assert fired_keys(unit, merged) == [6, 8, 9, 10]
         assert p1.pos == 8
-        assert fired_keys(unit) == [11, 12, 13, 15]
+        assert fired_keys(unit, merged) == [11, 12, 13, 15]
 
     def test_degenerate_one_sided_merge(self):
         # retained [1,2,3,4], input 0 ended, input 1 offers [5,6,7,8] -> out [1,2,3,4]
-        unit, _ = unit_over(4, [0, 0, 0, 0], [1, 2, 3, 4, 5, 6, 7, 8])
-        assert fired_keys(unit) == [0, 0, 0, 0]
-        assert [e[0] for e in unit.retained] == [1, 2, 3, 4]
-        assert fired_keys(unit) == [1, 2, 3, 4]
+        unit, ports, merged = unit_over(4, [0, 0, 0, 0], [1, 2, 3, 4, 5, 6, 7, 8])
+        assert fired_keys(unit, merged) == [0, 0, 0, 0]
+        assert retained_keys(unit, ports, merged) == [1, 2, 3, 4]
+        assert fired_keys(unit, merged) == [1, 2, 3, 4]
 
     def test_selection_prefers_smaller_head(self):
-        unit, (p0, p1) = unit_over(2, [1, 10, 20, 21], [2, 3, 4, 11])
-        assert fired_keys(unit) == [1, 2]
-        assert fired_keys(unit) == [3, 4]  # head 4 of input 1 beats head 20
+        unit, (p0, p1), merged = unit_over(2, [1, 10, 20, 21], [2, 3, 4, 11])
+        assert fired_keys(unit, merged) == [1, 2]
+        assert fired_keys(unit, merged) == [3, 4]  # head 4 of input 1 beats head 20
         assert (p0.pos, p1.pos) == (2, 4)
 
     def test_tie_on_head_goes_to_input_0(self):
-        unit, (p0, p1) = unit_over(2, [1, 2, 5, 6], [1, 3, 5, 7])
-        assert [v for _k, _t, v in unit.fire()] == [0, 1]  # tied 1s: input 0 first
+        unit, (p0, p1), merged = unit_over(2, [1, 2, 5, 6], [1, 3, 5, 7])
+        assert fired(unit, merged) == [(1, 0), (1, 1)]  # tied 1s: input 0 first
         unit.fire()
         assert (p0.pos, p1.pos) == (4, 2)
 
     def test_flush_then_finished_returns_none(self):
-        unit, _ = unit_over(2, [1, 2], [3, 4])
-        assert fired_keys(unit) == [1, 2]
-        assert fired_keys(unit) == [3, 4]  # both inputs ended: flush
-        assert unit.finished
+        unit, ports, merged = unit_over(2, [1, 2], [3, 4])
+        assert fired_keys(unit, merged) == [1, 2]
+        assert fired_keys(unit, merged) == [3, 4]  # both inputs ended: flush
+        assert unit.finished and unit.ret_real == 0
         assert unit.fire() is None
+
+    def test_guard_catches_out_of_order_ranks(self):
+        # input 0's ranks are not ascending, so the head compare sees 6 where
+        # 2 is next and selects input 1 twice; emitting the third record of
+        # the merged stream (rank 2, unread) must raise
+        unit = MergeUnit(1, (Source([0, 6, 2, 4]), Source([1, 3, 5, 7])))
+        assert [unit.fire(), unit.fire()] == [1, 1]
+        with pytest.raises(MergeOrderError):
+            unit.fire()
+
+    def test_guard_catches_emitting_more_than_read(self):
+        unit = MergeUnit(4, (Source([0, 2, 4]), Source([1, 3, 5])))
+        assert unit.fire() == 4  # priming reads all six records
+        unit.ret_real = 4  # claims two records it never read
+        with pytest.raises(MergeOrderError):
+            unit.fire()
 
     @pytest.mark.parametrize(
         "na,nb,rate,steps", [(1, 5, 2, 4), (11, 6, 4, 5), (0, 3, 2, 2), (1, 1, 2, 2)]
@@ -215,6 +252,14 @@ class TestMmsStep:
         b = random_sorted_records(rng, 6)
         out, _ = mms_merge_runs(a, b, 4)
         assert out == two_pointer_merge(a, b)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_unsorted_run_rejected(self, side):
+        runs = [recs(1, 3), recs(2, 4)]
+        runs[side] = recs(5, 1)
+        with pytest.raises(UnsortedFeedError) as err:
+            mms_merge_runs(*runs, 1)
+        assert err.value.leaf == side
 
     def test_max_key_records_survive_padding(self):
         a = [Record(7), Record(MAX_KEY, 1)]

@@ -145,6 +145,11 @@ class TestFunctionalPass:
             run_pass_functional(t, feeds)
         assert err.value.leaf == 3
 
+    @pytest.mark.parametrize("feed", [np.array([1, 1 << 32]), np.array([-1, 2]), [1 << 32]])
+    def test_out_of_range_keys_rejected(self, feed):
+        with pytest.raises(ValueError, match="32-bit"):
+            run_pass_functional(build_tree(1, 2), [feed])
+
     def test_too_many_feeds_rejected(self):
         t = build_tree(1, 2)
         with pytest.raises(TreeShapeError):
