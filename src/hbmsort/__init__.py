@@ -28,13 +28,8 @@ from .mergetree import (
 from .hbm import (
     BandwidthProfile,
     CapacityError,
-    ChannelLayout,
-    Conflict,
     HbmTopology,
     ProfileKeyError,
-    route,
-    table_layout,
-    validate_layout,
 )
 from .analytics import (
     FloorplanProblem,

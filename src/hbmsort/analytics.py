@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 from .hbm import BandwidthProfile
 from .mergenet import mms_stats
-from .mergetree import build_tree
+from .mergetree import REUSE_FACTOR, build_tree
 
 
 def ceil_log(base: int, n: int) -> int:
@@ -210,7 +210,8 @@ class ProfileCoverageError(ValueError):
 
 def select_burst_sizes(profile: BandwidthProfile) -> BurstSelection:
     """Pick per-phase burst sizes: the cheapest burst that reaches the
-    pattern's peak efficiency (1x1 traffic in phase one, 4x4 in phase
-    two).  A pattern whose profile never reaches 95% of peak channel
-    efficiency is flagged via ``at_peak=False``."""
-    return BurstSelection(_select_for_pattern(profile, 1), _select_for_pattern(profile, 4))
+    pattern's peak efficiency (1x1 traffic in phase one, the reuse
+    factor's pattern, 4x4, in phase two).  A pattern whose profile never
+    reaches 95% of peak channel efficiency is flagged via ``at_peak=False``."""
+    return BurstSelection(_select_for_pattern(profile, 1),
+                          _select_for_pattern(profile, REUSE_FACTOR))

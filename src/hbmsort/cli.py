@@ -25,9 +25,11 @@ import numpy as np
 from . import analytics, dataset, engine
 from .analytics import PerfModelInput, floorplan_solve, resource_tree, select_burst_sizes
 from .config import AppConfig, ConfigError, load_config
-from .engine import CycleModel, SortConfig, build_timing, plan_sort, verify_permutation
+from .engine import (
+    CalibrationError, CycleModel, SortConfig, build_timing, plan_sort, verify_permutation,
+)
 from .hbm import CapacityError
-from .mergetree import build_tree, compose_wide_tree
+from .mergetree import REUSE_FACTOR, build_tree, compose_wide_tree
 
 SCHEMA_VERSION = 1
 
@@ -138,10 +140,10 @@ def cmd_sort(args) -> int:
         cfg = app.sort_config(args.records)
         try:
             plan = plan_sort(cfg, app.topo)
-        except CapacityError as exc:
+            timing = build_timing(cfg, plan, app.topo, app.profile)
+        except (CapacityError, CalibrationError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        timing = build_timing(cfg, plan, app.topo, app.profile)
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "sort",
@@ -171,7 +173,7 @@ def cmd_sort(args) -> int:
             np.asarray(data), cfg, mode=args.mode, threads=args.threads,
             topo=app.topo, profile=app.profile,
         )
-    except (CapacityError, engine.IntegrityError) as exc:
+    except (CapacityError, CalibrationError, engine.IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -255,8 +257,8 @@ def cmd_model(args) -> int:
     tree_reused = resource_tree(cfg.phase1_rate, cfg.phase1_leaves, app.resource,
                                 burst_bytes=cfg.phase2_burst)
     tree = build_tree(cfg.phase1_rate, cfg.phase1_leaves)
-    wide = compose_wide_tree([tree] * 4)
-    extra_comparators = wide.comparator_total() - 4 * tree.comparator_total()
+    wide = compose_wide_tree([tree] * REUSE_FACTOR)
+    extra_comparators = wide.comparator_total() - REUSE_FACTOR * tree.comparator_total()
     recurrence = {
         str(p): analytics.comparator_recurrence(p, app.resource)
         for p in (2, 4, 8, 16, 32)
@@ -329,10 +331,10 @@ def cmd_sweep(args) -> int:
         cfg = app.sort_config(records)
         try:
             plan = plan_sort(cfg, app.topo)
-        except CapacityError as exc:
+            timing = build_timing(cfg, plan, app.topo, app.profile, model)
+        except (CapacityError, CalibrationError) as exc:
             print(f"error: {size} B: {exc}", file=sys.stderr)
             return EXIT_DATA
-        timing = build_timing(cfg, plan, app.topo, app.profile, model)
         rows.append({
             "bytes": size,
             "records": records,

@@ -1,13 +1,15 @@
 """INI-style configuration covering every tunable in one file.
 
-Sections: [sort] pipeline geometry, [hbm] topology numbers, [bandwidth]
-the measured efficiency table as ``MxM,BURST = fraction`` entries,
-[resource] the comparator/LUT cost model, [floorplan] the die-placement
-instance, [reference] reported hardware anchor figures used by the
-analytic reports.  Unknown sections or keys are errors; missing ones fall
-back to the field defaults of ``SortConfig``, ``HbmTopology``,
-``BandwidthProfile``, ``ResourceModelParams``, ``FloorplanProblem`` and
-``Reference``.
+Sections: [sort] the sorter's settings (the sub-run and feed counts are
+derived from them, not set), [hbm] per-channel bandwidth and capacity,
+[bandwidth] the measured efficiency table as ``MxM,BURST = fraction``
+entries, [resource] the comparator/LUT cost model, [floorplan] the
+die-placement instance, [reference] reported hardware anchor figures
+used by the analytic reports.  ``_SECTION_FIELDS`` lists the keys of
+every section but [bandwidth].  Unknown sections or keys are errors;
+missing ones fall back to the field defaults of ``SortConfig``,
+``HbmTopology``, ``BandwidthProfile``, ``ResourceModelParams``,
+``FloorplanProblem`` and ``Reference``.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ class Reference:
     single_tree_leaves: int = 256
 
 
-def _parse_optional_int(text: str) -> Optional[int]:
-    text = text.strip()
-    return int(text) if text else None
-
-
 _SECTION_FIELDS = {
     "sort": {
         "records": int,
@@ -52,11 +49,8 @@ _SECTION_FIELDS = {
         "phase1_burst": int,
         "phase2_burst": int,
         "clock_hz": float,
-        "reset_cycles": _parse_optional_int,
     },
     "hbm": {
-        "channels": int,
-        "group_size": int,
         "channel_bandwidth": float,
         "channel_capacity": int,
     },

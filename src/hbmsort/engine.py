@@ -1,12 +1,14 @@
 """Two-phase sort orchestration.
 
-Phase one: 16 trees sort one channel's worth of data each over several
-passes, the last pass capped so every channel ends with four independent
-sorted sub-runs instead of one fully sorted sequence (a fully sorted
-channel would leave three quarters of the wide tree's leaves idle in the
-next phase).  Phase two: one pass of a four-times-wider tree, built by
-reusing four phase-one trees, merges all 64 sub-runs; its output is cut
-into batches and written round-robin across four targets.
+Phase one: each of ``parallel_trees`` trees sorts one channel's worth of
+data over several passes, the last pass capped so every channel ends
+with ``phase2_leaves / parallel_trees`` independent sorted sub-runs
+instead of one fully sorted sequence, so that the sub-runs of all
+channels feed every leaf of the wide tree in the next phase.  Phase two:
+one pass of the wide tree, built by reusing ``REUSE_FACTOR`` phase-one
+trees, merges all ``phase2_leaves`` sub-runs; its output is cut into
+batches and written round-robin across ``REUSE_FACTOR`` targets.
+:func:`plan_sort` derives every such count from :class:`SortConfig`.
 
 The functional data path computes what the passes produce, not each
 pass: a merge tree resolves equal keys in leaf order, so the sub-runs of
@@ -14,7 +16,7 @@ phase one are stable sorts of their input ranges and phase two is a
 stable merge of the sub-runs.  Each phase is one unstable sort of unique
 64-bit composite keys (group, key, input position) and one gather.
 ``tests/test_engine.py`` checks the result against a heap merge and
-phase two against a pass of the wide tree (``run_pass_functional``).
+phase two against a simulated pass of the wide tree.
 Cycle accounting is trace-driven: per-run-shape costs are measured once
 on the unit-level simulator with synthetic balanced feeds and scaled, so
 timing depends only on the run-length structure, never on key values,
@@ -34,6 +36,7 @@ from .analytics import ceil_log
 from .hbm import BandwidthProfile, CapacityError, HbmTopology
 from .mergenet import KEY_BITS, MAX_KEY, RECORD_BYTES
 from .mergetree import (
+    REUSE_FACTOR,
     TreeSpec,
     UnsortedFeedError,
     build_tree,
@@ -60,6 +63,13 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SortConfig:
+    """The sorter's settings; :func:`plan_sort` derives the geometry.
+
+    At most 16 trees: 32 HBM channels, one read and one write channel per
+    tree.  The tree count must divide ``phase2_leaves``: each channel
+    leaves ``phase2_leaves / parallel_trees`` sub-runs for the wide tree.
+    """
+
     records: int
     parallel_trees: int = 16
     phase1_leaves: int = 16
@@ -70,7 +80,6 @@ class SortConfig:
     phase1_burst: int = 1024
     phase2_burst: int = 4096
     clock_hz: float = 214e6
-    reset_cycles: Optional[int] = None  # None: one tree depth per run boundary
 
     def __post_init__(self):
         if self.records < 1:
@@ -78,17 +87,15 @@ class SortConfig:
         if not 1 <= self.parallel_trees <= 16:
             raise ValueError("parallel_trees must be between 1 and 16")
         build_tree(self.phase1_rate, self.phase1_leaves)  # TreeShapeError on a bad shape
-        if self.phase2_leaves != 4 * self.phase1_leaves:
-            raise ValueError("the reuse composition requires phase2_leaves == 4 * phase1_leaves")
-        if self.phase2_rate != 4 * self.phase1_rate:
-            raise ValueError("the reuse composition requires phase2_rate == 4 * phase1_rate")
+        r = REUSE_FACTOR
+        if self.phase2_leaves != r * self.phase1_leaves:
+            raise ValueError(f"the reuse composition requires phase2_leaves == {r} * phase1_leaves")
+        if self.phase2_rate != r * self.phase1_rate:
+            raise ValueError(f"the reuse composition requires phase2_rate == {r} * phase1_rate")
+        if self.phase2_leaves % self.parallel_trees:
+            raise ValueError(f"parallel_trees does not divide phase2_leaves = {self.phase2_leaves}")
         if self.batch_bytes < RECORD_BYTES or self.batch_bytes % RECORD_BYTES:
             raise ValueError("batch_bytes must be a positive multiple of the record size")
-
-    @property
-    def feed_align(self) -> int:
-        """Input padding granularity: trees x leaves x sub-runs per channel."""
-        return self.parallel_trees * self.phase1_leaves * 4
 
     @property
     def batch_records(self) -> int:
@@ -114,15 +121,19 @@ class SortPlan:
 
 
 def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
-    """Derive the pass schedule.
+    """Derive the two-phase geometry and the pass schedule.
 
-    Untuned passes grow runs by the leaf count until one more pass would
-    sort each channel completely; the final pass instead merges into four
-    independent sub-runs per channel.  The pass count is therefore
-    (smallest j with leaves**j >= N/align) + 1.
+    Each channel leaves ``phase2_leaves / parallel_trees`` sub-runs, so
+    the wide tree has one feed per leaf; the input is padded to a
+    multiple of trees x leaves x sub-runs.  Untuned passes grow runs by
+    the leaf count until one more pass would sort each channel
+    completely; the final pass instead merges into the sub-runs.  The
+    pass count is therefore (smallest j with leaves**j >= N/align) + 1.
     """
     topo = topo or HbmTopology()
-    pad = -cfg.records % cfg.feed_align
+    subruns = cfg.phase2_leaves // cfg.parallel_trees
+    align = cfg.parallel_trees * cfg.phase1_leaves * subruns
+    pad = -cfg.records % align
     n_pad = cfg.records + pad
     per_channel_bytes = n_pad // cfg.parallel_trees * RECORD_BYTES
     if per_channel_bytes > topo.channel_capacity:
@@ -131,10 +142,10 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
             f"{topo.channel_capacity} B capacity (max "
             f"{topo.channel_capacity // RECORD_BYTES * cfg.parallel_trees} records)"
         )
-    quantum = n_pad // cfg.feed_align
+    quantum = n_pad // align
     l = cfg.phase1_leaves
     j = ceil_log(l, quantum)
-    subrun = n_pad // (cfg.parallel_trees * 4)
+    subrun = n_pad // (cfg.parallel_trees * subruns)
     return SortPlan(
         records=cfg.records,
         padded_records=n_pad,
@@ -145,11 +156,11 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
         tuned_input_run=l**j,
         tuned_feed_quantum=quantum,
         channel_records=n_pad // cfg.parallel_trees,
-        subruns_per_channel=4,
+        subruns_per_channel=subruns,
         subrun_records=subrun,
-        phase2_feeds=cfg.parallel_trees * 4,
+        phase2_feeds=cfg.parallel_trees * subruns,
         batch_records=cfg.batch_records,
-        write_targets=4,
+        write_targets=REUSE_FACTOR,
     )
 
 
@@ -157,8 +168,9 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
 # Functional data path
 # ----------------------------------------------------------------------
 
-def pad_input(records: np.ndarray, cfg: SortConfig) -> np.ndarray:
-    pad = -len(records) % cfg.feed_align
+def pad_input(records: np.ndarray, plan: SortPlan) -> np.ndarray:
+    """The records followed by sentinels up to the plan's padded count."""
+    pad = plan.padded_records - len(records)
     if not pad:
         return np.ascontiguousarray(records, dtype=np.uint32)
     filler = np.full((pad, 2), (MAX_KEY, PAD_VALUE), dtype=np.uint32)
@@ -201,7 +213,7 @@ def _phase1_channel(chan: np.ndarray, plan: SortPlan) -> np.ndarray:
 def run_phase1(
     channels: list[np.ndarray], cfg: SortConfig, plan: SortPlan, threads: int = 1
 ) -> list[np.ndarray]:
-    """Sort every channel into four independent sub-runs.
+    """Sort every channel into its independent sub-runs.
 
     The untuned passes only lengthen runs inside a channel, so the final
     sub-runs are stable sorts of their input ranges whatever the pass
@@ -251,7 +263,7 @@ def _check_phase2_feeds(channels, merged: np.ndarray, plan: SortPlan):
 
 
 def run_phase2(channels: list[np.ndarray], cfg: SortConfig, plan: SortPlan) -> BatchedOutput:
-    """One pass of the wide tree over all 64 sub-runs, batched output."""
+    """One pass of the wide tree over all sub-runs, batched output."""
     merged = np.concatenate(channels)
     _check_phase2_feeds(channels, merged, plan)
     merged = np.take(merged, _stable_order(merged[:, 0], len(merged)), axis=0)
@@ -413,13 +425,12 @@ def build_timing(
 ) -> RunTiming:
     """Model both phases: per-pass compute cycles from the calibrated
     trace model, capped by what the memory system can stream at the
-    configured burst sizes; resets charged per run boundary."""
+    configured burst sizes; one tree depth charged per run boundary."""
     topo = topo or HbmTopology()
     profile = profile or BandwidthProfile()
     model = model or CycleModel()
     tree = build_tree(cfg.phase1_rate, cfg.phase1_leaves)
-    wide = compose_wide_tree([tree] * 4)
-    reset = cfg.reset_cycles if cfg.reset_cycles is not None else tree.depth
+    wide = compose_wide_tree([tree] * REUSE_FACTOR)
     bytes_total = plan.records * RECORD_BYTES
 
     n_chan = plan.channel_records
@@ -435,7 +446,7 @@ def build_timing(
         if tail:
             groups += 1
             compute += model.group_cycles(tree, -(-tail // in_run), tail)
-        compute += reset * max(0, groups - 1)
+        compute += tree.depth * max(0, groups - 1)
         cycles = max(compute, mem1)
         passes.append(PassTiming(i, "merge", out_run, groups, compute, mem1, cycles))
         in_run = out_run
@@ -443,7 +454,7 @@ def build_timing(
     compute = plan.subruns_per_channel * model.group_cycles(
         tree, tuned_runs, plan.subrun_records
     )
-    compute += reset * (plan.subruns_per_channel - 1)
+    compute += tree.depth * (plan.subruns_per_channel - 1)
     cycles = max(compute, mem1)
     passes.append(
         PassTiming(plan.untuned_passes, "tuned", plan.subrun_records,
@@ -457,7 +468,7 @@ def build_timing(
     phase1 = PhaseTiming(cycles1, seconds1, gbps1, rate1, tuple(passes))
 
     supply2 = plan.write_targets * (topo.channel_bandwidth / cfg.clock_hz) * \
-        profile.efficiency(4, cfg.phase2_burst)
+        profile.efficiency(REUSE_FACTOR, cfg.phase2_burst)
     compute2 = model.group_cycles(wide, plan.phase2_feeds, plan.padded_records)
     mem2 = math.ceil(plan.padded_records * RECORD_BYTES / supply2)
     cycles2 = max(compute2, mem2)
@@ -518,7 +529,7 @@ def sort_records(
     if cfg.records != len(records):
         raise ValueError(f"config says {cfg.records} records, input has {len(records)}")
     plan = plan_sort(cfg, topo)
-    padded = pad_input(records, cfg)
+    padded = pad_input(records, plan)
     channels = split_channels(padded, cfg)
     sorted_channels = run_phase1(channels, cfg, plan, threads)
     batched = run_phase2(sorted_channels, cfg, plan)

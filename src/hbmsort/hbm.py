@@ -1,24 +1,20 @@
 """Model of a 32-channel HBM subsystem as seen from user-side AXI ports.
 
-Channels are bundled four per crossbar group; adjacent groups are joined
-by lateral links.  A port reaches an out-of-group channel by traversing
-every link between its home group and the target group, so two ports
-whose paths share a link contend.  Effective bandwidth per channel
-depends on the access pattern (reading m channels while writing the m
-nearby ones, "m x m") and the AXI burst size; those efficiencies are
-measured quantities and ship as configuration, not code constants.
+Each pseudo-channel has a fixed peak bandwidth and capacity.  The
+crossbar that joins the channels is not routed: its effect enters only
+as the measured efficiency of an access pattern ("m x m": reading m
+channels while writing the m nearby ones) at a given AXI burst size.
+Phase one drives the 1x1 pattern, every tree on its own channel pair;
+phase two the wider pattern of the reused trees (``REUSE_FACTOR`` in
+``mergetree``).  Those efficiencies ship as configuration, not code
+constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
 
 MiB = 1 << 20
-
-
-class LayoutError(ValueError):
-    pass
 
 
 class ProfileKeyError(KeyError):
@@ -31,112 +27,13 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class HbmTopology:
-    channels: int = 32
-    group_size: int = 4
     channel_bandwidth: float = 420e9 / 32  # bytes/s per pseudo-channel
     channel_capacity: int = 256 * MiB      # bytes per pseudo-channel
 
     def __post_init__(self):
-        for name in ("channels", "group_size", "channel_bandwidth", "channel_capacity"):
+        for name in ("channel_bandwidth", "channel_capacity"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
-    def group_of(self, channel: int) -> int:
-        return channel // self.group_size
-
-
-def route(axi: int, channel: int, topo: HbmTopology) -> list[int]:
-    """Lateral links crossed from an AXI port slot to a channel.
-
-    `axi` is the physical port slot (one per channel position); its home
-    group is the slot's own group.  Intra-group access crosses nothing;
-    otherwise every link between the two groups is traversed in order.
-    """
-    if not 0 <= axi < topo.channels:
-        raise LayoutError(f"AXI slot {axi} out of range [0, {topo.channels})")
-    if not 0 <= channel < topo.channels:
-        raise LayoutError(f"channel {channel} out of range [0, {topo.channels})")
-    g_axi = topo.group_of(axi)
-    g_ch = topo.group_of(channel)
-    lo, hi = sorted((g_axi, g_ch))
-    return list(range(lo, hi))
-
-
-@dataclass(frozen=True)
-class AxiAssignment:
-    """One logical AXI interface: its port slot and the channels it touches."""
-
-    slot: int
-    reads: tuple[int, ...]
-    writes: tuple[int, ...]
-
-    @property
-    def channels(self) -> tuple[int, ...]:
-        return self.reads + self.writes
-
-
-@dataclass(frozen=True)
-class ChannelLayout:
-    """Per-phase map of logical AXI index to channel assignments."""
-
-    phases: dict[str, dict[int, AxiAssignment]]
-
-    def assignments(self, phase: str) -> dict[int, AxiAssignment]:
-        return self.phases[phase]
-
-
-def table_layout(topo: Optional[HbmTopology] = None) -> ChannelLayout:
-    """The production data layout for 16 trees over 32 channels.
-
-    Phase 1: tree i drives one AXI at slot 2i and touches only its local
-    channel pair (2i, 2i+1); which of the pair is read vs written swaps
-    every pass.  Phase 2: the four reused trees' AXIs (logical 4i, slot
-    8i) each cover the eight channels 8i..8i+7, reading four and writing
-    the other four; the remaining AXIs keep their local pairs and idle.
-    """
-    topo = topo or HbmTopology()
-    phase1 = {
-        i: AxiAssignment(slot=2 * i, reads=(2 * i,), writes=(2 * i + 1,))
-        for i in range(16)
-    }
-    phase2 = {}
-    for i in range(4):
-        base = 8 * i
-        phase2[4 * i] = AxiAssignment(
-            slot=base,
-            reads=tuple(base + 2 * j for j in range(4)),
-            writes=tuple(base + 2 * j + 1 for j in range(4)),
-        )
-        for j in range(1, 4):
-            ch = base + 2 * j
-            phase2[4 * i + j] = AxiAssignment(slot=ch, reads=(ch,), writes=(ch + 1,))
-    return ChannelLayout(phases={"phase1": phase1, "phase2": phase2})
-
-
-class Conflict(NamedTuple):
-    phase: str
-    link: int
-    axi_a: int
-    axi_b: int
-
-
-def validate_layout(layout: ChannelLayout, topo: Optional[HbmTopology] = None) -> list[Conflict]:
-    """Find pairs of AXI interfaces sharing a lateral link within a phase."""
-    topo = topo or HbmTopology()
-    conflicts = []
-    for phase, assignments in layout.phases.items():
-        users: dict[int, list[int]] = {}
-        for axi, asn in sorted(assignments.items()):
-            links = set()
-            for ch in asn.channels:
-                links.update(route(asn.slot, ch, topo))
-            for link in links:
-                users.setdefault(link, []).append(axi)
-        for link, axis in sorted(users.items()):
-            for i in range(len(axis)):
-                for j in range(i + 1, len(axis)):
-                    conflicts.append(Conflict(phase, link, axis[i], axis[j]))
-    return conflicts
 
 
 #: Illustrative per-channel efficiency by (pattern m, burst bytes); shaped

@@ -3,10 +3,10 @@
 A tree is described by its root rate ``p`` (records emitted per cycle)
 and leaf count ``l``.  Rates halve level by level toward the leaves; when
 ``l`` exceeds twice the root rate, extra rate-1 levels sit above the leaf
-buffers.  Four identical trees can be composed into one four-times-wider
-tree by adding two half-rate units and one full-rate unit at the top; the
-result is an ordinary :class:`TreeSpec` whose levels below the top two
-are the four subtrees' levels side by side.
+buffers.  Phase two reuses ``REUSE_FACTOR`` identical trees as one tree
+that many times wider, adding units above them (two half-rate units and
+one full-rate unit for four trees); the result is an ordinary
+:class:`TreeSpec` whose lower levels are the subtrees' levels side by side.
 
 A pass is simulated cycle by cycle on streaming merge units
 (:class:`~hbmsort.mergenet.MergeUnit`, the one implementation of the
@@ -17,7 +17,7 @@ is ending) and the FIFO to its parent has room.  No record moves through
 the simulation: the pass output is one stable sort of the feeds, and the
 units count records against the ranks of that sort.
 :func:`run_pass_cycles` returns the merged run with the cycle count;
-:func:`run_pass_functional` returns the merged run alone.
+:func:`run_pass_functional` only validates and sorts the feeds.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ DEFAULT_LEAF_BUFFER_DEPTH = 256
 #: Depth 2 starves interior units on skewed consumption (random data runs
 #: a tree at ~77% of its rate); 8 blocks absorb the fluctuations.
 UNIT_FIFO_BLOCKS = 8
+
+#: Phase-one trees reused as the one phase-two wide tree; also the number
+#: of channels each access of the wide tree spans ("m x m" pattern m) and
+#: the number of phase-two write targets.
+REUSE_FACTOR = 4
 
 
 class TreeShapeError(ValueError):
@@ -95,27 +100,31 @@ def build_tree(p: int, l: int, leaf_buffer_depth: int = DEFAULT_LEAF_BUFFER_DEPT
     while count < l:  # extra rate-1 levels above the leaves
         levels.append((1,) * count)
         count *= 2
+    if leaf_buffer_depth < levels[-1][0]:
+        raise TreeShapeError(f"leaf_buffer_depth {leaf_buffer_depth} < port width {levels[-1][0]}")
     spec = TreeSpec(p, l, tuple(levels), leaf_buffer_depth)
     assert 2 * len(spec.levels[-1]) == l
     return spec
 
 
 def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
-    """Reuse four identical (p/4, l/4) trees under three extra units."""
-    if len(subtrees) != 4:
-        raise TreeShapeError(f"wide tree needs exactly 4 subtrees, got {len(subtrees)}")
+    """Reuse ``REUSE_FACTOR`` identical (p/R, l/R) trees under R - 1 extra
+    units whose rates halve from p at the root."""
+    if len(subtrees) != REUSE_FACTOR:
+        raise TreeShapeError(f"wide tree needs {REUSE_FACTOR} subtrees, got {len(subtrees)}")
     first = subtrees[0]
     for i, st in enumerate(subtrees[1:], 1):
         if (st.root_rate, st.leaves, st.levels) != (first.root_rate, first.leaves, first.levels):
             raise TreeShapeError(f"subtree {i} shape differs from subtree 0")
     q = first.root_rate
-    levels = [(4 * q,), (2 * q, 2 * q)]
+    levels = [(REUSE_FACTOR * q // 2**j,) * 2**j for j in range(REUSE_FACTOR.bit_length() - 1)]
     for j in range(first.depth):
         combined = ()
         for st in subtrees:
             combined += st.levels[j]
         levels.append(combined)
-    return TreeSpec(4 * q, 4 * first.leaves, tuple(levels), first.leaf_buffer_depth)
+    return TreeSpec(REUSE_FACTOR * q, REUSE_FACTOR * first.leaves, tuple(levels),
+                    first.leaf_buffer_depth)
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +147,18 @@ def _as_u32(col: np.ndarray, what: str) -> np.ndarray:
     if not np.can_cast(col.dtype, np.uint32) and len(col) and (col.min() < 0 or col.max() > MAX_KEY):
         raise ValueError(f"feed {what} outside the 32-bit range")
     return col.astype(np.uint32, copy=False)
+
+
+def _merge_feeds(tree: TreeSpec, feeds) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Validate the feeds of one pass and stably sort them: the merged
+    (n, 2) uint32 records, the input position of each, and feed lengths."""
+    if len(feeds) > tree.leaves:
+        raise TreeShapeError(f"{len(feeds)} feeds for a {tree.leaves}-leaf tree")
+    cols = [_feed_columns(f, i) for i, f in enumerate(feeds)] or [_feed_columns([], 0)]
+    keys = _as_u32(np.concatenate([k for k, _ in cols]), "key")
+    values = _as_u32(np.concatenate([v for _, v in cols]), "value")
+    order = np.argsort(keys, kind="stable")
+    return np.stack([keys[order], values[order]], axis=1), order, [len(k) for k, _ in cols]
 
 
 @dataclass
@@ -166,15 +187,9 @@ class TreeCycleSim:
     def __init__(self, tree: TreeSpec, feeds, feed_rate_per_leaf: Optional[float] = None):
         if feed_rate_per_leaf is not None and not feed_rate_per_leaf > 0:
             raise ValueError(f"feed_rate_per_leaf must be positive, got {feed_rate_per_leaf}")
-        if len(feeds) > tree.leaves:
-            raise TreeShapeError(f"{len(feeds)} feeds for a {tree.leaves}-leaf tree")
-        cols = [_feed_columns(f, i) for i, f in enumerate(feeds)] or [_feed_columns([], 0)]
-        keys = _as_u32(np.concatenate([k for k, _ in cols]), "key")
-        values = _as_u32(np.concatenate([v for _, v in cols]), "value")
-        self.total = len(keys)
-        order = np.argsort(keys, kind="stable")
-        self.records = np.stack([keys[order], values[order]], axis=1)
-        lengths = [len(k) for k, _ in cols] + [0] * (tree.leaves - len(cols))
+        self.records, order, lengths = _merge_feeds(tree, feeds)
+        self.total = len(order)
+        lengths += [0] * (tree.leaves - len(lengths))
         leaf_ids = np.arange(tree.leaves, dtype=np.min_scalar_type(tree.leaves))
         leaf = np.repeat(leaf_ids, lengths)[order]  # leaf of each rank
 
@@ -244,5 +259,6 @@ def run_pass_cycles(
 
 
 def run_pass_functional(tree: TreeSpec, feeds) -> np.ndarray:
-    """Merge all leaf feeds into one sorted run, returned as (n, 2) uint32."""
-    return run_pass_cycles(tree, feeds).records
+    """Merge all leaf feeds into one sorted run, returned as (n, 2) uint32:
+    the stable sort a pass of ``tree`` emits, without simulating it."""
+    return _merge_feeds(tree, feeds)[0]

@@ -41,6 +41,7 @@ BAD_CONFIGS = {
     "non-numeric-int": "[sort]\nphase1_rate = abc\n",
     "zero-trees": "[sort]\nparallel_trees = 0\n",
     "too-many-trees": "[sort]\nparallel_trees = 32\n",
+    "trees-not-dividing-wide-leaves": "[sort]\nparallel_trees = 12\n",
     "zero-batch": "[sort]\nbatch_bytes = 0\n",
     "zero-tree-resources": "[floorplan]\ntree_resources = 0\n",
     "zero-channels": "[hbm]\nchannels = 0\n",
@@ -76,6 +77,27 @@ def test_over_capacity_exits_with_data_status(argv, text, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+#: Points where the calibrated cycle model's three-point fit is not linear.
+@pytest.mark.parametrize("argv", [
+    ["sweep"],
+    ["sort", "--dry-run", "--records", "8388608"],
+], ids=["sweep-default-sizes", "sort-dry-run-64mb"])
+def test_calibration_failure_exits_with_data_status(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("records", [4194304, 33554432])
+def test_eight_trees_feed_every_wide_tree_leaf(records, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["sort", "--dry-run", "--records", str(records), "--report", str(report),
+            "--config", _write(tmp_path, "[sort]\nparallel_trees = 8\n")]
+    assert cli.main(argv) == cli.EXIT_OK
+    plan = json.loads(report.read_text())["plan"]
+    assert plan["phase2_feeds"] == 64
+    assert plan["channel_records"] == plan["padded_records"] // 8
+
+
 def test_gen_sort_validate_round_trip(tmp_path, capsys):
     data, out = str(tmp_path / "in.bin"), str(tmp_path / "out.bin")
     assert cli.main(["gen", data, "--records", "4096", "--seed", "3"]) == cli.EXIT_OK
@@ -104,10 +126,8 @@ ROUND_TRIP = {
         "phase2_leaves": ("128", 128), "phase2_rate": ("16", 16),
         "batch_bytes": ("8192", 8192), "phase1_burst": ("2048", 2048),
         "phase2_burst": ("2048", 2048), "clock_hz": ("3e8", 3e8),
-        "reset_cycles": ("7", 7),
     },
     "hbm": {
-        "channels": ("16", 16), "group_size": ("2", 2),
         "channel_bandwidth": ("1e10", 1e10), "channel_capacity": ("1048576", 1 << 20),
     },
     "resource": {
@@ -146,11 +166,6 @@ def test_every_key_loads_to_its_value(tmp_path):
         for key, (_, want) in keys.items():
             assert getattr(loaded[section], key) == want, (section, key)
     assert app.profile.efficiency(4, 4096) == 0.97
-
-
-def test_empty_reset_cycles_means_default(tmp_path):
-    app = load_config(_write(tmp_path, "[sort]\nreset_cycles =\n"))
-    assert app.sort_config(100).reset_cycles is None
 
 
 @pytest.mark.parametrize("text", ["[sorting]\nrecords = 5\n", "[hbm]\nlanes = 4\n"])

@@ -21,7 +21,7 @@ from hbmsort.mergetree import (
     UnsortedFeedError,
     build_tree,
     compose_wide_tree,
-    run_pass_functional,
+    run_pass_cycles,
 )
 
 from oracles import kway_heap_merge
@@ -41,7 +41,7 @@ def _heap_sorted(records):
 def _phase1(records, threads=1):
     cfg = SortConfig(records=len(records))
     plan = plan_sort(cfg)
-    padded = pad_input(records, cfg)
+    padded = pad_input(records, plan)
     return cfg, plan, padded, run_phase1(split_channels(padded, cfg), cfg, plan, threads)
 
 
@@ -62,7 +62,7 @@ class TestSortRecordsOracle:
         n = 100003
         cfg = SortConfig(records=n)
         plan = plan_sort(cfg)
-        assert n % cfg.feed_align
+        assert plan.pad_count
         assert plan.subrun_records == 1568  # not a power of two
         rng = np.random.default_rng(3)
         recs = _records(rng.integers(0, 1000, size=n))
@@ -73,6 +73,20 @@ class TestSortRecordsOracle:
     def test_property_small_key_range(self, keys):
         recs = _records(keys)
         np.testing.assert_array_equal(sort_records(recs).output, _heap_sorted(recs))
+
+    @pytest.mark.parametrize("trees", range(1, 17))
+    def test_every_tree_count_that_divides_the_wide_tree(self, trees):
+        rng = np.random.default_rng(trees)
+        recs = _records(rng.integers(0, 1000, size=100003))
+        if 64 % trees:
+            with pytest.raises(ValueError, match="does not divide"):
+                SortConfig(records=len(recs), parallel_trees=trees)
+            return
+        cfg = SortConfig(records=len(recs), parallel_trees=trees)
+        result = sort_records(recs, cfg)
+        assert result.plan.phase2_feeds == cfg.phase2_leaves
+        np.testing.assert_array_equal(
+            result.output, recs[np.argsort(recs[:, 0], kind="stable")])
 
     def test_threads_do_not_change_output(self):
         rng = np.random.default_rng(4)
@@ -104,7 +118,7 @@ class TestPhases:
                    for s in range(plan.subruns_per_channel)]
         wide = compose_wide_tree([build_tree(8, 16)] * 4)
         got = reconstruct_output(run_phase2(channels, cfg, plan))
-        np.testing.assert_array_equal(got, run_pass_functional(wide, subruns))
+        np.testing.assert_array_equal(got, run_pass_cycles(wide, subruns).records)
 
     def test_reconstruct_rejects_truncated_stream(self):
         recs = _records(np.arange(4096)[::-1])
@@ -131,9 +145,9 @@ class TestPhases:
         cfg = SortConfig(records=len(recs), batch_bytes=8 * batch)
         plan = plan_sort(cfg)
         assert plan.padded_records % batch  # the last batch is short
-        channels = run_phase1(split_channels(pad_input(recs, cfg), cfg), cfg, plan)
+        channels = run_phase1(split_channels(pad_input(recs, plan), cfg), cfg, plan)
         batched = run_phase2(channels, cfg, plan)
-        whole = _heap_sorted(pad_input(recs, cfg))
+        whole = _heap_sorted(pad_input(recs, plan))
         batches = [whole[i : i + batch] for i in range(0, len(whole), batch)]
         for s, stream in enumerate(batched.streams):
             np.testing.assert_array_equal(stream, np.concatenate([whole[:0]] + batches[s::4]))

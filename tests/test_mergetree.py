@@ -46,6 +46,16 @@ class TestBuildTree:
         with pytest.raises(TreeShapeError):
             build_tree(p, l)
 
+    @pytest.mark.parametrize("p,l,depth", [(16, 16, 1), (2, 2, 0)])
+    def test_leaf_buffer_shallower_than_port_rejected(self, p, l, depth):
+        with pytest.raises(TreeShapeError, match="leaf_buffer_depth"):
+            build_tree(p, l, leaf_buffer_depth=depth)
+
+    def test_leaf_buffer_of_port_width_completes_rate_limited_pass(self):
+        feeds = [np.arange(i, 64, 16) for i in range(16)]
+        res = run_pass_cycles(build_tree(16, 16, leaf_buffer_depth=2), feeds, 1.0)
+        assert list(res.records[:, 0]) == list(range(64))
+
     def test_comparator_total_is_sum_over_units(self):
         t = build_tree(16, 16)
         expect = sum(mms_stats(r).comparators for level in t.levels for r in level)
@@ -129,6 +139,7 @@ class TestFunctionalPass:
         feeds = [sorted_random_feed(rng, int(rng.integers(0, 30)), hi=64) for _ in range(t.leaves)]
         out = run_pass_functional(t, feeds)
         assert np.array_equal(out, kway_heap_merge(feeds))
+        assert np.array_equal(run_pass_cycles(t, feeds).records, out)
 
     def test_value_payloads_ride_along(self):
         t = build_tree(1, 2)
@@ -222,6 +233,7 @@ class TestCyclePass:
                                   dtype=np.uint32)) for n in lengths]
         res = run_pass_cycles(tree, feeds, feed_rate_per_leaf=rate)
         np.testing.assert_array_equal(res.records, kway_heap_merge(feeds))
+        np.testing.assert_array_equal(run_pass_functional(tree, feeds), res.records)
 
     def test_empty_feeds(self):
         t = build_tree(2, 4)
