@@ -4,10 +4,8 @@ from .mergenet import (
     BLOCK_RATES,
     MAX_KEY,
     MergeOrderError,
-    MergeUnit,
     RateError,
     Record,
-    Source,
     UnsortedFeedError,
     bitonic_merge_blocks,
     bitonic_merge_network,
@@ -17,7 +15,9 @@ from .mergenet import (
     mms_stats,
 )
 from .mergetree import (
+    FeedFormatError,
     PassResult,
+    StuckPassError,
     TreeShapeError,
     TreeSpec,
     build_tree,

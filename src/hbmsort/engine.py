@@ -16,11 +16,14 @@ phase one are stable sorts of their input ranges and phase two is a
 stable merge of the sub-runs.  Each phase is one unstable sort of unique
 64-bit composite keys (group, key, input position) and one gather.
 ``tests/test_engine.py`` checks the result against a heap merge and
-phase two against a simulated pass of the wide tree.
+phase two against a timed pass of the wide tree.
 Cycle accounting is trace-driven: per-run-shape costs are measured once
-on the unit-level simulator with synthetic balanced feeds and scaled, so
-timing depends only on the run-length structure, never on key values,
-and a dry run reports exactly what a materialized run would.
+by timing passes of the tree on synthetic balanced feeds
+(:func:`~hbmsort.mergetree.run_pass_cycles`, which plans every unit's
+firings from the ranks and computes each firing's cycle once, in
+dependency order) and scaled, so timing depends only on the run-length
+structure, never on key values, and a dry run reports exactly what a
+materialized run would.
 """
 
 from __future__ import annotations
@@ -327,10 +330,10 @@ def verify_permutation(records: np.ndarray, n: int) -> VerifyResult:
 # ----------------------------------------------------------------------
 
 class CycleModel:
-    """Per-run-shape cycle costs measured on the unit-level simulator.
+    """Per-run-shape cycle costs measured by timing passes of the tree.
 
     A shape is (tree, R distinct runs merged into one output run, output
-    length).  Small shapes are simulated outright; large ones reuse three
+    length).  Small shapes are timed outright; large ones reuse three
     measured points and the exact steady-state slope between them.  The
     synthetic feeds interleave keys round-robin so consumption stays
     balanced; real data with skewed consumption can run slightly longer,

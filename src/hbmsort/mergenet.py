@@ -4,12 +4,12 @@ The building blocks of the hardware model, bottom up:
 
 * a compare-swap cell orders two records by key;
 * a bitonic merge network of fixed depth merges two sorted E-blocks;
-* a streaming merge unit (:class:`MergeUnit`) pairs two such networks so
-  that it accepts one E-block and emits one sorted E-block every
-  invocation (initiation interval 1), carrying the larger half of each
-  merge between steps.  It is the only implementation of the unit: the
-  tree simulator in :mod:`hbmsort.mergetree` wires these units together,
-  and :func:`mms_merge_runs` fires one over two whole runs.
+* a streaming merge unit pairs two such networks so that it accepts one
+  E-block and emits one sorted E-block every invocation (initiation
+  interval 1), carrying the larger half of each merge between steps.
+  :func:`plan_units` is the only implementation of its firing rule: the
+  tree in :mod:`hbmsort.mergetree` times these plans, and
+  :func:`mms_merge_runs` runs one over two whole runs.
 
 Records are 64-bit: a 32-bit unsigned key that defines the order and a
 32-bit opaque payload that rides along.  All merges are stable with
@@ -17,11 +17,11 @@ respect to port order (port A before port B).
 
 A unit's choices depend only on the heads of its sorted inputs, never
 on timing, so one stable sort of all records fixes what every unit
-emits.  The unit therefore moves no records: a :class:`Source` holds the
-*ranks* (sorted positions) of the records that pass through it, and the
-unit compares head ranks and counts the records it holds and emits.  A
-guard checks each emission against the unit's merged stream and raises
-:class:`MergeOrderError` on a wrong firing rule.  Only
+emits.  The unit therefore moves no records: its plan is computed from
+the *ranks* (sorted positions) of the records that pass through it, as
+the blocks it takes from each input and the records it emits, firing by
+firing.  A guard checks each emission against the unit's merged stream
+and raises :class:`MergeOrderError` on a wrong firing rule.  Only
 :func:`bitonic_merge_blocks` runs the comparator network itself, on
 (key, origin tag, value) lanes whose tags keep ties in port order.
 """
@@ -29,8 +29,10 @@ guard checks each emission against the unit's merged stream and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
-from typing import NamedTuple, Optional, Sequence
+from itertools import pairwise
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 KEY_BITS = 32
 MAX_KEY = (1 << KEY_BITS) - 1
@@ -173,172 +175,128 @@ def bitonic_merge_blocks(a: Sequence[Record], b: Sequence[Record]) -> tuple[Reco
     return _untag(merged)
 
 
-class Source:
-    """One sorted input of a unit: the ranks of the records that pass
-    through it, ``pos`` of them read and ``count`` more visible.
+class UnitPlans(NamedTuple):
+    """Firing plans of a row of merge units of one rate.
 
-    ``done`` means nothing more will arrive: every remaining record is
-    visible.  ``Source(ranks)`` is an always-full leaf port.  With a
-    `rate`, :meth:`tick` refills a buffer of `depth` records at `rate`
-    records per cycle.  :meth:`fifo` makes an inter-level FIFO, which its
-    producing unit fills and closes.
+    Unit u's firings are entries ``start[u]`` to ``start[u + 1]`` of the
+    per-firing arrays.  Each pair holds one array per input side:
+    ``n[s][u]`` counts the records of unit u's input s, ``take[s][f]`` is
+    what firing f reads from input s and ``pos[s][f]`` what its unit has
+    read from it after the firing.  ``out[f]`` counts the records its unit
+    has emitted after firing f.
     """
 
-    __slots__ = ("ranks", "pos", "count", "done", "rate", "credit", "depth")
-
-    def __init__(self, ranks: Sequence[int], rate: Optional[float] = None, depth: int = 0):
-        self.ranks = ranks
-        self.pos = 0
-        self.rate = rate
-        self.credit = 0.0
-        self.depth = float(depth)
-        self.count = len(ranks) if rate is None else 0
-        self.done = self.count == len(ranks)
-
-    @classmethod
-    def fifo(cls, ranks: Sequence[int]) -> "Source":
-        src = cls(ranks)
-        src.count, src.done = 0, False
-        return src
-
-    def tick(self):
-        credit = self.credit + self.rate
-        self.credit = credit = credit if credit < self.depth else self.depth
-        left = len(self.ranks) - self.pos
-        visible = int(credit)
-        self.count = visible if visible < left else left
-        self.done = left <= visible
+    rate: int
+    n: tuple[np.ndarray, np.ndarray]
+    start: np.ndarray
+    take: tuple[np.ndarray, np.ndarray]
+    pos: tuple[np.ndarray, np.ndarray]
+    out: np.ndarray
 
 
-class MergeUnit:
-    """Streaming merge unit: one E-block in and one E-block out per firing.
+def plan_units(rate: int, ranks: np.ndarray, bounds: np.ndarray, merged: np.ndarray) -> UnitPlans:
+    """Plan every firing of a row of streaming merge units.
 
-    The unit reads two :class:`Source` inputs and writes to an optional
-    sink FIFO of at most ``cap`` records.  The first firing primes it
-    from both inputs and emits the lower half of the two head blocks;
-    every later firing merges the retained upper half with the head block
-    of the input whose head is smaller (ties go to input 0) and emits the
-    lower half.  Once both inputs are exhausted it flushes the retained
-    half.  An input that ends while the other has never been merged
-    passes through block by block.  A short tail block is padded, and
-    padding orders after every record, so a firing emits
-    ``min(rate, ret_real + k)`` records: the ``ret_real`` real records of
-    the retained half plus the ``k`` it took.
+    Unit u reads inputs 2u and 2u+1, whose records have the ascending
+    ranks ``ranks[bounds[i]:bounds[i + 1]]``, and ``merged[bounds[2u]:bounds[2u + 2]]``
+    is its merged stream: the ranks of both inputs in ascending order.
+    Ranks are distinct and below ``len(merged)``.
 
-    `c0` is the guard: ``c0[m]`` counts the records of input 0 among the
-    first m of the unit's merged stream (by default computed from the
-    inputs' ranks).  Emitting ``out`` records needs ``c0[out]`` of them
-    read from input 0 and the rest from input 1.
+    The firing rule, one E-block in and one E-block out per firing
+    (E = `rate`):
+
+    * both inputs non-empty: the first firing primes the unit with
+      ``min(E, n)`` records of each input.  The remaining blocks of both
+      inputs (E records, the last one short) follow in the order of their
+      head ranks, each merged with the retained upper half.  Once both
+      inputs are exhausted, a flush emits the retained half;
+    * one input empty: the other passes through block by block;
+    * both inputs empty: one firing finishes the unit.
+
+    Padding orders after every record, so a firing that takes k records
+    emits ``min(E, ret + k)`` and retains ``max(ret + k - E, 0)`` real
+    records.  Only priming takes more than E, so the retained count never
+    grows after it: it is ``max(S, 0)``, S being the unit's running sum of
+    ``k - E``.
+
+    Guard: emitting ``out`` records needs ``c0`` of them read from input 0
+    and ``out - c0`` from input 1, ``c0`` counting the input-0 records
+    among the first ``out`` of the merged stream; otherwise the unit
+    emitted a record it has not read, and :class:`MergeOrderError` is
+    raised.
     """
+    _check_rate(rate, cap=None)
+    E = rate
+    nin = np.diff(bounds)
+    n = nin[0::2], nin[1::2]
+    prime = (n[0] > 0) & (n[1] > 0)
+    lone = (n[0] == 0) & (n[1] == 0)
+    first = np.where(np.repeat(prime, 2), np.minimum(nin, E), 0)
+    blocks = -(-(nin - first) // E)
+    fires = blocks[0::2] + blocks[1::2] + 2 * prime + lone
+    start = np.concatenate(([0], np.cumsum(fires)))
+    total = int(start[-1])
 
-    __slots__ = ("rate", "srcs", "sink", "cap", "c0", "out", "retained", "ret_real", "finished")
+    # The blocks after priming, taken in the order of their head ranks:
+    # the order in which the heads appear in the merged stream.  `head`
+    # indexes each block's first record in `ranks`; `block[r]` is one
+    # more than the index of the block whose head has rank r.
+    inp = np.repeat(np.arange(len(nin)), blocks)
+    head = np.arange(len(inp)) * E
+    head += np.repeat(bounds[:-1] + first - (np.cumsum(blocks) - blocks) * E, blocks)
+    block = np.zeros(len(merged), dtype=np.min_scalar_type(len(head)))
+    block[ranks[head]] = np.arange(1, len(head) + 1)
+    order = block[merged]
+    del block
+    order = order[order > 0] - 1
+    size = np.minimum(bounds[1:][inp] - head, E)[order]
+    from1 = (inp & 1)[order].astype(bool)
+    del inp, head, order
 
-    def __init__(self, rate: int, srcs: Sequence[Source], c0: Optional[Sequence[int]] = None):
-        _check_rate(rate, cap=None)
-        self.rate = rate
-        self.srcs = tuple(srcs)
-        self.sink = None  # None: output goes only to the caller of fire()
-        self.cap = 0
-        if c0 is None:
-            first = set(srcs[0].ranks)
-            c0 = list(accumulate((r in first for r in sorted([*srcs[0].ranks, *srcs[1].ranks])),
-                                 initial=0))
-        self.c0 = c0
-        self.out = 0
-        self.retained = False
-        self.ret_real = 0
-        self.finished = False
+    regular = np.ones(total, dtype=bool)  # not priming, flushing or finishing
+    regular[start[:-1][prime | lone]] = False
+    regular[start[1:][prime] - 1] = False
+    take, pos = [], []
+    for s, mine in enumerate((~from1, from1)):
+        k = np.zeros(total, dtype=np.int64)
+        k[regular] = np.where(mine, size, 0)
+        k[start[:-1][prime]] = np.minimum(n[s][prime], E)
+        p = np.cumsum(k)
+        p -= np.repeat(p[start[:-1]] - k[start[:-1]], fires)
+        take.append(k)
+        pos.append(p)
+    del size, from1, regular
+    # S = records read - E * firings so far; the unit retains max(S, 0)
+    held = np.arange(1, total + 1) - np.repeat(start[:-1], fires)
+    held *= -E
+    held += pos[0]
+    held += pos[1]
+    out = pos[0] + pos[1]
+    out -= np.maximum(held, 0, out=held)
+    del held
 
-    def _take(self, src) -> int:
-        """Read the head block of `src`, short only at its end."""
-        k = self.rate if src.count >= self.rate else src.count
-        src.pos += k
-        src.count -= k
-        src.credit -= k
-        return k
-
-    def _emit(self, held: int) -> int:
-        """Emit the lower half of the `held` real records (padding orders
-        last), retain the rest and check the guard."""
-        n = held if held < self.rate else self.rate
-        self.ret_real = held - n
-        out = self.out = self.out + n
-        s0, s1 = self.srcs
-        try:
-            c0 = self.c0[out]
-        except IndexError:
-            c0 = out + 1  # more records out than the inputs hold
-        if c0 > s0.pos or out - c0 > s1.pos:
-            raise MergeOrderError(
-                f"rate-{self.rate} unit emitted {out} records after reading "
-                f"{s0.pos} + {s1.pos}, not the head of its merged stream"
-            )
-        if self.sink is not None:
-            self.sink.count += n
-        return n
-
-    def _finish(self):
-        self.finished = True
-        if self.sink is not None:
-            self.sink.done = True
-
-    def fire(self) -> Optional[int]:
-        """Try one invocation; returns the number of records emitted
-        (possibly 0, on a flush of padding), or None on a stall or once
-        finished."""
-        if self.finished:
-            return None
-        rate = self.rate
-        if self.sink is not None and self.cap - self.sink.count < rate:
-            return None  # backpressure
-        s0, s1 = self.srcs
-        a0, a1 = s0.count, s1.count
-        end0 = s0.done and a0 == 0
-        end1 = s1.done and a1 == 0
-
-        if not self.retained:
-            if end0 and end1:
-                self._finish()
-                return None
-            if end0 or end1:
-                src, av = (s1, a1) if end0 else (s0, a0)
-                if av >= rate or (src.done and av > 0):
-                    out = self._emit(self._take(src))
-                    if src.done and src.count == 0:
-                        self._finish()
-                    return out
-                return None
-            if (a0 >= rate or s0.done) and (a1 >= rate or s1.done):
-                self.retained = True
-                return self._emit(self._take(s0) + self._take(s1))
-            return None
-
-        if end0 and end1:
-            out = self._emit(self.ret_real)
-            self.retained = False
-            self._finish()
-            return out
-        if end0:
-            src, av = s1, a1
-        elif end1:
-            src, av = s0, a0
-        else:
-            if a0 == 0 or a1 == 0:
-                return None  # a live side has no visible head yet
-            src = s0 if s0.ranks[s0.pos] <= s1.ranks[s1.pos] else s1
-            av = src.count
-        if av >= rate or (src.done and av > 0):
-            return self._emit(self.ret_real + self._take(src))
-        return None
+    c0 = np.zeros(len(merged) + 1, dtype=np.int64)
+    c0[ranks + 1] = np.repeat(np.arange(len(nin)) & 1 ^ 1, nin)
+    np.cumsum(c0[np.concatenate(([0], merged + 1))], out=c0)
+    lo = np.repeat(bounds[:-1:2], fires)
+    from0 = c0[lo + out] - c0[lo]
+    bad = np.flatnonzero((from0 > pos[0]) | (out - from0 > pos[1]))
+    if len(bad):
+        f = bad[0]
+        raise MergeOrderError(
+            f"rate-{E} unit {np.searchsorted(start, f, 'right') - 1} emitted {out[f]} records "
+            f"after reading {pos[0][f]} + {pos[1][f]}, not the head of its merged stream"
+        )
+    return UnitPlans(E, n, start, tuple(take), tuple(pos), out)
 
 
 def mms_merge_runs(
     run_a: Sequence[Record], run_b: Sequence[Record], rate: int
 ) -> tuple[list[Record], int]:
-    """Merge two sorted runs by firing one merge unit over always-full ports.
+    """Merge two sorted runs with one merge unit over always-full ports.
 
     Returns the stable merge (ties take `run_a` first) and the number of
-    invocations taken.  For runs of m and n blocks (a partial tail counts
+    invocations the unit's plan takes.  For runs of m and n blocks (a partial tail counts
     as a block) the unit takes exactly m + n invocations, counting the
     final flush.  Raises :class:`UnsortedFeedError` naming run 0 or 1.
     """
@@ -348,10 +306,8 @@ def mms_merge_runs(
             raise UnsortedFeedError(i)
     records = [*run_a, *run_b]
     order = sorted(range(len(records)), key=lambda i: records[i].key)
-    ranks = sorted(range(len(order)), key=order.__getitem__)  # inverse permutation
-    na = len(run_a)
-    unit = MergeUnit(rate, (Source(ranks[:na]), Source(ranks[na:])))
-    steps = 0
-    while unit.fire() is not None:
-        steps += 1
-    return [records[i] for i in order[: unit.out]], steps
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.arange(len(order))
+    plan = plan_units(rate, ranks, np.array([0, len(run_a), len(records)]), np.arange(len(order)))
+    steps = int(plan.start[1]) if records else 0  # two empty runs: no block to fire
+    return [records[i] for i in order], steps

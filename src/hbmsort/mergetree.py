@@ -8,27 +8,39 @@ that many times wider, adding units above them (two half-rate units and
 one full-rate unit for four trees); the result is an ordinary
 :class:`TreeSpec` whose lower levels are the subtrees' levels side by side.
 
-A pass is simulated cycle by cycle on streaming merge units
-(:class:`~hbmsort.mergenet.MergeUnit`, the one implementation of the
-unit) wired into the tree.  Each cycle fires every unit once, root
-first, so a block a unit emits reaches its parent one cycle later; a
-unit fires only when its selected input shows a full block (or its run
-is ending) and the FIFO to its parent has room.  No record moves through
-the simulation: the pass output is one stable sort of the feeds, and the
-units count records against the ranks of that sort.
-:func:`run_pass_cycles` returns the merged run with the cycle count;
-:func:`run_pass_functional` only validates and sorts the feeds.
+A pass is timed from the units' firing plans instead of stepping every
+unit every cycle.  One stable sort of the feeds is the pass output, and
+a record's position in it is its rank.  The ranks fix each unit's
+sequence of firings (:func:`~hbmsort.mergenet.plan_units`); only the
+cycle of each firing is open.  In the hardware each unit fires at most
+once per cycle, root first, so a block a unit emits reaches its parent
+one cycle later and a parent's read frees FIFO room in the same cycle.
+A firing therefore happens in cycle
+
+    t_f = max(t_{f-1} + 1, T_producer + 1, T_parent)
+
+where ``T_producer`` is the cycle of the input's producer firing that
+emits the last record the firing needs (or that closes the input, when
+the firing needs its end), and ``T_parent`` that of the parent firing
+after which the FIFO has room for a block.  The least solution is the
+cycle-stepped schedule.  :func:`run_pass_cycles` computes each firing's
+cycle once, in dependency order, so host time follows firings; stalls
+and idle leaf cycles cost nothing.  ``tests/oracles.py`` keeps a
+cycle-stepped tree as the reference.  :func:`run_pass_functional` only
+validates and sorts the feeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
+from fractions import Fraction
+from operator import index
+from itertools import chain, pairwise, repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .mergenet import MAX_KEY, MergeUnit, Record, Source, UnsortedFeedError, mms_stats
+from .mergenet import MAX_KEY, Record, UnitPlans, UnsortedFeedError, mms_stats, plan_units
 
 #: Default leaf buffer depth in records: two 1 KB bursts of 8-byte records.
 DEFAULT_LEAF_BUFFER_DEPTH = 256
@@ -131,12 +143,26 @@ def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
 # Feeds: validated columns, one stable sort, ranks per leaf and per unit.
 # ----------------------------------------------------------------------
 
+class FeedFormatError(ValueError):
+    """A feed holds something other than integer keys; `leaf` is its index."""
+
+    def __init__(self, leaf: int, what):
+        super().__init__(f"feed {leaf} is not integer: {what}")
+        self.leaf = leaf
+
+
 def _feed_columns(run, leaf: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys and values of one feed: a 1-D key array, an (n, 2) array of
     (key, value) rows, or a list of :class:`Record` or int keys."""
-    if not isinstance(run, np.ndarray):
-        run = np.array([(r.key, r.value) if isinstance(r, Record) else (int(r), 0) for r in run],
-                       dtype=np.int64).reshape(-1, 2)
+    if isinstance(run, np.ndarray):
+        if run.dtype.kind not in "iu":
+            raise FeedFormatError(leaf, f"dtype {run.dtype}")
+    else:
+        try:
+            run = np.array([(index(r.key), index(r.value)) if isinstance(r, Record) else (index(r), 0)
+                            for r in run], dtype=np.int64).reshape(-1, 2)
+        except TypeError as err:
+            raise FeedFormatError(leaf, err) from None
     keys, values = (run, np.zeros_like(run)) if run.ndim == 1 else (run[:, 0], run[:, 1])
     if np.any(keys[1:] < keys[:-1]):
         raise UnsortedFeedError(leaf)
@@ -163,83 +189,173 @@ def _merge_feeds(tree: TreeSpec, feeds) -> tuple[np.ndarray, np.ndarray, list[in
 
 @dataclass
 class PassResult:
+    """The merged run, the cycle of the root's last firing that emits
+    records, and the average root emission rate in records per cycle."""
+
     records: np.ndarray
     cycles: int
     root_active_rate: float
 
 
-class TreeCycleSim:
-    """One streaming pass with per-cycle accounting.
+class StuckPassError(RuntimeError):
+    """A firing of a pass can never become ready: its unit waits on a
+    producer that waits, through FIFO backpressure, on that unit."""
 
-    Ordering within a cycle is root first, so a block emitted by a unit is
-    visible to its consumer only in the next cycle (one hop per level per
-    cycle).  A unit stalls when its downstream FIFO lacks room for a block
-    or when the input it would have to select from cannot yet offer one.
+    def __init__(self, level: int, unit: int, firing: int):
+        super().__init__(f"pass is stuck: firing {firing} of unit {unit} on level {level} "
+                         f"can never become ready")
+        self.level, self.unit, self.firing = level, unit, firing
 
-    The pass output is the stable sort of the concatenated feeds (ties in
-    leaf order, as the units resolve them), and a record's position in it
-    is its rank.  Each source holds the ranks of the records of the
-    subtree below it, and each unit its guard counts (see
-    :class:`~hbmsort.mergenet.MergeUnit`), as memoryviews of one int64
-    array per level.
+
+#: Times of a producer that never makes its consumer wait (an always-full
+#: leaf port, or the missing parent of the root): index 0, cycle 0.
+_ALWAYS = [0]
+
+
+class _Unit:
+    """The timing state of one unit: ``times[f + 1]`` is the cycle of its
+    firing f and ``times[fires + 1]`` the cycle it finishes in; ``times[0]``
+    is 0, so a dependency index of 0 is no dependency.
+
+    ``columns`` holds per-firing lists, first the index into the parent's
+    times that a firing waits on for FIFO room.  A unit over two producer
+    units then has the index into each producer's times that the firing
+    waits on; a unit over rate-limited leaf ports has the records each
+    firing needs visible on each port and the records it takes.  A unit that
+    passes one FIFO through may close only after its last take: `closer`
+    is then that FIFO's producer and `close_room` the index into the
+    parent's times that the extra finishing firing waits on.  A unit
+    holds its parent's times, not the parent, so that the units of a pass
+    form no reference cycle and are freed as soon as it ends.
     """
 
-    def __init__(self, tree: TreeSpec, feeds, feed_rate_per_leaf: Optional[float] = None):
-        if feed_rate_per_leaf is not None and not feed_rate_per_leaf > 0:
-            raise ValueError(f"feed_rate_per_leaf must be positive, got {feed_rate_per_leaf}")
-        self.records, order, lengths = _merge_feeds(tree, feeds)
-        self.total = len(order)
-        lengths += [0] * (tree.leaves - len(lengths))
-        leaf_ids = np.arange(tree.leaves, dtype=np.min_scalar_type(tree.leaves))
-        leaf = np.repeat(leaf_ids, lengths)[order]  # leaf of each rank
+    __slots__ = ("level", "index", "fires", "times", "columns", "firings", "pending",
+                 "kids", "parent_times", "closer", "close_room", "credit")
 
-        grp, bounds = _by_node(leaf, 0, tree.leaves)
-        srcs = [Source(memoryview(grp[lo:hi]), feed_rate_per_leaf, tree.leaf_buffer_depth)
-                for lo, hi in pairwise(bounds)]
-        self.ticking = srcs if feed_rate_per_leaf is not None else []
-        rows = []
-        for j in range(tree.depth - 1, -1, -1):  # bottom level first
-            shift = tree.depth - j
-            grp, bounds = _by_node(leaf, shift, len(tree.levels[j]))
-            from0 = ((leaf[grp] >> (shift - 1)) & 1) == 0
-            c0 = np.concatenate(([0], np.cumsum(from0)))
-            row = []
-            for k, (rate, (lo, hi)) in enumerate(zip(tree.levels[j], pairwise(bounds))):
-                unit = MergeUnit(rate, srcs[2 * k : 2 * k + 2], memoryview(c0[lo : hi + 1] - c0[lo]))
-                if j:
-                    unit.sink = Source.fifo(memoryview(grp[lo:hi]))
-                    unit.cap = UNIT_FIFO_BLOCKS * tree.levels[j - 1][k // 2]
-                row.append(unit)
-            srcs = [unit.sink for unit in row]
-            rows.append(row)
-        self.units = [unit for row in reversed(rows) for unit in row]  # root first
+    def __init__(self, level: int, index: int, fires: int):
+        self.level, self.index, self.fires = level, index, fires
+        self.times = [0]
+        self.columns = [repeat(0, fires)]
+        self.firings = None
+        self.pending = ()  # the firing that waited on a time not yet known
+        self.kids = None
+        self.parent_times = _ALWAYS
+        self.closer = None
+        self.close_room = 0
+        self.credit = None
 
-    def run(self) -> PassResult:
-        if self.total == 0:
-            return PassResult(self.records, 0, 0.0)
-        limit = 10_000 + 64 * self.total + 64 * len(self.units)
-        root = self.units[0]
-        fires = [u.fire for u in self.units[1:]]
-        ticks = [p.tick for p in self.ticking]
-        cycle = last_emit_cycle = 0
-        while not root.finished:
-            cycle += 1
-            if cycle > limit:
-                raise RuntimeError(
-                    f"tree simulation exceeded {limit} cycles with "
-                    f"{root.out}/{self.total} records emitted"
-                )
-            for tick in ticks:
-                tick()
-            if root.fire():
-                last_emit_cycle = cycle
-            for fire in fires:
-                fire()
-            if cycle % 256 == 0:  # drop finished units and fully visible leaves
-                fires = [u.fire for u in self.units[1:] if not u.finished]
-                ticks = [p.tick for p in self.ticking if not p.done]
-        rate = self.total / last_emit_cycle if last_emit_cycle else 0.0
-        return PassResult(self.records[: root.out], last_emit_cycle, rate)
+    def advance(self):
+        """Time firings in order until one waits on a parent firing not yet
+        timed; when one waits on a producer, advance that first."""
+        times, kids = self.times, self.kids
+        tp = self.parent_times
+        if self.firings is None:
+            self.firings = zip(*self.columns)
+        while len(times) <= self.fires:
+            if kids:
+                self._time_merge(kids[0].times, kids[1].times, tp)
+            elif self.credit:
+                self._time_fed(tp)
+            else:
+                self._time_full(tp)
+            if not self.pending:
+                break
+            waiting = self.pending[0]
+            if waiting[0] >= len(tp):
+                return
+            # only a unit over producers waits on anything but its parent
+            self._pull(len(times) - 1, kids[waiting[1] < len(kids[0].times)])
+        while len(times) == self.fires + 1:
+            last = times[-1]
+            kid = self.closer
+            if kid is None:
+                times.append(last)
+            elif len(kid.times) < kid.fires + 2:
+                self._pull(self.fires, kid)
+            elif kid.times[-1] + 1 <= last:
+                times.append(last)  # the FIFO closed before the last take
+            elif self.close_room >= len(tp):
+                return
+            else:
+                times.append(max(last + 1, kid.times[-1] + 1, tp[self.close_room]))
+
+    def _pull(self, firing: int, kid: "_Unit"):
+        known = len(kid.times)
+        kid.advance()
+        if len(kid.times) == known:
+            raise StuckPassError(self.level, self.index, firing)
+
+    # The loops below stop at the first firing that reads a time not yet
+    # known (an IndexError) and keep it in `pending`.
+
+    def _time_merge(self, t0, t1, tp):
+        times = self.times
+        t = times[-1]
+        try:
+            for r, a, b in chain(self.pending, self.firings):
+                t += 1
+                if t0[a] >= t:
+                    t = t0[a] + 1
+                if t1[b] >= t:
+                    t = t1[b] + 1
+                if tp[r] > t:
+                    t = tp[r]
+                times.append(t)
+        except IndexError:
+            self.pending = ((r, a, b),)
+        else:
+            self.pending = ()
+
+    def _time_full(self, tp):
+        """Over always-full leaf ports, only FIFO room holds a firing back."""
+        times = self.times
+        t = times[-1]
+        try:
+            for (r,) in chain(self.pending, self.firings):
+                t += 1
+                if tp[r] > t:
+                    t = tp[r]
+                times.append(t)
+        except IndexError:
+            self.pending = ((r,),)
+        else:
+            self.pending = ()
+
+    def _time_fed(self, tp):
+        """Over two leaf ports that each gain `num` credit per cycle, up to
+        `cap`, in units of ``1 / den`` records.  A port's credit is brought
+        up to date only at a take: ``c`` is its credit just after its last
+        take, in cycle ``tau``.  A firing that needs ``q`` records waits
+        until ``tau + ceil((q * den - c) / num)``.
+        """
+        num, den, cap, c0, tau0, c1, tau1 = self.credit
+        times = self.times
+        t = times[-1]
+        try:
+            for r, q0, q1, k0, k1 in chain(self.pending, self.firings):
+                t += 1
+                if tp[r] > t:
+                    t = tp[r]
+                if q0 * den > c0:
+                    w = tau0 + (q0 * den - c0 + num - 1) // num
+                    if w > t:
+                        t = w
+                if q1 * den > c1:
+                    w = tau1 + (q1 * den - c1 + num - 1) // num
+                    if w > t:
+                        t = w
+                if k0:
+                    c0 += num * (t - tau0)
+                    c0, tau0 = (c0 if c0 < cap else cap) - k0 * den, t
+                if k1:
+                    c1 += num * (t - tau1)
+                    c1, tau1 = (c1 if c1 < cap else cap) - k1 * den, t
+                times.append(t)
+        except IndexError:
+            self.pending = ((r, q0, q1, k0, k1),)
+        else:
+            self.pending = ()
+        self.credit = num, den, cap, c0, tau0, c1, tau1
 
 
 def _by_node(leaf: np.ndarray, shift: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,12 +366,127 @@ def _by_node(leaf: np.ndarray, shift: int, nodes: int) -> tuple[np.ndarray, np.n
     return np.argsort(node, kind="stable"), bounds
 
 
+def _input_deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray) -> list[np.ndarray]:
+    """For each firing and input, the index into the producer's times that
+    the firing waits on: the producer's firing that emits the last record
+    the firing takes (or the unselected input's head), or its finish
+    (index ``fires + 1``) when the firing needs the FIFO closed: to take a
+    short tail, to see an input exhausted, or to flush."""
+    units = np.repeat(np.arange(len(plan.start) - 1), np.diff(plan.start))
+    below_fires = np.diff(below.start)
+    emitted = below.out + np.repeat(bounds[:-1], below_fires)
+    deps = []
+    for s in (0, 1):
+        k, pos, kid = plan.take[s], plan.pos[s], 2 * units + s
+        closed = np.where(k > 0, k < plan.rate, pos == plan.n[s][units])
+        last = np.searchsorted(emitted, bounds[kid] + pos + (k == 0))
+        deps.append(np.where(closed, below_fires[kid] + 1, last - below.start[kid] + 1))
+    return deps
+
+
+def _room_deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each firing of the units below `plan`, the index into the
+    parent's times that it waits on for FIFO room: the parent firing after
+    which the FIFO holds at most ``cap - E`` records (0: none).  The parent
+    fires first in a cycle, so the two may share a cycle.  Then the same
+    for each unit's finish, after all its records."""
+    cap = UNIT_FIFO_BLOCKS * plan.rate
+    kids = np.arange(len(below.start) - 1)
+    fires = np.diff(below.start)
+    before = np.concatenate(([0], below.out[:-1]))
+    before[below.start[:-1]] = 0
+    need = np.concatenate((before, below.n[0] + below.n[1])) - cap + below.rate
+    kid = np.concatenate((np.repeat(kids, fires), kids))
+    room = np.zeros(len(need), dtype=np.int64)
+    units = np.repeat(np.arange(len(plan.start) - 1), np.diff(plan.start))
+    for s in (0, 1):
+        read = plan.pos[s] + bounds[2 * units + s]
+        mine = np.flatnonzero(((kid & 1) == s) & (need > 0))
+        room[mine] = (np.searchsorted(read, bounds[kid[mine]] + need[mine])
+                      - plan.start[kid[mine] >> 1] + 1)
+    return room[: len(before)], room[len(before):]
+
+
 def run_pass_cycles(
     tree: TreeSpec, feeds, feed_rate_per_leaf: Optional[float] = None
 ) -> PassResult:
-    """Simulate one pass; returns the merged run, cycle count and the
-    average root emission rate in records per cycle."""
-    return TreeCycleSim(tree, feeds, feed_rate_per_leaf).run()
+    """Time one pass; returns the merged run, the cycle of the root's last
+    emitting firing and the average root emission rate in records per
+    cycle.
+
+    Each unit's firings are planned from the ranks (see
+    :func:`~hbmsort.mergenet.plan_units`).  A firing happens at the
+    earliest cycle at which the cycle-stepped hardware would fire it,
+    ``t_f = max(t_{f-1} + 1, producer + 1, parent read)``: one cycle after
+    the producer firing that emits the last record it needs (or closes the
+    FIFO), and not before the parent firing that leaves room in its FIFO.
+    Every firing's cycle is computed once, in dependency order, starting
+    from the root.  Raises :class:`StuckPassError` if some firing can
+    never become ready.
+    """
+    if feed_rate_per_leaf is not None and not feed_rate_per_leaf > 0:
+        raise ValueError(f"feed_rate_per_leaf must be positive, got {feed_rate_per_leaf}")
+    records, order, lengths = _merge_feeds(tree, feeds)
+    total = len(order)
+    if total == 0:
+        return PassResult(records, 0, 0.0)
+    lengths += [0] * (tree.leaves - len(lengths))
+    leaf_ids = np.arange(tree.leaves, dtype=np.min_scalar_type(tree.leaves))
+    leaf = np.repeat(leaf_ids, lengths)[order]  # leaf of each rank
+
+    ranks, bounds = _by_node(leaf, 0, tree.leaves)
+    below = kids = None
+    for j in range(tree.depth - 1, -1, -1):  # bottom level first
+        merged = _by_node(leaf, tree.depth - j, len(tree.levels[j]))
+        plan = plan_units(tree.levels[j][0], ranks, bounds, merged[0])
+        row = [_Unit(j, u, m) for u, m in enumerate(np.diff(plan.start).tolist())]
+        if kids:
+            for unit, *deps in zip(row, *(_per_unit(d, plan.start) for d in _input_deps(plan, below, bounds))):
+                unit.columns += deps
+            room, close_room = _room_deps(plan, below, bounds)
+            for kid, r, c in zip(kids, _per_unit(room, below.start), close_room.tolist()):
+                kid.columns[0] = r
+                kid.close_room = c
+            for u, unit in enumerate(row):
+                unit.kids = kids[2 * u : 2 * u + 2]
+                for kid in unit.kids:
+                    kid.parent_times = unit.times
+                n0, n1 = plan.n[0][u], plan.n[1][u]
+                if (n0 == 0) != (n1 == 0):
+                    unit.closer = unit.kids[int(n0 == 0)]
+        elif feed_rate_per_leaf is not None:
+            _feed_leaves(row, plan, feed_rate_per_leaf, tree.leaf_buffer_depth)
+        below, kids = plan, row
+        ranks, bounds = merged
+
+    root = kids[0]
+    root.advance()
+    last = int(np.flatnonzero(np.diff(below.out, prepend=0))[-1])  # the root's last emission
+    cycles = root.times[last + 1]
+    return PassResult(records, cycles, total / cycles)
+
+
+def _per_unit(column: np.ndarray, start: np.ndarray) -> list[memoryview]:
+    """Cut a per-firing column into one view per unit."""
+    view = memoryview(column)
+    return [view[lo:hi] for lo, hi in pairwise(start.tolist())]
+
+
+def _feed_leaves(row, plan: UnitPlans, rate, depth: int):
+    """Give each bottom unit the records its leaf ports need per firing.
+
+    A port's credit grows by `rate` records each cycle up to `depth`, and
+    a firing may take k records once the credit holds k; the head of the
+    port a firing does not select needs one record.  Credit is counted in
+    units of ``1 / denominator(rate)``, so it never drifts.  A rate above
+    `depth` fills the buffer every cycle.
+    """
+    rate = Fraction(float(min(rate, depth)))
+    units = np.repeat(np.arange(len(plan.start) - 1), np.diff(plan.start))
+    needs = [np.where(plan.take[s] > 0, plan.take[s], plan.pos[s] < plan.n[s][units]) for s in (0, 1)]
+    for unit, *columns in zip(row, *(_per_unit(a, plan.start) for a in (*needs, *plan.take))):
+        unit.columns += columns
+        unit.credit = (rate.numerator, rate.denominator, depth * rate.denominator, 0, 0, 0, 0)
 
 
 def run_pass_functional(tree: TreeSpec, feeds) -> np.ndarray:

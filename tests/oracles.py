@@ -2,15 +2,20 @@
 
 These deliberately use different algorithms from the code under test:
 element-wise two-pointer merging instead of compare-swap networks, a heap
-instead of a unit tree, and plain grid enumeration for the floorplanner.
+instead of a unit tree, plain grid enumeration for the floorplanner, and
+a cycle-stepped tree of stateful merge units instead of firing plans
+timed in dependency order.
 """
 
 import heapq
+from fractions import Fraction
+from itertools import accumulate, pairwise
 
 import numpy as np
 
 from hbmsort.analytics import FloorplanProblem
-from hbmsort.mergenet import Record
+from hbmsort.mergenet import MergeOrderError, Record
+from hbmsort.mergetree import UNIT_FIFO_BLOCKS
 
 
 def two_pointer_merge(a, b):
@@ -73,3 +78,230 @@ def brute_force_floorplan(prob: FloorplanProblem):
                 best_key = (u1 + u2, u1)
                 best = (u1, u2)
     return best
+
+
+# ----------------------------------------------------------------------
+# Cycle-stepped merge tree: every unit tries to fire once per cycle.
+# ----------------------------------------------------------------------
+
+class Source:
+    """One sorted input of a unit: the ranks of the records that pass
+    through it, ``pos`` of them read and ``count`` more visible.
+
+    ``done`` means nothing more will arrive: every remaining record is
+    visible.  ``Source(ranks)`` is an always-full leaf port.  With a
+    `rate`, :meth:`tick` refills a buffer of `depth` records at `rate`
+    records per cycle; the credit is an integer in units of
+    ``1 / denominator(rate)``, so it never drifts.  :meth:`fifo` makes an
+    inter-level FIFO, which its producing unit fills and closes.
+    """
+
+    __slots__ = ("ranks", "pos", "count", "done", "step", "den", "credit", "cap")
+
+    def __init__(self, ranks, rate=None, depth=0):
+        self.ranks = ranks
+        self.pos = 0
+        rate = Fraction(rate if rate is not None else 0)
+        self.step, self.den = rate.numerator, rate.denominator
+        self.credit = 0
+        self.cap = depth * self.den
+        self.count = len(ranks) if self.step == 0 else 0
+        self.done = self.count == len(ranks)
+
+    @classmethod
+    def fifo(cls, ranks):
+        src = cls(ranks)
+        src.count, src.done = 0, False
+        return src
+
+    def tick(self):
+        self.credit = min(self.credit + self.step, self.cap)
+        left = len(self.ranks) - self.pos
+        visible = self.credit // self.den
+        self.count = min(visible, left)
+        self.done = left <= visible
+
+
+class MergeUnit:
+    """Streaming merge unit: one E-block in and one E-block out per firing.
+
+    The unit reads two :class:`Source` inputs and writes to an optional
+    sink FIFO of at most ``cap`` records.  The first firing primes it
+    from both inputs and emits the lower half of the two head blocks;
+    every later firing merges the retained upper half with the head block
+    of the input whose head is smaller (ties go to input 0) and emits the
+    lower half.  Once both inputs are exhausted it flushes the retained
+    half.  An input that ends while the other has never been merged
+    passes through block by block.  A short tail block is padded, and
+    padding orders after every record, so a firing emits
+    ``min(rate, ret_real + k)`` records: the ``ret_real`` real records of
+    the retained half plus the ``k`` it took.
+
+    `c0` is the guard: ``c0[m]`` counts the records of input 0 among the
+    first m of the unit's merged stream (by default computed from the
+    inputs' ranks).  Emitting ``out`` records needs ``c0[out]`` of them
+    read from input 0 and the rest from input 1.
+    """
+
+    __slots__ = ("rate", "srcs", "sink", "cap", "c0", "out", "retained", "ret_real", "finished")
+
+    def __init__(self, rate, srcs, c0=None):
+        self.rate = rate
+        self.srcs = tuple(srcs)
+        self.sink = None  # None: output goes only to the caller of fire()
+        self.cap = 0
+        if c0 is None:
+            first = set(srcs[0].ranks)
+            c0 = list(accumulate((r in first for r in sorted([*srcs[0].ranks, *srcs[1].ranks])),
+                                 initial=0))
+        self.c0 = c0
+        self.out = 0
+        self.retained = False
+        self.ret_real = 0
+        self.finished = False
+
+    def _take(self, src):
+        """Read the head block of `src`, short only at its end."""
+        k = self.rate if src.count >= self.rate else src.count
+        src.pos += k
+        src.count -= k
+        src.credit -= k * src.den
+        return k
+
+    def _emit(self, held):
+        """Emit the lower half of the `held` real records (padding orders
+        last), retain the rest and check the guard."""
+        n = held if held < self.rate else self.rate
+        self.ret_real = held - n
+        out = self.out = self.out + n
+        s0, s1 = self.srcs
+        try:
+            c0 = self.c0[out]
+        except IndexError:
+            c0 = out + 1  # more records out than the inputs hold
+        if c0 > s0.pos or out - c0 > s1.pos:
+            raise MergeOrderError(
+                f"rate-{self.rate} unit emitted {out} records after reading "
+                f"{s0.pos} + {s1.pos}, not the head of its merged stream"
+            )
+        if self.sink is not None:
+            self.sink.count += n
+        return n
+
+    def _finish(self):
+        self.finished = True
+        if self.sink is not None:
+            self.sink.done = True
+
+    def fire(self):
+        """Try one invocation; returns the number of records emitted
+        (possibly 0, on a flush of padding), or None on a stall or once
+        finished."""
+        if self.finished:
+            return None
+        rate = self.rate
+        if self.sink is not None and self.cap - self.sink.count < rate:
+            return None  # backpressure
+        s0, s1 = self.srcs
+        a0, a1 = s0.count, s1.count
+        end0 = s0.done and a0 == 0
+        end1 = s1.done and a1 == 0
+
+        if not self.retained:
+            if end0 and end1:
+                self._finish()
+                return None
+            if end0 or end1:
+                src, av = (s1, a1) if end0 else (s0, a0)
+                if av >= rate or (src.done and av > 0):
+                    out = self._emit(self._take(src))
+                    if src.done and src.count == 0:
+                        self._finish()
+                    return out
+                return None
+            if (a0 >= rate or s0.done) and (a1 >= rate or s1.done):
+                self.retained = True
+                return self._emit(self._take(s0) + self._take(s1))
+            return None
+
+        if end0 and end1:
+            out = self._emit(self.ret_real)
+            self.retained = False
+            self._finish()
+            return out
+        if end0:
+            src, av = s1, a1
+        elif end1:
+            src, av = s0, a0
+        else:
+            if a0 == 0 or a1 == 0:
+                return None  # a live side has no visible head yet
+            src = s0 if s0.ranks[s0.pos] <= s1.ranks[s1.pos] else s1
+            av = src.count
+        if av >= rate or (src.done and av > 0):
+            return self._emit(self.ret_real + self._take(src))
+        return None
+
+
+def _by_node(leaf, shift, nodes):
+    node = leaf >> shift
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(node, minlength=nodes))))
+    return np.argsort(node, kind="stable"), bounds
+
+
+def cycle_stepped_pass(tree, feeds, feed_rate_per_leaf=None):
+    """Step a pass of `tree` cycle by cycle; returns the merged (n, 2)
+    records, the cycle of the root's last emission and the root's average
+    records per cycle.
+
+    Each cycle ticks every rate-limited leaf port, then fires every unit
+    once, root first, so a block a unit emits reaches its parent one cycle
+    later and a read by the parent frees FIFO room in the same cycle.
+    """
+    arrays = [np.asarray(f, dtype=np.int64) for f in feeds]
+    arrays = [a.reshape(-1, 2) if a.ndim == 2 else np.stack([a, np.zeros_like(a)], axis=1)
+              for a in arrays] or [np.zeros((0, 2), dtype=np.int64)]
+    merged = np.concatenate(arrays)
+    order = np.argsort(merged[:, 0], kind="stable")
+    records = merged[order].astype(np.uint32)
+    total = len(order)
+    if total == 0:
+        return records, 0, 0.0
+    lengths = [len(a) for a in arrays] + [0] * (tree.leaves - len(arrays))
+    leaf = np.repeat(np.arange(tree.leaves), lengths)[order]
+
+    grp, bounds = _by_node(leaf, 0, tree.leaves)
+    srcs = [Source(grp[lo:hi].tolist(), feed_rate_per_leaf, tree.leaf_buffer_depth)
+            for lo, hi in pairwise(bounds)]
+    ticking = srcs if feed_rate_per_leaf is not None else []
+    rows = []
+    for j in range(tree.depth - 1, -1, -1):  # bottom level first
+        shift = tree.depth - j
+        grp, bounds = _by_node(leaf, shift, len(tree.levels[j]))
+        from0 = ((leaf[grp] >> (shift - 1)) & 1) == 0
+        c0 = np.concatenate(([0], np.cumsum(from0)))
+        row = []
+        for k, (rate, (lo, hi)) in enumerate(zip(tree.levels[j], pairwise(bounds))):
+            unit = MergeUnit(rate, srcs[2 * k : 2 * k + 2], (c0[lo : hi + 1] - c0[lo]).tolist())
+            if j:
+                unit.sink = Source.fifo(grp[lo:hi].tolist())
+                unit.cap = UNIT_FIFO_BLOCKS * tree.levels[j - 1][k // 2]
+            row.append(unit)
+        srcs = [unit.sink for unit in row]
+        rows.append(row)
+    units = [unit for row in reversed(rows) for unit in row]  # root first
+
+    limit = 10_000 + 64 * total + 64 * len(units)
+    root = units[0]
+    cycle = last_emit = 0
+    while not root.finished:
+        cycle += 1
+        if cycle > limit:
+            raise RuntimeError(f"no progress after {limit} cycles")
+        for src in ticking:
+            src.tick()
+        if root.fire():
+            last_emit = cycle
+        for unit in units[1:]:
+            unit.fire()
+    return records, last_emit, total / last_emit

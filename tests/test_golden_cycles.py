@@ -1,9 +1,13 @@
 """Cycle counts of fixed-seed passes pinned in ``golden/cycles.json``.
 
-The file is the cycle oracle of the tree simulator: it was captured from
-the tuple-based simulator that pushed every record through the bitonic
-lanes, and the count-based simulator must reproduce it exactly.  Refresh
-it only with a stated reason::
+The file is the cycle oracle of pass timing: it was captured from the
+tuple-based simulator that pushed every record through the bitonic lanes
+and stepped every unit every cycle, and the plan-based timing must
+reproduce it exactly.  ``rate0.1-8x16`` was added later, from the
+cycle-stepped oracle with exact leaf credit (``tests/oracles.py``): the
+older keys use feed rates that a float adds up exactly, and its seed is
+one where summing 0.1 as a float ends the pass a cycle late (10266).
+Refresh the file only with a stated reason::
 
     PYTHONPATH=src python tests/test_golden_cycles.py
 """
@@ -46,6 +50,7 @@ def cases():
         "random-8x16": (t16, _split(_draw(1), 16), None),
         "presorted-8x16": (t16, _split(np.sort(_draw(2)), 16), None),
         "rate0.25-8x16": (t16, _split(_draw(3), 16), 0.25),
+        "rate0.1-8x16": (t16, _split(_draw(12), 16), 0.1),
         "wide-64": (compose_wide_tree([t16] * 4), _split(_draw(4), 64), None),
         "random-4x32": (build_tree(4, 32), _split(_draw(5), 32), None),
         "depth4-rate0.5-8x16": (build_tree(8, 16, leaf_buffer_depth=4), _split(_draw(6), 16), 0.5),

@@ -7,10 +7,8 @@ from hbmsort.mergenet import (
     BLOCK_RATES,
     MAX_KEY,
     MergeOrderError,
-    MergeUnit,
     RateError,
     Record,
-    Source,
     UnsortedFeedError,
     bitonic_merge_blocks,
     bitonic_merge_network,
@@ -18,8 +16,9 @@ from hbmsort.mergenet import (
     merger_stats,
     mms_merge_runs,
     mms_stats,
+    plan_units,
 )
-from oracles import two_pointer_merge, random_sorted_records
+from oracles import MergeUnit, Source, random_sorted_records, two_pointer_merge
 
 
 def recs(*keys):
@@ -215,6 +214,13 @@ class TestMmsStep:
         unit.ret_real = 4  # claims two records it never read
         with pytest.raises(MergeOrderError):
             unit.fire()
+
+    def test_plan_guard_catches_out_of_order_ranks(self):
+        # input 0's ranks are not ascending, so its short tail (rank 0) is
+        # taken after priming; by then the plan emits ranks 0..3 having read
+        # only two records of input 1
+        with pytest.raises(MergeOrderError):
+            plan_units(2, np.array([4, 5, 0, 1, 2, 3]), np.array([0, 3, 6]), np.arange(6))
 
     @pytest.mark.parametrize(
         "na,nb,rate,steps", [(1, 5, 2, 4), (11, 6, 4, 5), (0, 3, 2, 2), (1, 1, 2, 2)]

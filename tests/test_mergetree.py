@@ -1,10 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbmsort import mergetree
 from hbmsort.mergenet import Record, mms_stats
 from hbmsort.mergetree import (
+    FeedFormatError,
+    StuckPassError,
     TreeShapeError,
     UnsortedFeedError,
     build_tree,
@@ -12,7 +17,7 @@ from hbmsort.mergetree import (
     run_pass_cycles,
     run_pass_functional,
 )
-from oracles import kway_heap_merge
+from oracles import cycle_stepped_pass, kway_heap_merge
 
 
 def sorted_random_feed(rng, n, hi=1 << 32):
@@ -161,6 +166,15 @@ class TestFunctionalPass:
         with pytest.raises(ValueError, match="32-bit"):
             run_pass_functional(build_tree(1, 2), [feed])
 
+    @pytest.mark.parametrize("feeds,leaf", [([np.array([1.5, 2.7]), np.array([2.2])], 0),
+                                            ([[1, 2], [2.2]], 1),
+                                            ([[Record(1), Record(2.5)]], 0)])
+    @pytest.mark.parametrize("run", [run_pass_functional, run_pass_cycles])
+    def test_non_integer_feeds_rejected(self, run, feeds, leaf):
+        with pytest.raises(FeedFormatError, match="not integer") as err:
+            run(build_tree(1, 2), feeds)
+        assert err.value.leaf == leaf
+
     def test_too_many_feeds_rejected(self):
         t = build_tree(1, 2)
         with pytest.raises(TreeShapeError):
@@ -239,3 +253,81 @@ class TestCyclePass:
         t = build_tree(2, 4)
         res = run_pass_cycles(t, [])
         assert len(res.records) == 0 and res.cycles == 0
+
+    def test_feed_rate_credit_is_exact(self):
+        # ten ticks of the double nearest 0.1 make a little more than one
+        # record of credit, so both records show in cycle 10: priming emits
+        # one, the flush the other in cycle 11 (a float sum reaches 1 only
+        # in cycle 11)
+        res = run_pass_cycles(build_tree(1, 2), [[1], [2]], 0.1)
+        assert res.cycles == 11
+        assert cycle_stepped_pass(build_tree(1, 2), [[1], [2]], 0.1)[1] == 11
+
+    def test_pass_through_closes_after_its_last_take(self):
+        # leaves 4-7 are empty, so the unit over leaves 0-7 passes its other
+        # input through; that input's producer emits its last records before
+        # a flush of padding, so the unit takes its last full block before
+        # the FIFO closes and needs one more firing to close
+        feeds = [[0, 5], [1], [2], [], [], [], [], [], [3], [4], [6], [7]]
+        assert run_pass_cycles(build_tree(8, 16), feeds).cycles == 7
+        assert cycle_stepped_pass(build_tree(8, 16), feeds)[1] == 7
+
+    def test_pass_leaves_no_reference_cycles(self):
+        # a pass's timing state must be freed when it returns, not at the
+        # next full collection
+        feeds = [np.arange(i, 4096, 16, dtype=np.uint32) for i in range(16)]
+        gc.collect()
+        gc.disable()
+        try:
+            run_pass_cycles(build_tree(8, 16), feeds, 0.5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_stuck_pass_raises_at_once(self, monkeypatch):
+        # without FIFO room no unit below the root can ever fire
+        monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 0)
+        feeds = [np.arange(i, 256, 16, dtype=np.uint32) for i in range(16)]
+        with pytest.raises(StuckPassError) as err:
+            run_pass_cycles(build_tree(8, 16), feeds)
+        assert (err.value.level, err.value.unit, err.value.firing) == (0, 0, 0)
+
+
+#: Trees cross-checked against the cycle-stepped oracle: the shapes of
+#: ``golden/cycles.json`` and a small composed wide tree.
+CROSS_TREES = {
+    "8x16": (8, 16), "4x32": (4, 32), "16x16": (16, 16), "4x16": (4, 16), "wide": None,
+}
+
+
+def _cross_tree(name, shallow):
+    """The named tree; `shallow` makes the leaf buffers as deep as a leaf
+    port is wide, so that a fast feed fills them."""
+    if name == "wide":
+        port = build_tree(2, 4).leaf_port_width
+        return compose_wide_tree([build_tree(2, 4, port if shallow else 256)] * 4)
+    tree = build_tree(*CROSS_TREES[name])
+    return build_tree(*CROSS_TREES[name], tree.leaf_port_width) if shallow else tree
+
+
+class TestCrossCheck:
+    @settings(deadline=None)  # example count from the profile (tests/conftest.py)
+    @given(
+        st.sampled_from(sorted(CROSS_TREES)),
+        st.sampled_from([None, 0.1, 0.25, 0.3, 1.0, 2.5, 3.0]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_matches_cycle_stepped_oracle(self, name, rate, shallow, data):
+        tree = _cross_tree(name, shallow)
+        lengths = data.draw(st.lists(st.integers(0, 24), max_size=tree.leaves))
+        lo = data.draw(st.integers(0, len(lengths)))  # a run of empty leaves
+        hi = data.draw(st.integers(lo, len(lengths)))
+        lengths[lo:hi] = [0] * (hi - lo)
+        top = data.draw(st.sampled_from([3, 40, (1 << 32) - 1]))
+        feeds = [np.sort(np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)),
+                                  dtype=np.uint32)) for n in lengths]
+        res = run_pass_cycles(tree, feeds, rate)
+        records, cycles, root_rate = cycle_stepped_pass(tree, feeds, rate)
+        np.testing.assert_array_equal(res.records, records)
+        assert (res.cycles, res.root_active_rate) == (cycles, root_rate)
