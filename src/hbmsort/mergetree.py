@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 from itertools import chain, pairwise, repeat
+from operator import index
 from typing import Optional, Sequence
 
 import numpy as np
@@ -217,7 +217,7 @@ class _Unit:
     firing f and ``times[fires + 1]`` the cycle it finishes in; ``times[0]``
     is 0, so a dependency index of 0 is no dependency.
 
-    ``columns`` holds per-firing lists, first the index into the parent's
+    ``columns`` holds per-firing columns, first the index into the parent's
     times that a firing waits on for FIFO room.  A unit over two producer
     units then has the index into each producer's times that the firing
     waits on; a unit over rate-limited leaf ports has the records each
