@@ -48,7 +48,6 @@ from .analytics import (
 )
 from .engine import (
     BatchedOutput,
-    CycleModel,
     SortConfig,
     SortPlan,
     SortResult,

@@ -19,15 +19,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import analytics, dataset, engine
 from .analytics import PerfModelInput, floorplan_solve, resource_tree, select_burst_sizes
 from .config import AppConfig, ConfigError, load_config
-from .engine import (
-    CalibrationError, CycleModel, SortConfig, build_timing, plan_sort, verify_permutation,
-)
+from .engine import build_timing, plan_sort, verify_permutation
 from .hbm import CapacityError
 from .mergetree import REUSE_FACTOR, build_tree, compose_wide_tree
 
@@ -53,18 +52,7 @@ def _timing_dict(t: engine.RunTiming) -> dict:
             "seconds": p.seconds,
             "gbytes_per_s": round(p.gbytes_per_s, 4),
             "root_rate": round(p.root_rate, 4),
-            "passes": [
-                {
-                    "index": x.index,
-                    "kind": x.kind,
-                    "out_run": x.out_run,
-                    "groups": x.groups,
-                    "compute_cycles": x.compute_cycles,
-                    "memory_cycles": x.memory_cycles,
-                    "cycles": x.cycles,
-                }
-                for x in p.passes
-            ],
+            "passes": [asdict(x) for x in p.passes],
         }
 
     return {
@@ -73,21 +61,6 @@ def _timing_dict(t: engine.RunTiming) -> dict:
         "overall_gbytes_per_s": round(t.overall_gbytes_per_s, 4),
         "hbm_traffic_gbytes_per_s": round(t.hbm_traffic_gbytes_per_s, 4),
         "timing_model": "trace",
-    }
-
-
-def _config_dict(cfg: SortConfig) -> dict:
-    return {
-        "records": cfg.records,
-        "parallel_trees": cfg.parallel_trees,
-        "phase1_leaves": cfg.phase1_leaves,
-        "phase1_rate": cfg.phase1_rate,
-        "phase2_leaves": cfg.phase2_leaves,
-        "phase2_rate": cfg.phase2_rate,
-        "batch_bytes": cfg.batch_bytes,
-        "phase1_burst": cfg.phase1_burst,
-        "phase2_burst": cfg.phase2_burst,
-        "clock_hz": cfg.clock_hz,
     }
 
 
@@ -141,7 +114,7 @@ def cmd_sort(args) -> int:
         try:
             plan = plan_sort(cfg, app.topo)
             timing = build_timing(cfg, plan, app.topo, app.profile)
-        except (CapacityError, CalibrationError) as exc:
+        except CapacityError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
         report = {
@@ -149,7 +122,7 @@ def cmd_sort(args) -> int:
             "command": "sort",
             "mode": "cycles",
             "dry_run": True,
-            "config": _config_dict(cfg),
+            "config": asdict(cfg),
             "plan": _plan_dict(plan),
             "timing": _timing_dict(timing),
             "reference": _reference_dict(app.reference),
@@ -173,7 +146,7 @@ def cmd_sort(args) -> int:
             np.asarray(data), cfg, mode=args.mode, threads=args.threads,
             topo=app.topo, profile=app.profile,
         )
-    except (CapacityError, CalibrationError, engine.IntegrityError) as exc:
+    except (CapacityError, engine.IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -189,7 +162,7 @@ def cmd_sort(args) -> int:
         "command": "sort",
         "mode": args.mode,
         "dry_run": False,
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "plan": _plan_dict(result.plan),
         "observed_passes": result.plan.phase1_passes,
         "timing": _timing_dict(result.timing) if result.timing else None,
@@ -324,15 +297,14 @@ def cmd_sweep(args) -> int:
         sizes = [_parse_size(s) for s in args.sizes.split(",")]
     else:
         sizes = [32 * (1 << 20) * (1 << i) for i in range(8)]  # 32 MB .. 4 GB
-    model = CycleModel()
     rows = []
     for size in sizes:
         records = size // engine.RECORD_BYTES
         cfg = app.sort_config(records)
         try:
             plan = plan_sort(cfg, app.topo)
-            timing = build_timing(cfg, plan, app.topo, app.profile, model)
-        except (CapacityError, CalibrationError) as exc:
+            timing = build_timing(cfg, plan, app.topo, app.profile)
+        except CapacityError as exc:
             print(f"error: {size} B: {exc}", file=sys.stderr)
             return EXIT_DATA
         rows.append({

@@ -17,17 +17,22 @@ stable merge of the sub-runs.  Each phase is one unstable sort of unique
 64-bit composite keys (group, key, input position) and one gather.
 ``tests/test_engine.py`` checks the result against a heap merge and
 phase two against a timed pass of the wide tree.
-Cycle accounting is trace-driven: per-run-shape costs are measured once
-by timing passes of the tree on synthetic balanced feeds
-(:func:`~hbmsort.mergetree.run_pass_cycles`, which plans every unit's
-firings from the ranks and computes each firing's cycle once, in
-dependency order) and scaled, so timing depends only on the run-length
-structure, never on key values, and a dry run reports exactly what a
-materialized run would.
+
+Timing is modelled from the plan alone (:func:`build_timing`).  One
+group of a pass, R runs merged into one, is timed with
+:func:`~hbmsort.mergetree.run_pass_cycles` on synthetic feeds that keep
+the R runs balanced; a group of more than 2*S records, S = max(64 R,
+2048), takes the line through the timings at S and 2*S records.  On the
+(8, 16) tree and its 64-leaf composition the line is exact for 1, 2, 4,
+8, 16 and 64 runs and within 0.5% of a timed group for the other counts
+(``tests/test_engine.py``).  Timing therefore depends only on the
+run-length structure, never on key values, and a dry run reports
+exactly what a materialized run would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,19 +54,12 @@ from .mergetree import (
 
 PAD_VALUE = 0xFFFFFFFF
 
-_CAL_RUN = 64  # records per run at the smallest calibration point
-
-
 class IntegrityError(ValueError):
     pass
 
 
 class RecordFormatError(ValueError):
     """Input is not an (n, 2) integer array of 32-bit keys and payloads."""
-
-
-class CalibrationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -326,69 +324,47 @@ def verify_permutation(records: np.ndarray, n: int) -> VerifyResult:
 
 
 # ----------------------------------------------------------------------
-# Trace-driven cycle accounting
+# Timing model
 # ----------------------------------------------------------------------
 
-class CycleModel:
-    """Per-run-shape cycle costs measured by timing passes of the tree.
+def _balanced_feeds(leaves: int, runs: int, r_out: int) -> list[np.ndarray]:
+    """``runs`` runs of ``r_out`` records in all, each cut into Q =
+    leaves/runs consecutive quanta.
 
-    A shape is (tree, R distinct runs merged into one output run, output
-    length).  Small shapes are timed outright; large ones reuse three
-    measured points and the exact steady-state slope between them.  The
-    synthetic feeds interleave keys round-robin so consumption stays
-    balanced; real data with skewed consumption can run slightly longer,
-    which is the documented approximation of this model.
+    Keys are dealt round-robin, so every run is consumed at the same pace.
+    Run r's quanta occupy adjacent leaves r*Q..r*Q+Q-1, as in a real pass,
+    so the active quantum of each run lands on a distinct bottom unit.
     """
+    keys = np.arange(r_out, dtype=np.uint32)
+    quanta = max(1, leaves // runs)
+    return [q for r in range(runs) for q in np.array_split(keys[r::runs], quanta)]
 
-    def __init__(self):
-        self._direct: dict = {}
-        self._linear: dict = {}
 
-    @staticmethod
-    def _feeds(leaves: int, R: int, r_out: int) -> list[np.ndarray]:
-        """R interleaved runs, each cut into leaves/R consecutive quanta.
+def _group_cycles(tree: TreeSpec, runs: int, r_out: int, samples: Optional[dict] = None) -> int:
+    """Cycles for ``tree`` to merge ``runs`` balanced runs into one of ``r_out`` records.
 
-        Mirrors the production feed layout: run r's quanta occupy adjacent
-        leaves r*Q..r*Q+Q-1, so the active quantum of each run lands on a
-        distinct bottom unit and R runs sustain min(p, R) records/cycle.
-        """
-        base, extra = divmod(r_out, R)
-        q = max(1, leaves // R)
-        feeds = []
-        for i in range(R):
-            m = base + (1 if i < extra else 0)
-            run = np.arange(i, i + m * R, R, dtype=np.uint32)
-            piece, piece_extra = divmod(m, q)
-            pos = 0
-            for k in range(q):
-                take = piece + (1 if k < piece_extra else 0)
-                feeds.append(run[pos : pos + take])
-                pos += take
-        return feeds
+    A group of at most 2*S records, S = max(64 * runs, 2048), is timed
+    outright with :func:`run_pass_cycles`; a larger one takes the line
+    through the timings at S and 2*S records.  ``samples`` memoises the
+    timings by (tree, runs, records).
+    """
+    if r_out <= 0:
+        return 0
+    runs = max(1, min(runs, tree.leaves, r_out))
+    samples = {} if samples is None else samples
 
-    def group_cycles(self, tree: TreeSpec, runs: int, r_out: int) -> int:
-        if r_out <= 0:
-            return 0
-        runs = max(1, min(runs, tree.leaves, r_out))
-        if r_out <= 3 * _CAL_RUN * runs:
-            key = (tree.levels, runs, r_out)
-            if key not in self._direct:
-                sim = run_pass_cycles(tree, self._feeds(tree.leaves, runs, r_out))
-                self._direct[key] = sim.cycles
-            return self._direct[key]
-        key = (tree.levels, runs)
-        if key not in self._linear:
-            pts = []
-            for mult in (1, 2, 3):
-                r = mult * _CAL_RUN * runs
-                pts.append((r, run_pass_cycles(tree, self._feeds(tree.leaves, runs, r)).cycles))
-            (r1, c1), (_r2, c2), (_r3, c3) = pts
-            if c3 - c2 != c2 - c1:
-                raise CalibrationError(f"non-linear pass timing for {runs} runs: {pts}")
-            self._linear[key] = (r1, c1, c2 - c1, _r2 - r1)
-        r1, c1, dc, dr = self._linear[key]
-        num = (r_out - r1) * dc
-        return c1 + -(-num // dr)
+    def timed(records: int) -> int:
+        key = (tree, runs, records)
+        if key not in samples:
+            feeds = _balanced_feeds(tree.leaves, runs, records)
+            samples[key] = run_pass_cycles(tree, feeds).cycles
+        return samples[key]
+
+    s = max(64 * runs, 2048)
+    if r_out <= 2 * s:
+        return timed(r_out)
+    c1, c2 = timed(s), timed(2 * s)
+    return c1 + -(-(r_out - s) * (c2 - c1) // s)
 
 
 @dataclass(frozen=True)
@@ -424,14 +400,20 @@ def build_timing(
     plan: SortPlan,
     topo: Optional[HbmTopology] = None,
     profile: Optional[BandwidthProfile] = None,
-    model: Optional[CycleModel] = None,
 ) -> RunTiming:
-    """Model both phases: per-pass compute cycles from the calibrated
-    trace model, capped by what the memory system can stream at the
-    configured burst sizes; one tree depth charged per run boundary."""
+    """Model both phases from the plan alone.
+
+    A pass's compute cycles are its groups times the cycles of one group,
+    which :func:`_group_cycles` times on balanced feeds with the group's
+    run count, outright when the group is small and by a line through two
+    timed samples when it is large; one tree depth is charged per group
+    boundary.  Each pass takes the larger of its compute cycles and the
+    cycles the memory system needs to stream it at the configured burst
+    size.  Sample timings are shared by the passes of one call only.
+    """
     topo = topo or HbmTopology()
     profile = profile or BandwidthProfile()
-    model = model or CycleModel()
+    group_cycles = functools.partial(_group_cycles, samples={})
     tree = build_tree(cfg.phase1_rate, cfg.phase1_leaves)
     wide = compose_wide_tree([tree] * REUSE_FACTOR)
     bytes_total = plan.records * RECORD_BYTES
@@ -444,17 +426,17 @@ def build_timing(
     for i in range(plan.untuned_passes):
         out_run = in_run * cfg.phase1_leaves
         full, tail = divmod(n_chan, out_run)
-        compute = full * model.group_cycles(tree, cfg.phase1_leaves, out_run)
+        compute = full * group_cycles(tree, cfg.phase1_leaves, out_run)
         groups = full
         if tail:
             groups += 1
-            compute += model.group_cycles(tree, -(-tail // in_run), tail)
+            compute += group_cycles(tree, -(-tail // in_run), tail)
         compute += tree.depth * max(0, groups - 1)
         cycles = max(compute, mem1)
         passes.append(PassTiming(i, "merge", out_run, groups, compute, mem1, cycles))
         in_run = out_run
     tuned_runs = -(-plan.subrun_records // plan.tuned_input_run)
-    compute = plan.subruns_per_channel * model.group_cycles(
+    compute = plan.subruns_per_channel * group_cycles(
         tree, tuned_runs, plan.subrun_records
     )
     compute += tree.depth * (plan.subruns_per_channel - 1)
@@ -472,7 +454,7 @@ def build_timing(
 
     supply2 = plan.write_targets * (topo.channel_bandwidth / cfg.clock_hz) * \
         profile.efficiency(REUSE_FACTOR, cfg.phase2_burst)
-    compute2 = model.group_cycles(wide, plan.phase2_feeds, plan.padded_records)
+    compute2 = group_cycles(wide, plan.phase2_feeds, plan.padded_records)
     mem2 = math.ceil(plan.padded_records * RECORD_BYTES / supply2)
     cycles2 = max(compute2, mem2)
     seconds2 = cycles2 / cfg.clock_hz
@@ -517,7 +499,6 @@ def sort_records(
     threads: int = 1,
     topo: Optional[HbmTopology] = None,
     profile: Optional[BandwidthProfile] = None,
-    model: Optional[CycleModel] = None,
 ) -> SortResult:
     """Run the full two-phase pipeline over an (n, 2) array of records.
 
@@ -544,5 +525,5 @@ def sort_records(
         output = output[: plan.records]
     timing = None
     if mode == "cycles":
-        timing = build_timing(cfg, plan, topo, profile, model)
+        timing = build_timing(cfg, plan, topo, profile)
     return SortResult(output, plan, batched, timing)

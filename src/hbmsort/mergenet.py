@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
+from operator import index
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,10 +68,10 @@ class Record:
     key: int
     value: int = 0
 
-    def __post_init__(self):
-        if not 0 <= self.key <= MAX_KEY:
+    def __post_init__(self):  # operator.index raises TypeError on a non-integer
+        if not 0 <= index(self.key) <= MAX_KEY:
             raise ValueError(f"key {self.key} outside 32-bit range")
-        if not 0 <= self.value <= MAX_VALUE:
+        if not 0 <= index(self.value) <= MAX_VALUE:
             raise ValueError(f"value {self.value} outside 32-bit range")
 
 

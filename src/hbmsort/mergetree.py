@@ -144,10 +144,11 @@ def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
 # ----------------------------------------------------------------------
 
 class FeedFormatError(ValueError):
-    """A feed holds something other than integer keys; `leaf` is its index."""
+    """A feed is not a run of integer keys or of (key, value) rows; `leaf`
+    is its index."""
 
-    def __init__(self, leaf: int, what):
-        super().__init__(f"feed {leaf} is not integer: {what}")
+    def __init__(self, leaf: int, fault: str):
+        super().__init__(f"feed {leaf} {fault}")
         self.leaf = leaf
 
 
@@ -156,13 +157,17 @@ def _feed_columns(run, leaf: int) -> tuple[np.ndarray, np.ndarray]:
     (key, value) rows, or a list of :class:`Record` or int keys."""
     if isinstance(run, np.ndarray):
         if run.dtype.kind not in "iu":
-            raise FeedFormatError(leaf, f"dtype {run.dtype}")
+            raise FeedFormatError(leaf, f"is not integer: dtype {run.dtype}")
+        if run.ndim != 1 and run.shape[1:] != (2,):
+            raise FeedFormatError(leaf, f"has shape {run.shape}, neither (n,) nor (n, 2)")
     else:
         try:
-            run = np.array([(index(r.key), index(r.value)) if isinstance(r, Record) else (index(r), 0)
+            run = np.array([(r.key, r.value) if isinstance(r, Record) else (index(r), 0)
                             for r in run], dtype=np.int64).reshape(-1, 2)
         except TypeError as err:
-            raise FeedFormatError(leaf, err) from None
+            raise FeedFormatError(leaf, f"is not integer: {err}") from None
+        except OverflowError:
+            raise ValueError(f"feed {leaf} holds a key outside the 32-bit range") from None
     keys, values = (run, np.zeros_like(run)) if run.ndim == 1 else (run[:, 0], run[:, 1])
     if np.any(keys[1:] < keys[:-1]):
         raise UnsortedFeedError(leaf)

@@ -1,4 +1,9 @@
-"""CLI reports against golden files, config loading and config exit codes."""
+"""CLI reports against golden files, config loading and config exit codes.
+
+Refresh the golden reports only with a stated reason::
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
 
 import json
 from pathlib import Path
@@ -16,6 +21,7 @@ GOLDEN_COMMANDS = {
     "sort_dry_4194304.json": ["sort", "--dry-run", "--records", "4194304"],
     "sort_dry_536870912.json": ["sort", "--dry-run", "--records", "536870912"],
     "sweep.json": ["sweep", "--sizes", "32M,128M,256M,512M,2G,4G"],
+    "sweep_default.json": ["sweep"],
 }
 
 
@@ -24,6 +30,12 @@ def test_report_matches_golden(name, tmp_path, capsys):
     report = tmp_path / name
     assert cli.main(GOLDEN_COMMANDS[name] + ["--report", str(report)]) == cli.EXIT_OK
     assert json.loads(report.read_text()) == json.loads((GOLDEN / name).read_text())
+
+
+def test_default_sweep_extends_the_pinned_sweep():
+    rows = {r["bytes"]: r for r in json.loads((GOLDEN / "sweep_default.json").read_text())["rows"]}
+    for row in json.loads((GOLDEN / "sweep.json").read_text())["rows"]:
+        assert rows[row["bytes"]] == row
 
 
 def _write(tmp_path, text):
@@ -77,14 +89,16 @@ def test_over_capacity_exits_with_data_status(argv, text, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-#: Points where the calibrated cycle model's three-point fit is not linear.
+#: Sizes whose tuned pass merges 2 runs per group: its cycles are not yet
+#: linear in the group length at a few hundred records.
 @pytest.mark.parametrize("argv", [
     ["sweep"],
     ["sort", "--dry-run", "--records", "8388608"],
-], ids=["sweep-default-sizes", "sort-dry-run-64mb"])
-def test_calibration_failure_exits_with_data_status(argv, capsys):
-    assert cli.main(argv) == cli.EXIT_DATA
-    assert "error: " in capsys.readouterr().err
+    ["sort", "--dry-run", "--records", "134217728"],
+], ids=["sweep-default-sizes", "sort-dry-run-64mb", "sort-dry-run-1gb"])
+def test_two_run_tuned_passes_model(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("records", [4194304, 33554432])
@@ -177,3 +191,8 @@ def test_unknown_section_or_key_raises(text, tmp_path):
 def test_missing_file_raises(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "absent.ini"))
+
+
+if __name__ == "__main__":
+    for name, argv in GOLDEN_COMMANDS.items():
+        cli.main(argv + ["--report", str(GOLDEN / name)])

@@ -163,6 +163,47 @@ class TestPhases:
         assert err.value.leaf == plan.subruns_per_channel + 1
 
 
+class TestGroupCycles:
+    """The group timing of the model against a timed pass of the whole group."""
+
+    #: Run counts whose cycles are exactly linear in the group length past
+    #: the timed window; the others stay within 0.5% of the timed pass.
+    EXACT = (1, 2, 4, 8, 16, 64)
+
+    def _check(self, tree, runs, sizes):
+        for n in sizes:
+            want = run_pass_cycles(tree, engine._balanced_feeds(tree.leaves, runs, n)).cycles
+            got = engine._group_cycles(tree, runs, n)
+            if runs in self.EXACT:
+                assert got == want, n
+            else:
+                assert abs(got - want) <= 0.005 * want, (n, got, want)
+
+    @pytest.mark.parametrize("runs", range(1, 17))
+    def test_phase1_tree(self, runs):
+        # The window holds 2 * 2048 records for up to 32 runs.
+        self._check(build_tree(8, 16), runs, (4097, 12345, 1 << 17))
+
+    def test_wide_tree(self):
+        wide = compose_wide_tree([build_tree(8, 16)] * 4)
+        self._check(wide, 64, (8193, 40000, 1 << 17))
+
+    def test_samples_are_timed_once_per_call(self, monkeypatch):
+        timed = []
+
+        def counting(tree, feeds, *args, **kwargs):
+            timed.append((tree, len(feeds), sum(len(f) for f in feeds)))
+            return run_pass_cycles(tree, feeds, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_pass_cycles", counting)
+        cfg = SortConfig(records=1 << 22)
+        engine.build_timing(cfg, plan_sort(cfg))
+        first = list(timed)
+        assert first and len(set(first)) == len(first)
+        engine.build_timing(cfg, plan_sort(cfg))
+        assert timed[len(first):] == first
+
+
 class TestInputValidation:
     def test_negative_key_rejected(self):
         with pytest.raises(RecordFormatError):

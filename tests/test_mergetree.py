@@ -161,19 +161,28 @@ class TestFunctionalPass:
             run_pass_functional(t, feeds)
         assert err.value.leaf == 3
 
-    @pytest.mark.parametrize("feed", [np.array([1, 1 << 32]), np.array([-1, 2]), [1 << 32]])
+    @pytest.mark.parametrize("feed", [np.array([1, 1 << 32]), np.array([-1, 2]), [1 << 32],
+                                      [1 << 70], [-(1 << 70)]])
     def test_out_of_range_keys_rejected(self, feed):
         with pytest.raises(ValueError, match="32-bit"):
             run_pass_functional(build_tree(1, 2), [feed])
 
     @pytest.mark.parametrize("feeds,leaf", [([np.array([1.5, 2.7]), np.array([2.2])], 0),
                                             ([[1, 2], [2.2]], 1),
-                                            ([[Record(1), Record(2.5)]], 0)])
+                                            ([[Record(1), 2.5]], 0)])
     @pytest.mark.parametrize("run", [run_pass_functional, run_pass_cycles])
     def test_non_integer_feeds_rejected(self, run, feeds, leaf):
         with pytest.raises(FeedFormatError, match="not integer") as err:
             run(build_tree(1, 2), feeds)
         assert err.value.leaf == leaf
+
+    @pytest.mark.parametrize("feed", [np.array([[1, 2, 3]]), np.zeros((2, 2, 2), dtype=np.uint32)],
+                             ids=["three-columns", "three-dims"])
+    @pytest.mark.parametrize("run", [run_pass_functional, run_pass_cycles])
+    def test_feed_arrays_of_other_shapes_rejected(self, run, feed):
+        with pytest.raises(FeedFormatError, match="shape") as err:
+            run(build_tree(1, 2), [np.array([1]), feed])
+        assert err.value.leaf == 1
 
     def test_too_many_feeds_rejected(self):
         t = build_tree(1, 2)
