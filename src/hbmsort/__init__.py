@@ -34,7 +34,6 @@ from .hbm import (
 from .analytics import (
     FloorplanProblem,
     FloorplanSolution,
-    PerfModelInput,
     ResourceModelParams,
     bandwidth_utilization,
     ceil_log,

@@ -27,26 +27,16 @@ def ceil_log(base: int, n: int) -> int:
     return j
 
 
-@dataclass(frozen=True)
-class PerfModelInput:
-    records: int
-    leaves: int
-    memory_bandwidth: float            # bytes/s available to one tree (write side)
-    channel_bandwidth: float = 420e9 / 32
-    parallel_trees: int = 16
-
-
-def perf_single_tree(inp: PerfModelInput) -> float:
+def perf_single_tree(records: int, leaves: int, memory_bandwidth: float) -> float:
     """Overall bytes/s of one tree sorting its whole input: bandwidth
-    divided by the number of passes."""
-    passes = ceil_log(inp.leaves, inp.records)
-    return inp.memory_bandwidth / passes
+    (bytes/s, write side) divided by the number of passes."""
+    return memory_bandwidth / ceil_log(leaves, records)
 
 
-def perf_phase1(inp: PerfModelInput, passes: int) -> float:
+def perf_phase1(parallel_trees: int, channel_bandwidth: float, passes: int) -> float:
     """First-phase aggregate: k trees, each streaming one channel at
     channel bandwidth ``passes`` times."""
-    return inp.parallel_trees * inp.channel_bandwidth / passes
+    return parallel_trees * channel_bandwidth / passes
 
 
 def perf_overall(beta1: float, beta2: float) -> float:

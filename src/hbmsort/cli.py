@@ -24,7 +24,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analytics, dataset, engine
-from .analytics import PerfModelInput, floorplan_solve, resource_tree, select_burst_sizes
+from .analytics import floorplan_solve, resource_tree, select_burst_sizes
 from .config import AppConfig, ConfigError, load_config
 from .engine import build_timing, plan_sort, verify_permutation
 from .hbm import CapacityError
@@ -64,17 +64,17 @@ def _timing_dict(t: engine.RunTiming) -> dict:
     }
 
 
-def _plan_dict(plan: engine.SortPlan) -> dict:
+def _plan_dict(plan: engine.SortPlan, cfg: engine.SortConfig) -> dict:
     return {
         "phase1_passes": plan.phase1_passes,
-        "untuned_passes": plan.untuned_passes,
-        "run_length_after": list(plan.run_length_after),
+        "untuned_passes": plan.phase1_passes - 1,
+        "run_length_after": list(plan.run_lengths[1:-2]),
         "tuned_feed_quantum": plan.tuned_feed_quantum,
         "channel_records": plan.channel_records,
         "subrun_records": plan.subrun_records,
         "padded_records": plan.padded_records,
         "phase2_feeds": plan.phase2_feeds,
-        "batch_records": plan.batch_records,
+        "batch_records": cfg.batch_records,
     }
 
 
@@ -123,7 +123,7 @@ def cmd_sort(args) -> int:
             "mode": "cycles",
             "dry_run": True,
             "config": asdict(cfg),
-            "plan": _plan_dict(plan),
+            "plan": _plan_dict(plan, cfg),
             "timing": _timing_dict(timing),
             "reference": _reference_dict(app.reference),
             "validation": {"passed": True, "message": "dry run, no data"},
@@ -163,7 +163,7 @@ def cmd_sort(args) -> int:
         "mode": args.mode,
         "dry_run": False,
         "config": asdict(cfg),
-        "plan": _plan_dict(result.plan),
+        "plan": _plan_dict(result.plan, cfg),
         "observed_passes": result.plan.phase1_passes,
         "timing": _timing_dict(result.timing) if result.timing else None,
         "reference": _reference_dict(app.reference),
@@ -201,12 +201,8 @@ def cmd_model(args) -> int:
     ref = app.reference
     n = app.sort_overrides.get("records", 1 << 29)
 
-    single = PerfModelInput(
-        records=n, leaves=ref.single_tree_leaves,
-        memory_bandwidth=ref.phase2_gbps * 1e9,
-        channel_bandwidth=app.topo.channel_bandwidth,
-    )
-    single_gbps = analytics.perf_single_tree(single) / 1e9
+    single_gbps = analytics.perf_single_tree(
+        n, ref.single_tree_leaves, ref.phase2_gbps * 1e9) / 1e9
     single_passes = analytics.ceil_log(ref.single_tree_leaves, n)
 
     cfg = app.sort_config(n)
@@ -215,15 +211,11 @@ def cmd_model(args) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    phase1_inp = PerfModelInput(
-        records=n, leaves=cfg.phase1_leaves,
-        memory_bandwidth=app.topo.channel_bandwidth,
-        channel_bandwidth=app.topo.channel_bandwidth,
-        parallel_trees=cfg.parallel_trees,
-    )
     eq_passes = analytics.ceil_log(cfg.phase1_leaves, n // cfg.parallel_trees)
-    eq_phase1 = analytics.perf_phase1(phase1_inp, eq_passes) / 1e9
-    planned_phase1 = analytics.perf_phase1(phase1_inp, plan.phase1_passes) / 1e9
+    eq_phase1 = analytics.perf_phase1(
+        cfg.parallel_trees, app.topo.channel_bandwidth, eq_passes) / 1e9
+    planned_phase1 = analytics.perf_phase1(
+        cfg.parallel_trees, app.topo.channel_bandwidth, plan.phase1_passes) / 1e9
 
     tree1 = resource_tree(cfg.phase1_rate, cfg.phase1_leaves, app.resource,
                           burst_bytes=cfg.phase1_burst)

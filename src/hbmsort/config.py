@@ -5,18 +5,19 @@ derived from them, not set), [hbm] per-channel bandwidth and capacity,
 [bandwidth] the measured efficiency table as ``MxM,BURST = fraction``
 entries, [resource] the comparator/LUT cost model, [floorplan] the
 die-placement instance, [reference] reported hardware anchor figures
-used by the analytic reports.  ``_SECTION_FIELDS`` lists the keys of
-every section but [bandwidth].  Unknown sections or keys are errors;
-missing ones fall back to the field defaults of ``SortConfig``,
-``HbmTopology``, ``BandwidthProfile``, ``ResourceModelParams``,
-``FloorplanProblem`` and ``Reference``.
+used by the analytic reports.  The keys of every section but [bandwidth]
+are the fields of its dataclass (``SortConfig``, ``HbmTopology``,
+``ResourceModelParams``, ``FloorplanProblem``, ``Reference``), parsed as
+the field's type.  Unknown sections or keys are errors; missing ones
+fall back to the field defaults, [bandwidth] entries to those of
+``BandwidthProfile``.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .analytics import FloorplanProblem, ResourceModelParams
 from .engine import SortConfig
@@ -35,46 +36,6 @@ class Reference:
     phase2_gbps: float = 38.0
     phase1_passes: int = 6
     single_tree_leaves: int = 256
-
-
-_SECTION_FIELDS = {
-    "sort": {
-        "records": int,
-        "parallel_trees": int,
-        "phase1_leaves": int,
-        "phase1_rate": int,
-        "phase2_leaves": int,
-        "phase2_rate": int,
-        "batch_bytes": int,
-        "phase1_burst": int,
-        "phase2_burst": int,
-        "clock_hz": float,
-    },
-    "hbm": {
-        "channel_bandwidth": float,
-        "channel_capacity": int,
-    },
-    "resource": {
-        "base_comparators": int,
-        "lut_per_comparator": int,
-        "axi_converter_luts": int,
-        "axi_converter_ffs": int,
-        "lut_buffer_fraction": float,
-    },
-    "floorplan": {
-        "tree_resources": int,
-        "die1_available": int,
-        "die2_available": int,
-        "axi_width": int,
-        "crossing_budget": int,
-    },
-    "reference": {
-        "phase1_gbps": float,
-        "phase2_gbps": float,
-        "phase1_passes": int,
-        "single_tree_leaves": int,
-    },
-}
 
 
 @dataclass
@@ -96,6 +57,18 @@ class AppConfig:
             return SortConfig(**kwargs)
         except ValueError as exc:
             raise ConfigError(f"[sort] {exc}") from None
+
+
+#: Section -> the AppConfig attribute it sets and the dataclass whose
+#: fields are its keys.  [sort] only collects overrides: the record count
+#: may still come from the command line.
+_SECTIONS = {
+    "sort": ("sort_overrides", SortConfig),
+    "hbm": ("topo", HbmTopology),
+    "resource": ("resource", ResourceModelParams),
+    "floorplan": ("floorplan", FloorplanProblem),
+    "reference": ("reference", Reference),
+}
 
 
 def _parse_bandwidth_key(key: str) -> tuple[int, int]:
@@ -140,9 +113,11 @@ def _apply_section(cfg: AppConfig, section: str, items: list[tuple[str, str]]):
             table[_parse_bandwidth_key(key)] = float(raw)
         cfg.profile = BandwidthProfile(table=table).validate()
         return
-    schema = _SECTION_FIELDS.get(section)
-    if schema is None:
+    if section not in _SECTIONS:
         raise ConfigError(f"unknown config section [{section}]")
+    attr, cls = _SECTIONS[section]
+    hints = get_type_hints(cls)
+    schema = {f.name: hints[f.name] for f in fields(cls)}
     parsed = {}
     for key, raw in items:
         if key not in schema:
@@ -153,11 +128,5 @@ def _apply_section(cfg: AppConfig, section: str, items: list[tuple[str, str]]):
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
     if section == "sort":
         cfg.sort_overrides.update(parsed)
-    elif section == "hbm":
-        cfg.topo = replace(cfg.topo, **parsed)
-    elif section == "resource":
-        cfg.resource = replace(cfg.resource, **parsed)
-    elif section == "floorplan":
-        cfg.floorplan = replace(cfg.floorplan, **parsed)
-    elif section == "reference":
-        cfg.reference = replace(cfg.reference, **parsed)
+    else:
+        setattr(cfg, attr, replace(getattr(cfg, attr), **parsed))

@@ -18,16 +18,19 @@ stable merge of the sub-runs.  Each phase is one unstable sort of unique
 ``tests/test_engine.py`` checks the result against a heap merge and
 phase two against a timed pass of the wide tree.
 
-Timing is modelled from the plan alone (:func:`build_timing`).  One
-group of a pass, R runs merged into one, is timed with
+Timing is modelled from the plan alone (:func:`build_timing`).  The
+plan's ``run_lengths`` are the pass schedule of both phases, and one
+loop times every pass: it cuts the pass's records into groups of the
+output run length, times a group of R runs merged into one with
 :func:`~hbmsort.mergetree.run_pass_cycles` on synthetic feeds that keep
-the R runs balanced; a group of more than 2*S records, S = max(64 R,
+the R runs balanced, and takes the larger of the compute cycles and the
+memory cycles.  A group of more than 2*S records, S = max(64 R,
 2048), takes the line through the timings at S and 2*S records.  On the
 (8, 16) tree and its 64-leaf composition the line is exact for 1, 2, 4,
 8, 16 and 64 runs and within 0.5% of a timed group for the other counts
-(``tests/test_engine.py``).  Timing therefore depends only on the
-run-length structure, never on key values, and a dry run reports
-exactly what a materialized run would.
+(``tests/test_engine.py``).  Timing therefore depends only on the run
+lengths, never on key values, and a dry run reports exactly what a
+materialized run would.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytics import ceil_log
+from .analytics import bandwidth_utilization, ceil_log, perf_overall
 from .hbm import BandwidthProfile, CapacityError, HbmTopology
 from .mergenet import KEY_BITS, MAX_KEY, RECORD_BYTES
 from .mergetree import (
@@ -105,20 +108,28 @@ class SortConfig:
 
 @dataclass(frozen=True)
 class SortPlan:
+    """The two-phase geometry and the pass schedule.
+
+    ``run_lengths`` = (1, l, l**2, ..., l**j, subrun_records,
+    padded_records), l the phase-one leaf count: pass k merges runs of
+    ``run_lengths[k]`` records into runs of ``run_lengths[k + 1]``.  The
+    passes up to ``subrun_records`` are phase one, inside each channel;
+    the last is phase two.
+    """
+
     records: int
     padded_records: int
     pad_count: int
-    phase1_passes: int
-    untuned_passes: int
-    run_length_after: tuple[int, ...]
-    tuned_input_run: int
+    run_lengths: tuple[int, ...]
     tuned_feed_quantum: int
     channel_records: int
     subruns_per_channel: int
     subrun_records: int
     phase2_feeds: int
-    batch_records: int
-    write_targets: int
+
+    @property
+    def phase1_passes(self) -> int:
+        return len(self.run_lengths) - 2
 
 
 def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
@@ -145,23 +156,18 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
         )
     quantum = n_pad // align
     l = cfg.phase1_leaves
-    j = ceil_log(l, quantum)
     subrun = n_pad // (cfg.parallel_trees * subruns)
+    untuned = tuple(l**i for i in range(ceil_log(l, quantum) + 1))
     return SortPlan(
         records=cfg.records,
         padded_records=n_pad,
         pad_count=pad,
-        phase1_passes=j + 1,
-        untuned_passes=j,
-        run_length_after=tuple(l ** (i + 1) for i in range(j)),
-        tuned_input_run=l**j,
+        run_lengths=untuned + (subrun, n_pad),
         tuned_feed_quantum=quantum,
         channel_records=n_pad // cfg.parallel_trees,
         subruns_per_channel=subruns,
         subrun_records=subrun,
         phase2_feeds=cfg.parallel_trees * subruns,
-        batch_records=cfg.batch_records,
-        write_targets=REUSE_FACTOR,
     )
 
 
@@ -268,7 +274,7 @@ def run_phase2(channels: list[np.ndarray], cfg: SortConfig, plan: SortPlan) -> B
     merged = np.concatenate(channels)
     _check_phase2_feeds(channels, merged, plan)
     merged = np.take(merged, _stable_order(merged[:, 0], len(merged)), axis=0)
-    batch, targets, total = plan.batch_records, plan.write_targets, len(merged)
+    batch, targets, total = cfg.batch_records, REUSE_FACTOR, len(merged)
     rounds, tails = _batch_layout(total, batch, targets)
     cut = rounds * targets * batch
     whole = merged[:cut].reshape(rounds, targets, batch, 2)
@@ -401,70 +407,54 @@ def build_timing(
     topo: Optional[HbmTopology] = None,
     profile: Optional[BandwidthProfile] = None,
 ) -> RunTiming:
-    """Model both phases from the plan alone.
+    """Model both phases from the plan's run lengths alone.
 
-    A pass's compute cycles are its groups times the cycles of one group,
-    which :func:`_group_cycles` times on balanced feeds with the group's
-    run count, outright when the group is small and by a line through two
-    timed samples when it is large; one tree depth is charged per group
-    boundary.  Each pass takes the larger of its compute cycles and the
-    cycles the memory system needs to stream it at the configured burst
-    size.  Sample timings are shared by the passes of one call only.
+    Phase one is the passes up to ``subrun_records`` on one (rate,
+    leaves) tree over one channel's records; phase two is the last pass,
+    on the wide tree over all records.  A pass from runs of ``a`` to runs
+    of ``b`` records cuts its records into groups of ``b`` (the last may
+    be short) and merges the ceil(group / a) runs of each group; a group
+    takes :func:`_group_cycles`, and each group boundary one tree depth.
+    The pass takes the larger of those compute cycles and the cycles the
+    memory system needs to stream its records in the phase's access
+    pattern and burst size.  Sample timings are shared by the passes of
+    one call only.
     """
     topo = topo or HbmTopology()
     profile = profile or BandwidthProfile()
     group_cycles = functools.partial(_group_cycles, samples={})
-    tree = build_tree(cfg.phase1_rate, cfg.phase1_leaves)
-    wide = compose_wide_tree([tree] * REUSE_FACTOR)
+    base = build_tree(cfg.phase1_rate, cfg.phase1_leaves)
     bytes_total = plan.records * RECORD_BYTES
 
-    n_chan = plan.channel_records
-    supply1 = (topo.channel_bandwidth / cfg.clock_hz) * profile.efficiency(1, cfg.phase1_burst)
-    mem1 = math.ceil(n_chan * RECORD_BYTES / supply1)
-    passes = []
-    in_run = 1
-    for i in range(plan.untuned_passes):
-        out_run = in_run * cfg.phase1_leaves
-        full, tail = divmod(n_chan, out_run)
-        compute = full * group_cycles(tree, cfg.phase1_leaves, out_run)
-        groups = full
-        if tail:
-            groups += 1
-            compute += group_cycles(tree, -(-tail // in_run), tail)
-        compute += tree.depth * max(0, groups - 1)
-        cycles = max(compute, mem1)
-        passes.append(PassTiming(i, "merge", out_run, groups, compute, mem1, cycles))
-        in_run = out_run
-    tuned_runs = -(-plan.subrun_records // plan.tuned_input_run)
-    compute = plan.subruns_per_channel * group_cycles(
-        tree, tuned_runs, plan.subrun_records
-    )
-    compute += tree.depth * (plan.subruns_per_channel - 1)
-    cycles = max(compute, mem1)
-    passes.append(
-        PassTiming(plan.untuned_passes, "tuned", plan.subrun_records,
-                   plan.subruns_per_channel, compute, mem1, cycles)
-    )
+    def phase(tree, run_lengths, records, pattern, burst, last_kind) -> PhaseTiming:
+        """The passes between consecutive ``run_lengths`` over ``records``
+        records, streamed in the ``pattern`` x ``pattern`` access pattern."""
+        supply = pattern * (topo.channel_bandwidth / cfg.clock_hz) * \
+            profile.efficiency(pattern, burst)
+        memory = math.ceil(records * RECORD_BYTES / supply)
+        passes = []
+        for k, (in_run, out_run) in enumerate(zip(run_lengths, run_lengths[1:])):
+            full, tail = divmod(records, out_run)
+            compute = full * group_cycles(tree, -(-out_run // in_run), out_run)
+            if tail:
+                compute += group_cycles(tree, -(-tail // in_run), tail)
+            groups = full + (tail > 0)
+            compute += tree.depth * (groups - 1)
+            kind = last_kind if k == len(run_lengths) - 2 else "merge"
+            passes.append(PassTiming(k, kind, out_run, groups, compute, memory,
+                                     max(compute, memory)))
+        cycles = sum(p.cycles for p in passes)
+        seconds = cycles / cfg.clock_hz
+        return PhaseTiming(cycles, seconds, bytes_total / seconds / 1e9,
+                           records * len(passes) / cycles, tuple(passes))
 
-    cycles1 = sum(p.cycles for p in passes)
-    seconds1 = cycles1 / cfg.clock_hz
-    gbps1 = bytes_total / seconds1 / 1e9
-    rate1 = n_chan * plan.phase1_passes / cycles1
-    phase1 = PhaseTiming(cycles1, seconds1, gbps1, rate1, tuple(passes))
-
-    supply2 = plan.write_targets * (topo.channel_bandwidth / cfg.clock_hz) * \
-        profile.efficiency(REUSE_FACTOR, cfg.phase2_burst)
-    compute2 = group_cycles(wide, plan.phase2_feeds, plan.padded_records)
-    mem2 = math.ceil(plan.padded_records * RECORD_BYTES / supply2)
-    cycles2 = max(compute2, mem2)
-    seconds2 = cycles2 / cfg.clock_hz
-    gbps2 = bytes_total / seconds2 / 1e9
-    final = PassTiming(0, "final", plan.padded_records, 1, compute2, mem2, cycles2)
-    phase2 = PhaseTiming(cycles2, seconds2, gbps2, plan.padded_records / cycles2, (final,))
-
-    overall = 1.0 / (1.0 / gbps1 + 1.0 / gbps2)
-    traffic = gbps1 * plan.phase1_passes * 2
-    return RunTiming(phase1, phase2, overall, traffic)
+    phase1 = phase(base, plan.run_lengths[:-1], plan.channel_records,
+                   1, cfg.phase1_burst, "tuned")
+    phase2 = phase(compose_wide_tree([base] * REUSE_FACTOR), plan.run_lengths[-2:],
+                   plan.padded_records, REUSE_FACTOR, cfg.phase2_burst, "final")
+    gbps1, gbps2 = phase1.gbytes_per_s, phase2.gbytes_per_s
+    return RunTiming(phase1, phase2, perf_overall(gbps1, gbps2),
+                     bandwidth_utilization(gbps1, plan.phase1_passes))
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from hbmsort.analytics import (
     FloorplanProblem,
-    PerfModelInput,
     ceil_log,
     floorplan_solve,
     perf_phase1,
@@ -29,8 +28,7 @@ class TestCeilLog:
 
 
 def test_perf_phase1_divides_by_passes():
-    inp = PerfModelInput(records=1 << 20, leaves=16, memory_bandwidth=1e9, channel_bandwidth=2e9)
-    assert perf_phase1(inp, 4) == 16 * 2e9 / 4
+    assert perf_phase1(16, 2e9, 4) == 16 * 2e9 / 4
 
 
 def test_default_bursts():

@@ -6,18 +6,20 @@ Refresh the golden reports only with a stated reason::
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from hbmsort import cli
-from hbmsort.config import _SECTION_FIELDS, ConfigError, load_config
+from hbmsort.config import _SECTIONS, ConfigError, load_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
 #: Modelled reports pinned byte for byte; regenerate only with a stated reason.
 GOLDEN_COMMANDS = {
     "model.json": ["model"],
+    "sort_dry_100003.json": ["sort", "--dry-run", "--records", "100003"],
     "sort_dry_4194304.json": ["sort", "--dry-run", "--records", "4194304"],
     "sort_dry_536870912.json": ["sort", "--dry-run", "--records", "536870912"],
     "sweep.json": ["sweep", "--sizes", "32M,128M,256M,512M,2G,4G"],
@@ -56,8 +58,6 @@ BAD_CONFIGS = {
     "trees-not-dividing-wide-leaves": "[sort]\nparallel_trees = 12\n",
     "zero-batch": "[sort]\nbatch_bytes = 0\n",
     "zero-tree-resources": "[floorplan]\ntree_resources = 0\n",
-    "zero-channels": "[hbm]\nchannels = 0\n",
-    "zero-group-size": "[hbm]\ngroup_size = 0\n",
     "zero-channel-bandwidth": "[hbm]\nchannel_bandwidth = 0\n",
     "zero-channel-capacity": "[hbm]\nchannel_capacity = 0\n",
     "unknown-section": "[sorting]\nrecords = 5\n",
@@ -89,8 +89,7 @@ def test_over_capacity_exits_with_data_status(argv, text, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-#: Sizes whose tuned pass merges 2 runs per group: its cycles are not yet
-#: linear in the group length at a few hundred records.
+#: Sizes whose tuned pass merges only 2 runs per group.
 @pytest.mark.parametrize("argv", [
     ["sweep"],
     ["sort", "--dry-run", "--records", "8388608"],
@@ -163,7 +162,7 @@ ROUND_TRIP = {
 
 def test_round_trip_covers_every_key():
     assert {s: set(keys) for s, keys in ROUND_TRIP.items()} == \
-        {s: set(keys) for s, keys in _SECTION_FIELDS.items()}
+        {s: {f.name for f in fields(cls)} for s, (_, cls) in _SECTIONS.items()}
 
 
 def test_every_key_loads_to_its_value(tmp_path):

@@ -64,6 +64,7 @@ class TestSortRecordsOracle:
         plan = plan_sort(cfg)
         assert plan.pad_count
         assert plan.subrun_records == 1568  # not a power of two
+        assert plan.run_lengths == (1, 16, 256, 1568, 100352)
         rng = np.random.default_rng(3)
         recs = _records(rng.integers(0, 1000, size=n))
         np.testing.assert_array_equal(sort_records(recs).output, _heap_sorted(recs))
