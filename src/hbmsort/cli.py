@@ -3,7 +3,8 @@
 Subcommands
 -----------
 gen       write a benchmark dataset (shuffled permutation keys 1..N)
-sort      run the two-phase pipeline over a dataset, or model a run dry
+sort      run the two-phase pipeline over a dataset, or model a run dry;
+          ``--mode cycles`` adds the dry-run model's timing to a real run
 model     print the analytic report: performance equations, resources,
           floorplan and burst selection
 sweep     model a range of data sizes and tabulate pass counts/throughput
@@ -69,11 +70,11 @@ def _plan_dict(plan: engine.SortPlan, cfg: engine.SortConfig) -> dict:
         "phase1_passes": plan.phase1_passes,
         "untuned_passes": plan.phase1_passes - 1,
         "run_length_after": list(plan.run_lengths[1:-2]),
-        "tuned_feed_quantum": plan.tuned_feed_quantum,
+        "tuned_feed_quantum": plan.subrun_records // cfg.phase1_leaves,
         "channel_records": plan.channel_records,
         "subrun_records": plan.subrun_records,
         "padded_records": plan.padded_records,
-        "phase2_feeds": plan.phase2_feeds,
+        "phase2_feeds": cfg.phase2_leaves,
         "batch_records": cfg.batch_records,
     }
 
@@ -93,7 +94,11 @@ def _reference_dict(ref) -> dict:
 # ----------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    spec = dataset.DatasetSpec(args.records, args.distribution, args.seed)
+    try:
+        spec = dataset.DatasetSpec(args.records, args.distribution, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     data = dataset.generate(spec)
     try:
         dataset.save(data, args.out)
@@ -106,69 +111,58 @@ def cmd_gen(args) -> int:
 
 def cmd_sort(args) -> int:
     app = load_config(args.config)
+    mode = "cycles" if args.dry_run else args.mode
     if args.dry_run:
         if args.records is None and "records" not in app.sort_overrides:
             print("error: --dry-run needs --records or [sort] records", file=sys.stderr)
             return EXIT_USAGE
         cfg = app.sort_config(args.records)
+    else:
+        if args.input is None:
+            print("error: input dataset required unless --dry-run", file=sys.stderr)
+            return EXIT_USAGE
         try:
-            plan = plan_sort(cfg, app.topo)
-            timing = build_timing(cfg, plan, app.topo, app.profile)
-        except CapacityError as exc:
+            data = dataset.load(args.input, mmap=True)
+        except (OSError, dataset.DatasetFormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "sort",
-            "mode": "cycles",
-            "dry_run": True,
-            "config": asdict(cfg),
-            "plan": _plan_dict(plan, cfg),
-            "timing": _timing_dict(timing),
-            "reference": _reference_dict(app.reference),
-            "validation": {"passed": True, "message": "dry run, no data"},
-        }
-        _write_report(report, args.report)
-        _print_sort_summary(report)
-        return EXIT_OK
-
-    if args.input is None:
-        print("error: input dataset required unless --dry-run", file=sys.stderr)
-        return EXIT_USAGE
+        if args.records not in (None, len(data)):
+            print(f"error: --records {args.records} does not match the {len(data)} "
+                  f"records in {args.input}", file=sys.stderr)
+            return EXIT_USAGE
+        cfg = app.sort_config(len(data))
     try:
-        data = dataset.load(args.input, mmap=True)
-    except (OSError, dataset.DatasetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    cfg = app.sort_config(args.records if args.records else len(data))
-    try:
-        result = engine.sort_records(
-            np.asarray(data), cfg, mode=args.mode, threads=args.threads,
-            topo=app.topo, profile=app.profile,
-        )
+        if args.dry_run:
+            plan = plan_sort(cfg, app.topo)
+        else:
+            result = engine.sort_records(np.asarray(data), cfg, args.threads, app.topo)
+            plan = result.plan
+        timing = build_timing(cfg, plan, app.topo, app.profile) if mode == "cycles" else None
     except (CapacityError, engine.IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    out = result.output
-    sorted_ok = bool(np.all(np.diff(out[:, 0].astype(np.int64)) >= 0))
-    multiset_ok = _same_records(out, data)
-    passed = sorted_ok and multiset_ok
-    message = "ok" if passed else ("output not sorted" if not sorted_ok else "record multiset changed")
-    if args.out:
-        dataset.save(out, args.out)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "sort",
-        "mode": args.mode,
-        "dry_run": False,
+        "mode": mode,
+        "dry_run": args.dry_run,
         "config": asdict(cfg),
-        "plan": _plan_dict(result.plan, cfg),
-        "observed_passes": result.plan.phase1_passes,
-        "timing": _timing_dict(result.timing) if result.timing else None,
-        "reference": _reference_dict(app.reference),
-        "validation": {"passed": passed, "message": message},
+        "plan": _plan_dict(plan, cfg),
     }
+    if args.dry_run:
+        passed, message = True, "dry run, no data"
+    else:
+        out = result.output
+        sorted_ok = bool(np.all(np.diff(out[:, 0].astype(np.int64)) >= 0))
+        passed = sorted_ok and _same_records(out, data)
+        message = "ok" if passed else ("output not sorted" if not sorted_ok else "record multiset changed")
+        if args.out:
+            dataset.save(out, args.out)
+        report["observed_passes"] = plan.phase1_passes
+    report["timing"] = _timing_dict(timing) if timing else None
+    report["reference"] = _reference_dict(app.reference)
+    report["validation"] = {"passed": passed, "message": message}
     _write_report(report, args.report)
     _print_sort_summary(report)
     return EXIT_OK if passed else EXIT_VALIDATION
@@ -276,19 +270,22 @@ def cmd_model(args) -> int:
 _SIZE_SUFFIX = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
 
 
-def _parse_size(text: str) -> int:
-    text = text.strip().upper()
-    if text[-1] in _SIZE_SUFFIX:
-        return int(float(text[:-1]) * _SIZE_SUFFIX[text[-1]])
-    return int(text)
+def _parse_sizes(text: str) -> list[int]:
+    """Comma-separated byte sizes, each an integer or a number with a K, M or G suffix."""
+    sizes = []
+    for item in text.split(","):
+        t = item.strip().upper()
+        scale = _SIZE_SUFFIX.get(t[-1:])
+        try:
+            sizes.append(int(float(t[:-1]) * scale) if scale else int(t))
+        except (ValueError, OverflowError):  # int(float("inf")) overflows
+            raise argparse.ArgumentTypeError(f"bad size {item!r} in {text!r}") from None
+    return sizes
 
 
 def cmd_sweep(args) -> int:
     app = load_config(args.config)
-    if args.sizes:
-        sizes = [_parse_size(s) for s in args.sizes.split(",")]
-    else:
-        sizes = [32 * (1 << 20) * (1 << i) for i in range(8)]  # 32 MB .. 4 GB
+    sizes = args.sizes or [32 * (1 << 20) * (1 << i) for i in range(8)]  # 32 MB .. 4 GB
     rows = []
     for size in sizes:
         records = size // engine.RECORD_BYTES
@@ -372,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="model a range of data sizes")
     p.add_argument("--config", help="config file path")
-    p.add_argument("--sizes", help="comma-separated byte sizes, e.g. 32M,64M,1G")
+    p.add_argument("--sizes", type=_parse_sizes,
+                   help="comma-separated byte sizes, e.g. 32M,64M,1G")
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_sweep)
 

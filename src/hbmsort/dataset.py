@@ -30,7 +30,7 @@ class DatasetSpec:
 
     def __post_init__(self):
         if self.records < 1:
-            raise ValueError("records must be positive")
+            raise ValueError(f"records must be positive, got {self.records}")
         if self.distribution not in ("permutation", "uniform"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
@@ -56,11 +56,11 @@ def save(records: np.ndarray, path: str):
 
 def load(path: str, mmap: bool = False) -> np.ndarray:
     size = os.path.getsize(path)
-    if size % RECORD_BYTES:
+    n, partial = divmod(size, RECORD_BYTES)
+    if partial or not n:
         raise DatasetFormatError(
-            f"{path}: size {size} is not a multiple of {RECORD_BYTES}-byte records"
+            f"{path}: size {size} is not a positive multiple of {RECORD_BYTES}-byte records"
         )
-    n = size // RECORD_BYTES
     if mmap:
         return np.memmap(path, dtype="<u4", mode="r", shape=(n, 2))
     return np.fromfile(path, dtype="<u4").reshape(n, 2)

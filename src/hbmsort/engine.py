@@ -11,12 +11,15 @@ batches and written round-robin across ``REUSE_FACTOR`` targets.
 :func:`plan_sort` derives every such count from :class:`SortConfig`.
 
 The functional data path computes what the passes produce, not each
-pass: a merge tree resolves equal keys in leaf order, so the sub-runs of
-phase one are stable sorts of their input ranges and phase two is a
-stable merge of the sub-runs.  Each phase is one unstable sort of unique
-64-bit composite keys (group, key, input position) and one gather.
-``tests/test_engine.py`` checks the result against a heap merge and
-phase two against a timed pass of the wide tree.
+pass.  The padded input is one ``(trees, channel_records, 2)`` array
+whose row c is the channel tree c sorts; phase one sorts every row into
+one array of the same shape, and phase two reads that array in place as
+its ``phase2_leaves`` sub-runs.  A merge tree resolves equal keys in leaf
+order, so the sub-runs of phase one are stable sorts of their input
+ranges and phase two is a stable merge of the sub-runs.  Each phase is
+one unstable sort of unique 64-bit composite keys (group, key, input
+position) and one gather.  ``tests/test_engine.py`` checks the result
+against a heap merge and phase two against a timed pass of the wide tree.
 
 Timing is modelled from the plan alone (:func:`build_timing`).  The
 plan's ``run_lengths`` are the pass schedule of both phases, and one
@@ -118,14 +121,20 @@ class SortPlan:
     """
 
     records: int
-    padded_records: int
-    pad_count: int
     run_lengths: tuple[int, ...]
-    tuned_feed_quantum: int
     channel_records: int
-    subruns_per_channel: int
-    subrun_records: int
-    phase2_feeds: int
+
+    @property
+    def padded_records(self) -> int:
+        return self.run_lengths[-1]
+
+    @property
+    def subrun_records(self) -> int:
+        return self.run_lengths[-2]
+
+    @property
+    def pad_count(self) -> int:
+        return self.padded_records - self.records
 
     @property
     def phase1_passes(self) -> int:
@@ -143,10 +152,8 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
     pass count is therefore (smallest j with leaves**j >= N/align) + 1.
     """
     topo = topo or HbmTopology()
-    subruns = cfg.phase2_leaves // cfg.parallel_trees
-    align = cfg.parallel_trees * cfg.phase1_leaves * subruns
-    pad = -cfg.records % align
-    n_pad = cfg.records + pad
+    align = cfg.phase2_leaves * cfg.phase1_leaves
+    n_pad = cfg.records + -cfg.records % align
     per_channel_bytes = n_pad // cfg.parallel_trees * RECORD_BYTES
     if per_channel_bytes > topo.channel_capacity:
         raise CapacityError(
@@ -154,21 +161,10 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
             f"{topo.channel_capacity} B capacity (max "
             f"{topo.channel_capacity // RECORD_BYTES * cfg.parallel_trees} records)"
         )
-    quantum = n_pad // align
     l = cfg.phase1_leaves
-    subrun = n_pad // (cfg.parallel_trees * subruns)
-    untuned = tuple(l**i for i in range(ceil_log(l, quantum) + 1))
-    return SortPlan(
-        records=cfg.records,
-        padded_records=n_pad,
-        pad_count=pad,
-        run_lengths=untuned + (subrun, n_pad),
-        tuned_feed_quantum=quantum,
-        channel_records=n_pad // cfg.parallel_trees,
-        subruns_per_channel=subruns,
-        subrun_records=subrun,
-        phase2_feeds=cfg.parallel_trees * subruns,
-    )
+    untuned = tuple(l**i for i in range(ceil_log(l, n_pad // align) + 1))
+    subrun = n_pad // cfg.phase2_leaves
+    return SortPlan(cfg.records, untuned + (subrun, n_pad), n_pad // cfg.parallel_trees)
 
 
 # ----------------------------------------------------------------------
@@ -184,10 +180,9 @@ def pad_input(records: np.ndarray, plan: SortPlan) -> np.ndarray:
     return np.concatenate([records.astype(np.uint32, copy=False), filler])
 
 
-def split_channels(padded: np.ndarray, cfg: SortConfig) -> list[np.ndarray]:
-    """Contiguous split: channel c holds records [c*N/k, (c+1)*N/k)."""
-    per = len(padded) // cfg.parallel_trees
-    return [padded[c * per : (c + 1) * per] for c in range(cfg.parallel_trees)]
+def split_channels(padded: np.ndarray, cfg: SortConfig) -> np.ndarray:
+    """Contiguous split, as a view: row c holds records [c*N/k, (c+1)*N/k)."""
+    return padded.reshape(cfg.parallel_trees, -1, 2)
 
 
 def _stable_order(keys: np.ndarray, group_len: int) -> np.ndarray:
@@ -213,25 +208,33 @@ def _stable_order(keys: np.ndarray, group_len: int) -> np.ndarray:
     return comp.view(np.int64)
 
 
-def _phase1_channel(chan: np.ndarray, plan: SortPlan) -> np.ndarray:
-    return np.take(chan, _stable_order(chan[:, 0], plan.subrun_records), axis=0)
+def _check_channels(channels: np.ndarray, cfg: SortConfig, plan: SortPlan):
+    want = (cfg.parallel_trees, plan.channel_records, 2)
+    if channels.shape != want:
+        raise ValueError(f"channels have shape {channels.shape}, expected {want}")
 
 
 def run_phase1(
-    channels: list[np.ndarray], cfg: SortConfig, plan: SortPlan, threads: int = 1
-) -> list[np.ndarray]:
+    channels: np.ndarray, cfg: SortConfig, plan: SortPlan, threads: int = 1
+) -> np.ndarray:
     """Sort every channel into its independent sub-runs.
 
     The untuned passes only lengthen runs inside a channel, so the final
     sub-runs are stable sorts of their input ranges whatever the pass
-    count; channels are sorted on ``threads`` worker threads.
+    count.  Channels are sorted on ``threads`` worker threads into one
+    array of the input's shape.
     """
-    if len(channels) != cfg.parallel_trees:
-        raise ValueError(f"expected {cfg.parallel_trees} channels, got {len(channels)}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: _phase1_channel(c, plan), channels))
-    return [_phase1_channel(c, plan) for c in channels]
+    _check_channels(channels, cfg, plan)
+    out = np.empty_like(channels)
+
+    def sort_channel(c: int):
+        order = _stable_order(channels[c, :, 0], plan.subrun_records)
+        # The indices are in range; "clip" skips the copy "raise" buffers through.
+        np.take(channels[c], order, axis=0, out=out[c], mode="clip")
+
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        list(pool.map(sort_channel, range(len(channels))))
+    return out
 
 
 @dataclass
@@ -251,29 +254,16 @@ def _batch_layout(total: int, batch: int, targets: int) -> tuple[int, list[int]]
     return rounds, [min(batch, max(0, tail - s * batch)) for s in range(targets)]
 
 
-def _check_phase2_feeds(channels, merged: np.ndarray, plan: SortPlan):
-    if len(channels) * plan.subruns_per_channel != plan.phase2_feeds:
-        raise ValueError(
-            f"{len(channels)} channels x {plan.subruns_per_channel} sub-runs "
-            f"!= {plan.phase2_feeds} leaves"
-        )
-    for c, chan in enumerate(channels):
-        if len(chan) != plan.channel_records:
-            raise ValueError(
-                f"channel {c} holds {len(chan)} records, expected {plan.channel_records}"
-            )
-    keys = merged[:, 0]
+def run_phase2(channels: np.ndarray, cfg: SortConfig, plan: SortPlan) -> BatchedOutput:
+    """One pass of the wide tree over all sub-runs, read in place; batched output."""
+    _check_channels(channels, cfg, plan)
+    feeds = channels.reshape(-1, 2)
+    keys = feeds[:, 0]
     drops = np.flatnonzero(keys[1:] < keys[:-1]) + 1
     drops = drops[drops % plan.subrun_records != 0]  # a new sub-run may start lower
     if len(drops):
         raise UnsortedFeedError(int(drops[0]) // plan.subrun_records)
-
-
-def run_phase2(channels: list[np.ndarray], cfg: SortConfig, plan: SortPlan) -> BatchedOutput:
-    """One pass of the wide tree over all sub-runs, batched output."""
-    merged = np.concatenate(channels)
-    _check_phase2_feeds(channels, merged, plan)
-    merged = np.take(merged, _stable_order(merged[:, 0], len(merged)), axis=0)
+    merged = np.take(feeds, _stable_order(keys, len(feeds)), axis=0)
     batch, targets, total = cfg.batch_records, REUSE_FACTOR, len(merged)
     rounds, tails = _batch_layout(total, batch, targets)
     cut = rounds * targets * batch
@@ -465,8 +455,6 @@ def build_timing(
 class SortResult:
     output: np.ndarray
     plan: SortPlan
-    batched: BatchedOutput
-    timing: Optional[RunTiming] = None
 
 
 def _check_records(records: np.ndarray):
@@ -485,35 +473,27 @@ def _check_records(records: np.ndarray):
 def sort_records(
     records: np.ndarray,
     cfg: Optional[SortConfig] = None,
-    mode: str = "functional",
     threads: int = 1,
     topo: Optional[HbmTopology] = None,
-    profile: Optional[BandwidthProfile] = None,
 ) -> SortResult:
-    """Run the full two-phase pipeline over an (n, 2) array of records.
+    """Sort an (n, 2) array of records through both phases of the plan.
 
     Keys and payloads must be integers in 0..MAX_KEY; any integer dtype is
-    accepted, others raise :class:`RecordFormatError`.
+    accepted, others raise :class:`RecordFormatError`.  ``topo`` bounds
+    the plan's channel capacity.  The sort is functional only: the run's
+    timing is :func:`build_timing` of the returned plan.
     """
     records = np.asarray(records)
     _check_records(records)
-    if mode not in ("functional", "cycles"):
-        raise ValueError(f"mode must be 'functional' or 'cycles', got {mode!r}")
     cfg = cfg or SortConfig(records=len(records))
     if cfg.records != len(records):
         raise ValueError(f"config says {cfg.records} records, input has {len(records)}")
     plan = plan_sort(cfg, topo)
-    padded = pad_input(records, plan)
-    channels = split_channels(padded, cfg)
-    sorted_channels = run_phase1(channels, cfg, plan, threads)
-    batched = run_phase2(sorted_channels, cfg, plan)
-    output = reconstruct_output(batched)
+    channels = run_phase1(split_channels(pad_input(records, plan), cfg), cfg, plan, threads)
+    output = reconstruct_output(run_phase2(channels, cfg, plan))
     if plan.pad_count:
         sentinels = output[plan.records :]
         if not np.all(sentinels[:, 0] == MAX_KEY):
             raise IntegrityError("padding records did not sort to the tail")
         output = output[: plan.records]
-    timing = None
-    if mode == "cycles":
-        timing = build_timing(cfg, plan, topo, profile)
-    return SortResult(output, plan, batched, timing)
+    return SortResult(output, plan)

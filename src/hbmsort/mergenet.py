@@ -28,6 +28,7 @@ and raises :class:`MergeOrderError` on a wrong firing rule.  Only
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import pairwise
 from operator import index
@@ -80,21 +81,23 @@ def compare_swap(a: Record, b: Record) -> tuple[Record, Record]:
     return (a, b) if a.key <= b.key else (b, a)
 
 
-def bitonic_merge_network(width: int) -> list[list[tuple[int, int]]]:
+@functools.cache
+def bitonic_merge_network(width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Comparator stages of a bitonic merger over `width` lanes.
 
     Stage k compares lanes (i, i + width/2**k); the input must be a bitonic
     sequence (ascending half followed by descending half).  Returned as a
-    list of stages, each a list of (low_lane, high_lane) pairs.
+    tuple of stages, each a tuple of (low_lane, high_lane) pairs, and
+    memoised per width.
     """
     if width < 2 or width & (width - 1):
         raise RateError(f"network width must be a power of two >= 2, got {width}")
     stages = []
     d = width >> 1
     while d:
-        stages.append([(i, i + d) for i in range(width) if not i & d])
+        stages.append(tuple((i, i + d) for i in range(width) if not i & d))
         d >>= 1
-    return stages
+    return tuple(stages)
 
 
 class UnitStats(NamedTuple):
@@ -139,15 +142,10 @@ def _merge_tagged(a, b):
     """
     lanes = list(a)
     lanes += reversed(b)
-    width = len(lanes)
-    d = width >> 1
-    while d:
-        for i in range(width):
-            if not i & d:
-                j = i + d
-                if lanes[j] < lanes[i]:
-                    lanes[i], lanes[j] = lanes[j], lanes[i]
-        d >>= 1
+    for stage in bitonic_merge_network(len(lanes)):
+        for i, j in stage:
+            if lanes[j] < lanes[i]:
+                lanes[i], lanes[j] = lanes[j], lanes[i]
     return lanes
 
 

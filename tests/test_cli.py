@@ -131,6 +131,58 @@ def test_gen_to_unwritable_path_exits_with_data_status(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def _status(argv):
+    """Exit status of ``hbmsort ARGV``, whether returned or raised by argparse."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture
+def dataset_100003(tmp_path):
+    path = str(tmp_path / "in.bin")
+    assert cli.main(["gen", path, "--records", "100003", "--seed", "5"]) == cli.EXIT_OK
+    return path
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["sort", "{data}", "--records", "5"], "--records 5"),
+    (["sweep", "--sizes", "32M,,64M"], "''"),
+    (["sweep", "--sizes", "abc"], "'abc'"),
+    (["sweep", "--sizes", "infM"], "'infM'"),
+    (["gen", "{out}", "--records", "0"], "got 0"),
+], ids=["sort-records-mismatch", "sweep-empty-size", "sweep-non-numeric-size",
+        "sweep-infinite-size", "gen-zero-records"])
+def test_usage_error_exits_with_usage_status(argv, bad, dataset_100003, tmp_path, capsys):
+    argv = [a.format(data=dataset_100003, out=tmp_path / "out.bin") for a in argv]
+    assert _status(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err and bad in err
+
+
+@pytest.mark.parametrize("command", ["sort", "validate"])
+def test_empty_dataset_exits_with_data_status(command, tmp_path, capsys):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    assert cli.main([command, str(path)]) == cli.EXIT_DATA
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sort_cycles_reports_the_dry_run_timing(dataset_100003, tmp_path, capsys):
+    """The model times a pass from its run lengths alone, never from the
+    keys, so a real run reports the dry run's plan and timing.  Timing real
+    passes from their keys (ROADMAP item 1) will change this on purpose."""
+    report = tmp_path / "cycles.json"
+    argv = ["sort", dataset_100003, "--mode", "cycles", "--report", str(report)]
+    assert cli.main(argv) == cli.EXIT_OK
+    got = json.loads(report.read_text())
+    dry = json.loads((GOLDEN / "sort_dry_100003.json").read_text())
+    assert (got["plan"], got["timing"]) == (dry["plan"], dry["timing"])
+    assert cli.main(["sort", dataset_100003, "--report", str(report)]) == cli.EXIT_OK
+    assert json.loads(report.read_text())["timing"] is None
+
+
 #: One non-default value per settable key: (raw text, value it must load as).
 ROUND_TRIP = {
     "sort": {

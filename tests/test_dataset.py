@@ -13,6 +13,14 @@ def test_partial_record_file_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("mmap", [False, True])
+def test_empty_file_rejected(tmp_path, mmap):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    with pytest.raises(DatasetFormatError, match="size 0"):
+        dataset.load(str(path), mmap=mmap)
+
+
+@pytest.mark.parametrize("mmap", [False, True])
 def test_save_load_round_trip(tmp_path, mmap):
     data = dataset.generate(DatasetSpec(1000, "uniform", seed=3))
     path = str(tmp_path / "d.bin")

@@ -85,7 +85,8 @@ class TestSortRecordsOracle:
             return
         cfg = SortConfig(records=len(recs), parallel_trees=trees)
         result = sort_records(recs, cfg)
-        assert result.plan.phase2_feeds == cfg.phase2_leaves
+        plan = result.plan
+        assert trees * plan.channel_records // plan.subrun_records == cfg.phase2_leaves
         np.testing.assert_array_equal(
             result.output, recs[np.argsort(recs[:, 0], kind="stable")])
 
@@ -105,18 +106,30 @@ class TestPhases:
         per = plan.subrun_records
         for c, chan in enumerate(channels):
             src = padded[c * plan.channel_records : (c + 1) * plan.channel_records]
-            for s in range(plan.subruns_per_channel):
+            for s in range(plan.channel_records // per):
                 sub = src[s * per : (s + 1) * per]
                 want = sub[np.argsort(sub[:, 0], kind="stable")]
                 np.testing.assert_array_equal(chan[s * per : (s + 1) * per], want)
+
+    def test_phases_share_one_array(self):
+        recs = _records(np.arange(4096)[::-1])
+        cfg, plan, padded, channels = _phase1(recs)
+        assert np.shares_memory(split_channels(padded, cfg), padded)
+        assert channels.shape == (cfg.parallel_trees, plan.channel_records, 2)
+
+    @pytest.mark.parametrize("phase", [run_phase1, run_phase2])
+    def test_wrong_channel_shape_rejected(self, phase):
+        recs = _records(np.arange(4096))
+        cfg, plan, padded, _channels = _phase1(recs)
+        with pytest.raises(ValueError, match="shape"):
+            phase(padded.reshape(8, -1, 2), cfg, plan)
 
     def test_phase2_matches_unit_level_wide_tree(self):
         rng = np.random.default_rng(6)
         recs = _records(rng.integers(0, 100, size=4096))
         cfg, plan, _padded, channels = _phase1(recs)
         per = plan.subrun_records
-        subruns = [chan[s * per : (s + 1) * per] for chan in channels
-                   for s in range(plan.subruns_per_channel)]
+        subruns = list(channels.reshape(-1, per, 2))
         wide = compose_wide_tree([build_tree(8, 16)] * 4)
         got = reconstruct_output(run_phase2(channels, cfg, plan))
         np.testing.assert_array_equal(got, run_pass_cycles(wide, subruns).records)
@@ -157,11 +170,10 @@ class TestPhases:
     def test_unsorted_subrun_identifies_leaf(self):
         recs = _records(np.arange(4096))
         cfg, plan, _padded, channels = _phase1(recs)
-        channels[1] = channels[1].copy()
-        channels[1][plan.subrun_records + 1, 0] = 0  # inside channel 1, sub-run 1
+        channels[1, plan.subrun_records + 1, 0] = 0  # inside channel 1, sub-run 1
         with pytest.raises(UnsortedFeedError) as err:
             run_phase2(channels, cfg, plan)
-        assert err.value.leaf == plan.subruns_per_channel + 1
+        assert err.value.leaf == plan.channel_records // plan.subrun_records + 1
 
 
 class TestGroupCycles:
