@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-gen       write a benchmark dataset (shuffled permutation keys 1..N)
+gen       write a benchmark dataset (by default shuffled permutation keys 1..N)
 sort      run the two-phase pipeline over a dataset, or model a run dry;
           ``--mode cycles`` adds the dry-run model's timing to a real run
 model     print the analytic report: performance equations, resources,
@@ -110,6 +110,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sort(args) -> int:
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_USAGE
     app = load_config(args.config)
     mode = "cycles" if args.dry_run else args.mode
     if args.dry_run:
@@ -154,9 +157,8 @@ def cmd_sort(args) -> int:
         passed, message = True, "dry run, no data"
     else:
         out = result.output
-        sorted_ok = bool(np.all(np.diff(out[:, 0].astype(np.int64)) >= 0))
-        passed = sorted_ok and _same_records(out, data)
-        message = "ok" if passed else ("output not sorted" if not sorted_ok else "record multiset changed")
+        message = _check_output(out, data)
+        passed = message == "ok"
         if args.out:
             dataset.save(out, args.out)
         report["observed_passes"] = plan.phase1_passes
@@ -168,12 +170,29 @@ def cmd_sort(args) -> int:
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
-def _same_records(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when a and b hold the same multiset of whole 8-byte records."""
-    def packed(x):
-        return np.sort(np.ascontiguousarray(x, dtype=np.uint32).view(np.uint64).ravel())
+def _check_output(out: np.ndarray, data: np.ndarray) -> str:
+    """"ok" when ``out`` is ``data`` sorted by key, else what is wrong.
 
-    return bool(np.array_equal(packed(a), packed(b)))
+    Exact, with no hashing and no sampling.  Each record is packed into
+    64 bits key-major, the key in the high word.  The sorter's output is
+    sorted by key; when its keys are unique, or the payloads of equal keys
+    ascend, one linear pass finds its packing non-decreasing, which also
+    shows its keys sorted, and only the input side is sorted.  An output
+    whose packing decreases anywhere has its neighbouring keys compared,
+    and is then sorted as well, so the check is exact for any output.
+    """
+    def packed(x):
+        return engine.composite_keys(x[:, 0], x[:, 1], np.empty(len(x), dtype=np.uint64))
+
+    a = packed(out)
+    if not np.all(a[1:] >= a[:-1]):
+        keys = out[:, 0]
+        if not np.all(keys[1:] >= keys[:-1]):
+            return "output not sorted"
+        a.sort()
+    b = packed(data)
+    b.sort()
+    return "ok" if np.array_equal(a, b) else "record multiset changed"
 
 
 def _print_sort_summary(report: dict):
@@ -346,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="output path (raw 8-byte records)")
     p.add_argument("--records", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--distribution", choices=("permutation", "uniform"),
-                   default="permutation")
+    p.add_argument("--distribution", choices=dataset.DISTRIBUTIONS, default="permutation")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sort", help="sort a dataset or model a run dry")
@@ -358,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dry-run", action="store_true",
                    help="model timing from the plan only; no data is touched")
     p.add_argument("--records", type=int, help="record count for --dry-run")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker threads of each sort phase (at least 1)")
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_sort)
 

@@ -3,7 +3,9 @@
 Each record is a 4-byte unsigned key followed by a 4-byte payload.  The
 benchmark generator emits keys 1..N shuffled by a seeded permutation so a
 sorted result can be verified as exactly 1..N; payloads are derived from
-the key so value integrity survives any reordering check.
+the key so value integrity survives any reordering check.  The other
+distributions (:data:`DISTRIBUTIONS`) vary the input order and the number
+of distinct keys.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ from .mergenet import RECORD_BYTES
 
 _VALUE_MASK = 0xA5A5A5A5
 
+#: Key distributions: ``permutation`` (1..N shuffled), ``uniform`` (random
+#: 32-bit keys), ``sorted`` (1..N ascending), ``reverse`` (N..1) and
+#: ``few`` (16 distinct keys spread over the key range, MAX_KEY included).
+DISTRIBUTIONS = ("permutation", "uniform", "sorted", "reverse", "few")
+
 
 class DatasetFormatError(ValueError):
     pass
@@ -25,13 +32,13 @@ class DatasetFormatError(ValueError):
 @dataclass(frozen=True)
 class DatasetSpec:
     records: int
-    distribution: str = "permutation"  # or "uniform"
+    distribution: str = "permutation"  # one of DISTRIBUTIONS
     seed: int = 0
 
     def __post_init__(self):
         if self.records < 1:
             raise ValueError(f"records must be positive, got {self.records}")
-        if self.distribution not in ("permutation", "uniform"):
+        if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
@@ -39,10 +46,17 @@ def generate(spec: DatasetSpec) -> np.ndarray:
     """Deterministic (n, 2) uint32 dataset for the given spec."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     out = np.empty((spec.records, 2), dtype=np.uint32)
+    ascending = np.arange(1, spec.records + 1, dtype=np.uint32)
     if spec.distribution == "permutation":
-        keys = rng.permutation(np.arange(1, spec.records + 1, dtype=np.uint32))
-    else:
+        keys = rng.permutation(ascending)
+    elif spec.distribution == "uniform":
         keys = rng.integers(0, 1 << 32, size=spec.records, dtype=np.uint32)
+    elif spec.distribution == "sorted":
+        keys = ascending
+    elif spec.distribution == "reverse":
+        keys = ascending[::-1]
+    else:
+        keys = rng.integers(0, 16, size=spec.records, dtype=np.uint32) * np.uint32(0x11111111)
     out[:, 0] = keys
     out[:, 1] = keys ^ _VALUE_MASK
     return out

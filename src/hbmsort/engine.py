@@ -16,10 +16,16 @@ whose row c is the channel tree c sorts; phase one sorts every row into
 one array of the same shape, and phase two reads that array in place as
 its ``phase2_leaves`` sub-runs.  A merge tree resolves equal keys in leaf
 order, so the sub-runs of phase one are stable sorts of their input
-ranges and phase two is a stable merge of the sub-runs.  Each phase is
-one unstable sort of unique 64-bit composite keys (group, key, input
-position) and one gather.  ``tests/test_engine.py`` checks the result
-against a heap merge and phase two against a timed pass of the wide tree.
+ranges and phase two is a stable merge of the sub-runs.  Both phases
+sort unique 64-bit composites (key, position) with an unstable sort and
+gather the records at the sorted positions.  Phase one sorts each
+sub-run on its own.  Phase two cuts the key space into ``threads``
+ranges at splitters drawn from a regular sample of the sub-runs; each
+range is one slice of every sub-run and one sort of composites that
+carry global positions, merged on its own thread into its slice of the
+output.  The output is the same for every thread count.
+``tests/test_engine.py`` checks the result against a heap merge and
+phase two against a timed pass of the wide tree.
 
 Timing is modelled from the plan alone (:func:`build_timing`).  The
 plan's ``run_lengths`` are the pass schedule of both phases, and one
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -48,7 +55,7 @@ import numpy as np
 
 from .analytics import bandwidth_utilization, ceil_log, perf_overall
 from .hbm import BandwidthProfile, CapacityError, HbmTopology
-from .mergenet import KEY_BITS, MAX_KEY, RECORD_BYTES
+from .mergenet import MAX_KEY, RECORD_BYTES
 from .mergetree import (
     REUSE_FACTOR,
     TreeSpec,
@@ -185,33 +192,36 @@ def split_channels(padded: np.ndarray, cfg: SortConfig) -> np.ndarray:
     return padded.reshape(cfg.parallel_trees, -1, 2)
 
 
-def _stable_order(keys: np.ndarray, group_len: int) -> np.ndarray:
-    """Positions that stably sort ``keys`` within consecutive groups.
+_LOW_WORD = np.uint64(0xFFFFFFFF)
+# Index of the high 32-bit word of a native uint64 seen as two uint32 words.
+_HIGH = 1 if sys.byteorder == "little" else 0
 
-    Record i gets the unique composite (i // group_len, key, i), so an
-    unstable sort orders by group, then key, then input position; the low
-    position bits of the sorted composites are the gather indices.
-    """
-    n = len(keys)
-    pos_bits = (n - 1).bit_length()
-    group_shift = KEY_BITS + pos_bits
-    groups = -(-n // group_len)
-    if group_shift + (groups - 1).bit_length() > 64:
-        raise ValueError(f"{n} records in {groups} groups overflow a 64-bit sort key")
-    comp = keys.astype(np.uint64)
-    comp <<= np.uint64(pos_bits)
-    comp |= np.arange(n, dtype=np.uint64)
-    for g in range(1, groups):
-        comp[g * group_len : (g + 1) * group_len] |= np.uint64(g << group_shift)
+
+def composite_keys(high: np.ndarray, low: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``high << 32 | low`` of 32-bit words into the caller's contiguous
+    uint64 buffer ``out``; the composites order by ``high``, then ``low``."""
+    words = out.view(np.uint32).reshape(-1, 2)
+    words[:, _HIGH] = high
+    words[:, 1 - _HIGH] = low
+    return out
+
+
+def _sort_gather(comp: np.ndarray, src: np.ndarray, out: np.ndarray):
+    """Sort the composites (key, position in ``src``), then gather the rows
+    of ``src`` at their low words into ``out``.  The composites are unique,
+    so the unstable sort is a stable sort by key."""
     comp.sort()
-    comp &= np.uint64((1 << pos_bits) - 1)
-    return comp.view(np.int64)
+    comp &= _LOW_WORD
+    # The indices are in range; "clip" skips the copy "raise" buffers through.
+    np.take(src, comp.view(np.int64), axis=0, out=out, mode="clip")
 
 
-def _check_channels(channels: np.ndarray, cfg: SortConfig, plan: SortPlan):
+def _check_phase(channels: np.ndarray, cfg: SortConfig, plan: SortPlan, threads: int):
     want = (cfg.parallel_trees, plan.channel_records, 2)
     if channels.shape != want:
         raise ValueError(f"channels have shape {channels.shape}, expected {want}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def run_phase1(
@@ -221,19 +231,25 @@ def run_phase1(
 
     The untuned passes only lengthen runs inside a channel, so the final
     sub-runs are stable sorts of their input ranges whatever the pass
-    count.  Channels are sorted on ``threads`` worker threads into one
-    array of the input's shape.
+    count.  The channels are dealt to ``threads`` workers, each with one
+    composite buffer reused across its sub-runs, and sorted into one array
+    of the input's shape.
     """
-    _check_channels(channels, cfg, plan)
+    _check_phase(channels, cfg, plan, threads)
+    per = plan.subrun_records
     out = np.empty_like(channels)
+    positions = np.arange(per, dtype=np.uint64)
 
-    def sort_channel(c: int):
-        order = _stable_order(channels[c, :, 0], plan.subrun_records)
-        # The indices are in range; "clip" skips the copy "raise" buffers through.
-        np.take(channels[c], order, axis=0, out=out[c], mode="clip")
+    def sort_channels(rows: np.ndarray):
+        comp = np.empty(per, dtype=np.uint64)
+        for c in rows:
+            for s in range(0, plan.channel_records, per):
+                sub = channels[c, s : s + per]
+                _sort_gather(composite_keys(sub[:, 0], positions, comp), sub, out[c, s : s + per])
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        list(pool.map(sort_channel, range(len(channels))))
+    workers = min(threads, len(channels))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(sort_channels, np.array_split(np.arange(len(channels)), workers)))
     return out
 
 
@@ -254,16 +270,67 @@ def _batch_layout(total: int, batch: int, targets: int) -> tuple[int, list[int]]
     return rounds, [min(batch, max(0, tail - s * batch)) for s in range(targets)]
 
 
-def run_phase2(channels: np.ndarray, cfg: SortConfig, plan: SortPlan) -> BatchedOutput:
-    """One pass of the wide tree over all sub-runs, read in place; batched output."""
-    _check_channels(channels, cfg, plan)
+def _key_ranges(subruns: np.ndarray, ranges: int) -> np.ndarray:
+    """Cut points: range r of sorted sub-run j is ``subruns[j, cuts[j, r] :
+    cuts[j, r + 1]]``.  The splitters are evenly spaced in a regular sample
+    of the sub-runs, the midpoints of ``ranges`` equal slices of each.  A
+    key equal to a splitter goes to the upper range in every sub-run."""
+    per = subruns.shape[1]
+    step = -(-per // ranges)
+    sample = np.sort(subruns[:, step // 2 :: step], axis=None)
+    splitters = sample[np.arange(1, ranges) * len(sample) // ranges]
+    cuts = np.empty((len(subruns), ranges + 1), dtype=np.intp)
+    cuts[:, 0], cuts[:, -1] = 0, per
+    for sub, row in zip(subruns, cuts):
+        row[1:-1] = np.searchsorted(sub, splitters, side="left")
+    return cuts
+
+
+def _merge_subruns(feeds: np.ndarray, per: int, threads: int) -> np.ndarray:
+    """Stable merge of the sorted sub-runs of ``per`` records that ``feeds``
+    holds back to back, in ``threads`` key ranges (see :func:`run_phase2`)."""
+    if len(feeds) > 1 << 32:
+        raise ValueError(f"{len(feeds)} records overflow the 32-bit merge positions")
+    subruns = feeds[:, 0].reshape(-1, per)
+    cuts = _key_ranges(subruns, threads)
+    starts = np.concatenate(([0], np.cumsum(np.diff(cuts, axis=1).sum(axis=0))))
+    positions = np.arange(per, dtype=np.uint64)
+    comp = np.empty(len(feeds), dtype=np.uint64)
+    merged = np.empty_like(feeds)
+
+    def merge_range(r: int):
+        at = starts[r]
+        for j, (lo, hi) in enumerate(cuts[:, r : r + 2]):
+            piece = composite_keys(subruns[j, lo:hi], positions[lo:hi], comp[at : at + hi - lo])
+            piece += np.uint64(j * per)  # sub-run j starts at global position j * per
+            at += hi - lo
+        _sort_gather(comp[starts[r] : at], feeds, merged[starts[r] : at])
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(merge_range, range(threads)))
+    return merged
+
+
+def run_phase2(
+    channels: np.ndarray, cfg: SortConfig, plan: SortPlan, threads: int = 1
+) -> BatchedOutput:
+    """One pass of the wide tree over all sub-runs, read in place; batched output.
+
+    The merge is cut into ``threads`` key ranges (:func:`_key_ranges`),
+    which follow each other in the output.  Each range is merged on its
+    own thread into its slice of the output, as one sort of the
+    composites (key, global position) of its slice of every sub-run, so
+    equal keys keep sub-run order and the output does not depend on
+    ``threads``.
+    """
+    _check_phase(channels, cfg, plan, threads)
     feeds = channels.reshape(-1, 2)
     keys = feeds[:, 0]
     drops = np.flatnonzero(keys[1:] < keys[:-1]) + 1
     drops = drops[drops % plan.subrun_records != 0]  # a new sub-run may start lower
     if len(drops):
         raise UnsortedFeedError(int(drops[0]) // plan.subrun_records)
-    merged = np.take(feeds, _stable_order(keys, len(feeds)), axis=0)
+    merged = _merge_subruns(feeds, plan.subrun_records, threads)
     batch, targets, total = cfg.batch_records, REUSE_FACTOR, len(merged)
     rounds, tails = _batch_layout(total, batch, targets)
     cut = rounds * targets * batch
@@ -480,8 +547,11 @@ def sort_records(
 
     Keys and payloads must be integers in 0..MAX_KEY; any integer dtype is
     accepted, others raise :class:`RecordFormatError`.  ``topo`` bounds
-    the plan's channel capacity.  The sort is functional only: the run's
-    timing is :func:`build_timing` of the returned plan.
+    the plan's channel capacity.  Each phase runs on ``threads`` worker
+    threads (at least 1, else ``ValueError``): phase one deals out the
+    channels, phase two its key ranges.  The output is the same for every
+    thread count.  The sort is functional only: the run's timing is
+    :func:`build_timing` of the returned plan.
     """
     records = np.asarray(records)
     _check_records(records)
@@ -490,7 +560,7 @@ def sort_records(
         raise ValueError(f"config says {cfg.records} records, input has {len(records)}")
     plan = plan_sort(cfg, topo)
     channels = run_phase1(split_channels(pad_input(records, plan), cfg), cfg, plan, threads)
-    output = reconstruct_output(run_phase2(channels, cfg, plan))
+    output = reconstruct_output(run_phase2(channels, cfg, plan, threads))
     if plan.pad_count:
         sentinels = output[plan.records :]
         if not np.all(sentinels[:, 0] == MAX_KEY):

@@ -118,6 +118,18 @@ def test_gen_sort_validate_round_trip(tmp_path, capsys):
     assert cli.main(["validate", out]) == cli.EXIT_OK
 
 
+def test_sort_output_does_not_depend_on_threads(tmp_path, capsys):
+    data = str(tmp_path / "in.bin")
+    argv = ["gen", data, "--records", "100003", "--distribution", "few"]
+    assert cli.main(argv) == cli.EXIT_OK
+    outs = []
+    for threads in range(1, 5):
+        outs.append(tmp_path / f"out{threads}.bin")
+        argv = ["sort", data, "--out", str(outs[-1]), "--threads", str(threads)]
+        assert cli.main(argv) == cli.EXIT_OK
+    assert len({out.read_bytes() for out in outs}) == 1
+
+
 def test_validate_unsorted_reports_first_violation(tmp_path, capsys):
     data, report = str(tmp_path / "in.bin"), tmp_path / "validate.json"
     assert cli.main(["gen", data, "--records", "4096"]) == cli.EXIT_OK
@@ -152,8 +164,11 @@ def dataset_100003(tmp_path):
     (["sweep", "--sizes", "abc"], "'abc'"),
     (["sweep", "--sizes", "infM"], "'infM'"),
     (["gen", "{out}", "--records", "0"], "got 0"),
+    (["sort", "{data}", "--threads", "0"], "got 0"),
+    (["sort", "{data}", "--threads", "-4"], "got -4"),
 ], ids=["sort-records-mismatch", "sweep-empty-size", "sweep-non-numeric-size",
-        "sweep-infinite-size", "gen-zero-records"])
+        "sweep-infinite-size", "gen-zero-records", "sort-zero-threads",
+        "sort-negative-threads"])
 def test_usage_error_exits_with_usage_status(argv, bad, dataset_100003, tmp_path, capsys):
     argv = [a.format(data=dataset_100003, out=tmp_path / "out.bin") for a in argv]
     assert _status(argv) == cli.EXIT_USAGE

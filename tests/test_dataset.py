@@ -34,3 +34,28 @@ def test_generate_is_deterministic_per_seed():
     assert not np.array_equal(a, dataset.generate(DatasetSpec(5000, seed=10)))
     np.testing.assert_array_equal(np.sort(a[:, 0]), np.arange(1, 5001))
     assert dataset.payload_intact(a)
+
+
+@pytest.mark.parametrize("distribution", dataset.DISTRIBUTIONS)
+def test_every_distribution_keeps_payloads_intact(distribution):
+    data = dataset.generate(DatasetSpec(4099, distribution, seed=4))
+    assert data.shape == (4099, 2) and data.dtype == np.uint32
+    assert dataset.payload_intact(data)
+
+
+def test_sorted_and_reverse_keys():
+    ascending = np.arange(1, 1001, dtype=np.uint32)
+    np.testing.assert_array_equal(dataset.generate(DatasetSpec(1000, "sorted"))[:, 0], ascending)
+    np.testing.assert_array_equal(
+        dataset.generate(DatasetSpec(1000, "reverse"))[:, 0], ascending[::-1])
+
+
+def test_few_draws_sixteen_distinct_keys():
+    keys = dataset.generate(DatasetSpec(100003, "few", seed=2))[:, 0]
+    values = np.unique(keys)
+    assert len(values) == 16 and values[-1] == 0xFFFFFFFF
+
+
+def test_unknown_distribution_rejected():
+    with pytest.raises(ValueError, match="unknown distribution"):
+        DatasetSpec(10, "zipf")

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,59 @@ class TestPhases:
         assert err.value.leaf == plan.channel_records // plan.subrun_records + 1
 
 
+def _keys(distribution, n, seed=0):
+    return dataset.generate(dataset.DatasetSpec(n, distribution, seed))[:, 0]
+
+
+#: Inputs of the key-range split: ties across every splitter, presorted and
+#: reverse input, padding sentinels tied with MAX_KEY records, random keys.
+SPLIT_INPUTS = {
+    "all-equal": lambda: np.full(5000, 7),
+    "two-keys": lambda: np.where(np.random.default_rng(8).random(5000) < 0.3, 3, 9),
+    "sorted": lambda: _keys("sorted", 5000),
+    "reverse": lambda: _keys("reverse", 5000),
+    "few-100003": lambda: _keys("few", 100003, seed=9),
+    "uniform": lambda: _keys("uniform", 5000, seed=10),
+}
+
+
+@functools.cache
+def _split_case(name):
+    """Records numbered in input order, their phase-one array, and the
+    heap-merge oracle of the sort and of phase two."""
+    recs = _records(SPLIT_INPUTS[name]())
+    cfg, plan, _padded, channels = _phase1(recs)
+    subruns = list(channels.reshape(-1, plan.subrun_records, 2))
+    return recs, cfg, plan, channels, _heap_sorted(recs), kway_heap_merge(subruns)
+
+
+class TestKeyRangeSplit:
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("name", SPLIT_INPUTS)
+    def test_output_is_the_heap_merge_for_every_thread_count(self, name, threads):
+        recs, cfg, plan, channels, want_sort, want_phase2 = _split_case(name)
+        phase2 = reconstruct_output(run_phase2(channels, cfg, plan, threads))
+        assert phase2.tobytes() == want_phase2.tobytes()
+        assert sort_records(recs, threads=threads).output.tobytes() == want_sort.tobytes()
+
+    @pytest.mark.parametrize("name,threads,empty", [
+        ("all-equal", 4, [0, 1, 2]),  # every key equals every splitter: all go up
+        ("two-keys", 3, [1]),  # 30% of keys are 3, so both splitters are 9
+    ])
+    def test_keys_equal_to_a_splitter_go_to_the_upper_range(self, name, threads, empty):
+        _recs, _cfg, plan, channels, _s, _p = _split_case(name)
+        subruns = channels[:, :, 0].reshape(-1, plan.subrun_records)
+        sizes = np.diff(engine._key_ranges(subruns, threads), axis=1).sum(axis=0)
+        assert [r for r in range(threads) if sizes[r] == 0] == empty
+        assert sizes.sum() == plan.padded_records
+
+    def test_ranges_split_random_keys_evenly(self):
+        _recs, _cfg, plan, channels, _s, _p = _split_case("uniform")
+        subruns = channels[:, :, 0].reshape(-1, plan.subrun_records)
+        sizes = np.diff(engine._key_ranges(subruns, 4), axis=1).sum(axis=0)
+        assert sizes.min() > 0.15 * plan.padded_records
+
+
 class TestGroupCycles:
     """The group timing of the model against a timed pass of the whole group."""
 
@@ -243,6 +298,17 @@ class TestInputValidation:
         with pytest.raises(RecordFormatError):
             sort_records(np.array([[1.0, 0.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, threads):
+        recs = _records(np.arange(4096))
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            sort_records(recs, threads=threads)
+        cfg, plan, padded, channels = _phase1(recs)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_phase1(split_channels(padded, cfg), cfg, plan, threads)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_phase2(channels, cfg, plan, threads)
+
     def test_in_range_wide_ints_match_uint32(self):
         recs = np.array([[7, 1], [MAX_KEY, 2], [0, 3], [7, 4]], dtype=np.int64)
         want = sort_records(recs.astype(np.uint32)).output
@@ -256,16 +322,65 @@ class TestCliSortCheck:
         dataset.save(dataset.generate(dataset.DatasetSpec(3000, seed=7)), str(path))
         return str(path)
 
+    @pytest.fixture
+    def tied_path(self, tmp_path):
+        """Few distinct keys whose payloads fall in input order, so that the
+        sorted output's key-major packing decreases inside equal keys."""
+        path = tmp_path / "tied.bin"
+        recs = _records(np.random.default_rng(11).integers(0, 5, size=3000))
+        recs[:, 1] = recs[::-1, 1]
+        dataset.save(recs, str(path))
+        return str(path)
+
+    def _sort_with(self, monkeypatch, path, damage):
+        """Exit status of ``hbmsort sort PATH`` with ``damage`` applied to the output."""
+        real = engine.sort_records
+
+        def damaged(*args, **kwargs):
+            result = real(*args, **kwargs)
+            damage(result.output)
+            return result
+
+        monkeypatch.setattr(engine, "sort_records", damaged)
+        return cli.main(["sort", path, "--threads", "1"])
+
     def test_sorted_output_passes(self, dataset_path):
         assert cli.main(["sort", dataset_path, "--threads", "1"]) == cli.EXIT_OK
 
+    def test_unordered_payloads_of_equal_keys_pass(self, tied_path, tmp_path):
+        out = tmp_path / "out.bin"
+        assert cli.main(["sort", tied_path, "--out", str(out), "--threads", "1"]) == cli.EXIT_OK
+        got = dataset.load(str(out))
+        packed = got[:, 0].astype(np.uint64) << np.uint64(32) | got[:, 1]
+        assert np.any(packed[1:] < packed[:-1])  # the check had to sort the output too
+
+    def test_unsorted_output_fails(self, dataset_path, monkeypatch, capsys):
+        def swap(out):
+            out[[0, -1]] = out[[-1, 0]]
+
+        assert self._sort_with(monkeypatch, dataset_path, swap) == cli.EXIT_VALIDATION
+        assert "output not sorted" in capsys.readouterr().out
+
     def test_swapped_payloads_fail(self, dataset_path, monkeypatch):
-        real = engine.sort_records
+        def swap(out):
+            out[[0, 1], 1] = out[[1, 0], 1]
 
-        def scrambled(*args, **kwargs):
-            result = real(*args, **kwargs)
-            result.output[[0, 1], 1] = result.output[[1, 0], 1]
-            return result
+        assert self._sort_with(monkeypatch, dataset_path, swap) == cli.EXIT_VALIDATION
 
-        monkeypatch.setattr(engine, "sort_records", scrambled)
-        assert cli.main(["sort", dataset_path, "--threads", "1"]) == cli.EXIT_VALIDATION
+    @pytest.mark.parametrize("path", ["dataset_path", "tied_path"])
+    def test_one_changed_payload_fails(self, path, request, monkeypatch, capsys):
+        def change(out):
+            out[len(out) // 2, 1] ^= 1
+
+        path = request.getfixturevalue(path)
+        assert self._sort_with(monkeypatch, path, change) == cli.EXIT_VALIDATION
+        assert "record multiset changed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("path", ["dataset_path", "tied_path"])
+    def test_one_duplicated_record_fails(self, path, request, monkeypatch, capsys):
+        def duplicate(out):
+            out[1] = out[0]
+
+        path = request.getfixturevalue(path)
+        assert self._sort_with(monkeypatch, path, duplicate) == cli.EXIT_VALIDATION
+        assert "record multiset changed" in capsys.readouterr().out
