@@ -27,10 +27,16 @@ def ceil_log(base: int, n: int) -> int:
     return j
 
 
+def tree_passes(leaves: int, records: int) -> int:
+    """Passes of one tree sorting `records` records: each pass merges
+    `leaves` runs into one, and even one record is read once."""
+    return max(1, ceil_log(leaves, records))
+
+
 def perf_single_tree(records: int, leaves: int, memory_bandwidth: float) -> float:
     """Overall bytes/s of one tree sorting its whole input: bandwidth
     (bytes/s, write side) divided by the number of passes."""
-    return memory_bandwidth / ceil_log(leaves, records)
+    return memory_bandwidth / tree_passes(leaves, records)
 
 
 def perf_phase1(parallel_trees: int, channel_bandwidth: float, passes: int) -> float:

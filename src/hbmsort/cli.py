@@ -21,6 +21,8 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -216,7 +218,7 @@ def cmd_model(args) -> int:
 
     single_gbps = analytics.perf_single_tree(
         n, ref.single_tree_leaves, ref.phase2_gbps * 1e9) / 1e9
-    single_passes = analytics.ceil_log(ref.single_tree_leaves, n)
+    single_passes = analytics.tree_passes(ref.single_tree_leaves, n)
 
     cfg = app.sort_config(n)
     try:
@@ -224,7 +226,7 @@ def cmd_model(args) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    eq_passes = analytics.ceil_log(cfg.phase1_leaves, n // cfg.parallel_trees)
+    eq_passes = analytics.tree_passes(cfg.phase1_leaves, -(-n // cfg.parallel_trees))
     eq_phase1 = analytics.perf_phase1(
         cfg.parallel_trees, app.topo.channel_bandwidth, eq_passes) / 1e9
     planned_phase1 = analytics.perf_phase1(
@@ -290,15 +292,20 @@ _SIZE_SUFFIX = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
 
 
 def _parse_sizes(text: str) -> list[int]:
-    """Comma-separated byte sizes, each an integer or a number with a K, M or G suffix."""
+    """Comma-separated byte sizes, each a number with an optional K, M or
+    G suffix that comes to a positive multiple of the record size."""
     sizes = []
     for item in text.split(","):
         t = item.strip().upper()
         scale = _SIZE_SUFFIX.get(t[-1:])
         try:
-            sizes.append(int(float(t[:-1]) * scale) if scale else int(t))
-        except (ValueError, OverflowError):  # int(float("inf")) overflows
-            raise argparse.ArgumentTypeError(f"bad size {item!r} in {text!r}") from None
+            size = Fraction(Decimal(t[:-1] if scale else t)) * (scale or 1)
+        except (ArithmeticError, ValueError):  # not a number, or infinite
+            size = 0
+        if size <= 0 or size % engine.RECORD_BYTES:
+            raise argparse.ArgumentTypeError(f"bad size {item!r} in {text!r}: not a positive "
+                                             f"multiple of {engine.RECORD_BYTES} bytes")
+        sizes.append(int(size))
     return sizes
 
 
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model timing from the plan only; no data is touched")
     p.add_argument("--records", type=int, help="record count for --dry-run")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads of each sort phase (at least 1)")
+                   help="shares of each sort phase's work (at least 1), on at most one thread per CPU")
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_sort)
 

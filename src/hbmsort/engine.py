@@ -22,8 +22,9 @@ gather the records at the sorted positions.  Phase one sorts each
 sub-run on its own.  Phase two cuts the key space into ``threads``
 ranges at splitters drawn from a regular sample of the sub-runs; each
 range is one slice of every sub-run and one sort of composites that
-carry global positions, merged on its own thread into its slice of the
-output.  The output is the same for every thread count.
+carry global positions, merged into its slice of the output.  Each
+phase's pool has at most one thread per CPU, whatever ``threads`` is.
+The output is the same for every thread count.
 ``tests/test_engine.py`` checks the result against a heap merge and
 phase two against a timed pass of the wide tree.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -216,6 +218,11 @@ def _sort_gather(comp: np.ndarray, src: np.ndarray, out: np.ndarray):
     np.take(src, comp.view(np.int64), axis=0, out=out, mode="clip")
 
 
+def _pool(tasks: int) -> ThreadPoolExecutor:
+    """A pool for `tasks` tasks: one thread per task, at most one per CPU."""
+    return ThreadPoolExecutor(max_workers=min(tasks, os.cpu_count() or 1))
+
+
 def _check_phase(channels: np.ndarray, cfg: SortConfig, plan: SortPlan, threads: int):
     want = (cfg.parallel_trees, plan.channel_records, 2)
     if channels.shape != want:
@@ -231,9 +238,9 @@ def run_phase1(
 
     The untuned passes only lengthen runs inside a channel, so the final
     sub-runs are stable sorts of their input ranges whatever the pass
-    count.  The channels are dealt to ``threads`` workers, each with one
-    composite buffer reused across its sub-runs, and sorted into one array
-    of the input's shape.
+    count.  The channels are dealt out in ``threads`` shares (at most one
+    per channel), each with one composite buffer reused across its
+    sub-runs, and sorted into one array of the input's shape.
     """
     _check_phase(channels, cfg, plan, threads)
     per = plan.subrun_records
@@ -247,9 +254,9 @@ def run_phase1(
                 sub = channels[c, s : s + per]
                 _sort_gather(composite_keys(sub[:, 0], positions, comp), sub, out[c, s : s + per])
 
-    workers = min(threads, len(channels))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(sort_channels, np.array_split(np.arange(len(channels)), workers)))
+    shares = min(threads, len(channels))
+    with _pool(shares) as pool:
+        list(pool.map(sort_channels, np.array_split(np.arange(len(channels)), shares)))
     return out
 
 
@@ -306,7 +313,7 @@ def _merge_subruns(feeds: np.ndarray, per: int, threads: int) -> np.ndarray:
             at += hi - lo
         _sort_gather(comp[starts[r] : at], feeds, merged[starts[r] : at])
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with _pool(threads) as pool:
         list(pool.map(merge_range, range(threads)))
     return merged
 
@@ -317,11 +324,11 @@ def run_phase2(
     """One pass of the wide tree over all sub-runs, read in place; batched output.
 
     The merge is cut into ``threads`` key ranges (:func:`_key_ranges`),
-    which follow each other in the output.  Each range is merged on its
-    own thread into its slice of the output, as one sort of the
-    composites (key, global position) of its slice of every sub-run, so
-    equal keys keep sub-run order and the output does not depend on
-    ``threads``.
+    which follow each other in the output.  Each range is merged, by a
+    pool of at most one thread per CPU, into its slice of the output, as
+    one sort of the composites (key, global position) of its slice of
+    every sub-run, so equal keys keep sub-run order and the output does
+    not depend on ``threads``.
     """
     _check_phase(channels, cfg, plan, threads)
     feeds = channels.reshape(-1, 2)
@@ -547,9 +554,10 @@ def sort_records(
 
     Keys and payloads must be integers in 0..MAX_KEY; any integer dtype is
     accepted, others raise :class:`RecordFormatError`.  ``topo`` bounds
-    the plan's channel capacity.  Each phase runs on ``threads`` worker
-    threads (at least 1, else ``ValueError``): phase one deals out the
-    channels, phase two its key ranges.  The output is the same for every
+    the plan's channel capacity.  Each phase cuts its work into
+    ``threads`` shares (at least 1, else ``ValueError``): phase one deals
+    out the channels, phase two its key ranges.  A pool of at most one
+    thread per CPU runs the shares.  The output is the same for every
     thread count.  The sort is functional only: the run's timing is
     :func:`build_timing` of the returned plan.
     """

@@ -27,11 +27,14 @@ cycle-stepped schedule.  :func:`run_pass_cycles` computes each firing's
 cycle once, in dependency order, so host time follows firings; stalls
 and idle leaf cycles cost nothing.  ``tests/oracles.py`` keeps a
 cycle-stepped tree as the reference.  :func:`run_pass_functional` only
-validates and sorts the feeds.
+validates and sorts the feeds.  Leaf ports are always full; a pass fed
+at a limited rate takes the larger of its compute cycles and its records
+over the supply that all leaves share, as the engine bounds a pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, pairwise, repeat
@@ -41,9 +44,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .mergenet import MAX_KEY, Record, UnitPlans, UnsortedFeedError, mms_stats, plan_units
-
-#: Default leaf buffer depth in records: two 1 KB bursts of 8-byte records.
-DEFAULT_LEAF_BUFFER_DEPTH = 256
 
 #: Internal inter-level buffer depth, in blocks of the consuming unit.
 #: Depth 2 starves interior units on skewed consumption (random data runs
@@ -67,7 +67,6 @@ class TreeSpec:
     root_rate: int
     leaves: int
     levels: tuple[tuple[int, ...], ...]
-    leaf_buffer_depth: int = DEFAULT_LEAF_BUFFER_DEPTH
 
     @property
     def depth(self) -> int:
@@ -89,7 +88,7 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and not n & (n - 1)
 
 
-def build_tree(p: int, l: int, leaf_buffer_depth: int = DEFAULT_LEAF_BUFFER_DEPTH) -> TreeSpec:
+def build_tree(p: int, l: int) -> TreeSpec:
     """Build the (p, l) tree: rates halve from the root, counts double.
 
     The bottom level has rate ``max(1, 2p/l)``; if ``l > 2p`` the chain is
@@ -112,9 +111,7 @@ def build_tree(p: int, l: int, leaf_buffer_depth: int = DEFAULT_LEAF_BUFFER_DEPT
     while count < l:  # extra rate-1 levels above the leaves
         levels.append((1,) * count)
         count *= 2
-    if leaf_buffer_depth < levels[-1][0]:
-        raise TreeShapeError(f"leaf_buffer_depth {leaf_buffer_depth} < port width {levels[-1][0]}")
-    spec = TreeSpec(p, l, tuple(levels), leaf_buffer_depth)
+    spec = TreeSpec(p, l, tuple(levels))
     assert 2 * len(spec.levels[-1]) == l
     return spec
 
@@ -135,8 +132,7 @@ def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
         for st in subtrees:
             combined += st.levels[j]
         levels.append(combined)
-    return TreeSpec(REUSE_FACTOR * q, REUSE_FACTOR * first.leaves, tuple(levels),
-                    first.leaf_buffer_depth)
+    return TreeSpec(REUSE_FACTOR * q, REUSE_FACTOR * first.leaves, tuple(levels))
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +190,10 @@ def _merge_feeds(tree: TreeSpec, feeds) -> tuple[np.ndarray, np.ndarray, list[in
 
 @dataclass
 class PassResult:
-    """The merged run, the cycle of the root's last firing that emits
-    records, and the average root emission rate in records per cycle."""
+    """The merged run; the pass's cycles, the later of the root's last
+    firing that emits records and the memory bound (when records arrive
+    at a limited rate); and the average root emission rate over them in
+    records per cycle."""
 
     records: np.ndarray
     cycles: int
@@ -225,17 +223,17 @@ class _Unit:
     ``columns`` holds per-firing columns, first the index into the parent's
     times that a firing waits on for FIFO room.  A unit over two producer
     units then has the index into each producer's times that the firing
-    waits on; a unit over rate-limited leaf ports has the records each
-    firing needs visible on each port and the records it takes.  A unit that
-    passes one FIFO through may close only after its last take: `closer`
-    is then that FIFO's producer and `close_room` the index into the
-    parent's times that the extra finishing firing waits on.  A unit
-    holds its parent's times, not the parent, so that the units of a pass
-    form no reference cycle and are freed as soon as it ends.
+    waits on; a unit over leaf ports has no other column, as a leaf port
+    is always full.  A unit that passes one FIFO through may close only
+    after its last take: `closer` is then that FIFO's producer and
+    `close_room` the index into the parent's times that the extra
+    finishing firing waits on.  A unit holds its parent's times, not the
+    parent, so that the units of a pass form no reference cycle and are
+    freed as soon as it ends.
     """
 
     __slots__ = ("level", "index", "fires", "times", "columns", "firings", "pending",
-                 "kids", "parent_times", "closer", "close_room", "credit")
+                 "kids", "parent_times", "closer", "close_room")
 
     def __init__(self, level: int, index: int, fires: int):
         self.level, self.index, self.fires = level, index, fires
@@ -247,7 +245,6 @@ class _Unit:
         self.parent_times = _ALWAYS
         self.closer = None
         self.close_room = 0
-        self.credit = None
 
     def advance(self):
         """Time firings in order until one waits on a parent firing not yet
@@ -259,8 +256,6 @@ class _Unit:
         while len(times) <= self.fires:
             if kids:
                 self._time_merge(kids[0].times, kids[1].times, tp)
-            elif self.credit:
-                self._time_fed(tp)
             else:
                 self._time_full(tp)
             if not self.pending:
@@ -326,42 +321,6 @@ class _Unit:
         else:
             self.pending = ()
 
-    def _time_fed(self, tp):
-        """Over two leaf ports that each gain `num` credit per cycle, up to
-        `cap`, in units of ``1 / den`` records.  A port's credit is brought
-        up to date only at a take: ``c`` is its credit just after its last
-        take, in cycle ``tau``.  A firing that needs ``q`` records waits
-        until ``tau + ceil((q * den - c) / num)``.
-        """
-        num, den, cap, c0, tau0, c1, tau1 = self.credit
-        times = self.times
-        t = times[-1]
-        try:
-            for r, q0, q1, k0, k1 in chain(self.pending, self.firings):
-                t += 1
-                if tp[r] > t:
-                    t = tp[r]
-                if q0 * den > c0:
-                    w = tau0 + (q0 * den - c0 + num - 1) // num
-                    if w > t:
-                        t = w
-                if q1 * den > c1:
-                    w = tau1 + (q1 * den - c1 + num - 1) // num
-                    if w > t:
-                        t = w
-                if k0:
-                    c0 += num * (t - tau0)
-                    c0, tau0 = (c0 if c0 < cap else cap) - k0 * den, t
-                if k1:
-                    c1 += num * (t - tau1)
-                    c1, tau1 = (c1 if c1 < cap else cap) - k1 * den, t
-                times.append(t)
-        except IndexError:
-            self.pending = ((r, q0, q1, k0, k1),)
-        else:
-            self.pending = ()
-        self.credit = num, den, cap, c0, tau0, c1, tau1
-
 
 def _by_node(leaf: np.ndarray, shift: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Ranks grouped by the node ``leaf >> shift`` they pass through, each
@@ -415,9 +374,8 @@ def _room_deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray) -> tuple[n
 def run_pass_cycles(
     tree: TreeSpec, feeds, feed_rate_per_leaf: Optional[float] = None
 ) -> PassResult:
-    """Time one pass; returns the merged run, the cycle of the root's last
-    emitting firing and the average root emission rate in records per
-    cycle.
+    """Time one pass; returns the merged run, its cycles and the average
+    root emission rate in records per cycle.
 
     Each unit's firings are planned from the ranks (see
     :func:`~hbmsort.mergenet.plan_units`).  A firing happens at the
@@ -427,10 +385,12 @@ def run_pass_cycles(
     FIFO), and not before the parent firing that leaves room in its FIFO.
     Every firing's cycle is computed once, in dependency order, starting
     from the root.  Raises :class:`StuckPassError` if some firing can
-    never become ready.
+    never become ready.  With `feed_rate_per_leaf`, a supply all leaves
+    share, the cycles are at least ``ceil(n / (feed_rate_per_leaf *
+    leaves))``, computed exactly; the firings are the unlimited pass's.
     """
-    if feed_rate_per_leaf is not None and not feed_rate_per_leaf > 0:
-        raise ValueError(f"feed_rate_per_leaf must be positive, got {feed_rate_per_leaf}")
+    if feed_rate_per_leaf is not None and not 0 < feed_rate_per_leaf < math.inf:
+        raise ValueError(f"feed_rate_per_leaf must be positive and finite, got {feed_rate_per_leaf}")
     records, order, lengths = _merge_feeds(tree, feeds)
     total = len(order)
     if total == 0:
@@ -459,8 +419,6 @@ def run_pass_cycles(
                 n0, n1 = plan.n[0][u], plan.n[1][u]
                 if (n0 == 0) != (n1 == 0):
                     unit.closer = unit.kids[int(n0 == 0)]
-        elif feed_rate_per_leaf is not None:
-            _feed_leaves(row, plan, feed_rate_per_leaf, tree.leaf_buffer_depth)
         below, kids = plan, row
         ranks, bounds = merged
 
@@ -468,6 +426,8 @@ def run_pass_cycles(
     root.advance()
     last = int(np.flatnonzero(np.diff(below.out, prepend=0))[-1])  # the root's last emission
     cycles = root.times[last + 1]
+    if feed_rate_per_leaf is not None:
+        cycles = max(cycles, math.ceil(total / (Fraction(feed_rate_per_leaf) * tree.leaves)))
     return PassResult(records, cycles, total / cycles)
 
 
@@ -475,23 +435,6 @@ def _per_unit(column: np.ndarray, start: np.ndarray) -> list[memoryview]:
     """Cut a per-firing column into one view per unit."""
     view = memoryview(column)
     return [view[lo:hi] for lo, hi in pairwise(start.tolist())]
-
-
-def _feed_leaves(row, plan: UnitPlans, rate, depth: int):
-    """Give each bottom unit the records its leaf ports need per firing.
-
-    A port's credit grows by `rate` records each cycle up to `depth`, and
-    a firing may take k records once the credit holds k; the head of the
-    port a firing does not select needs one record.  Credit is counted in
-    units of ``1 / denominator(rate)``, so it never drifts.  A rate above
-    `depth` fills the buffer every cycle.
-    """
-    rate = Fraction(float(min(rate, depth)))
-    units = np.repeat(np.arange(len(plan.start) - 1), np.diff(plan.start))
-    needs = [np.where(plan.take[s] > 0, plan.take[s], plan.pos[s] < plan.n[s][units]) for s in (0, 1)]
-    for unit, *columns in zip(row, *(_per_unit(a, plan.start) for a in (*needs, *plan.take))):
-        unit.columns += columns
-        unit.credit = (rate.numerator, rate.denominator, depth * rate.denominator, 0, 0, 0, 0)
 
 
 def run_pass_functional(tree: TreeSpec, feeds) -> np.ndarray:

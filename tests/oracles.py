@@ -8,7 +8,6 @@ timed in dependency order.
 """
 
 import heapq
-from fractions import Fraction
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -89,37 +88,24 @@ class Source:
     through it, ``pos`` of them read and ``count`` more visible.
 
     ``done`` means nothing more will arrive: every remaining record is
-    visible.  ``Source(ranks)`` is an always-full leaf port.  With a
-    `rate`, :meth:`tick` refills a buffer of `depth` records at `rate`
-    records per cycle; the credit is an integer in units of
-    ``1 / denominator(rate)``, so it never drifts.  :meth:`fifo` makes an
-    inter-level FIFO, which its producing unit fills and closes.
+    visible.  ``Source(ranks)`` is an always-full leaf port.
+    :meth:`fifo` makes an inter-level FIFO, which its producing unit
+    fills and closes.
     """
 
-    __slots__ = ("ranks", "pos", "count", "done", "step", "den", "credit", "cap")
+    __slots__ = ("ranks", "pos", "count", "done")
 
-    def __init__(self, ranks, rate=None, depth=0):
+    def __init__(self, ranks):
         self.ranks = ranks
         self.pos = 0
-        rate = Fraction(rate if rate is not None else 0)
-        self.step, self.den = rate.numerator, rate.denominator
-        self.credit = 0
-        self.cap = depth * self.den
-        self.count = len(ranks) if self.step == 0 else 0
-        self.done = self.count == len(ranks)
+        self.count = len(ranks)
+        self.done = True
 
     @classmethod
     def fifo(cls, ranks):
         src = cls(ranks)
         src.count, src.done = 0, False
         return src
-
-    def tick(self):
-        self.credit = min(self.credit + self.step, self.cap)
-        left = len(self.ranks) - self.pos
-        visible = self.credit // self.den
-        self.count = min(visible, left)
-        self.done = left <= visible
 
 
 class MergeUnit:
@@ -165,7 +151,6 @@ class MergeUnit:
         k = self.rate if src.count >= self.rate else src.count
         src.pos += k
         src.count -= k
-        src.credit -= k * src.den
         return k
 
     def _emit(self, held):
@@ -249,14 +234,14 @@ def _by_node(leaf, shift, nodes):
     return np.argsort(node, kind="stable"), bounds
 
 
-def cycle_stepped_pass(tree, feeds, feed_rate_per_leaf=None):
+def cycle_stepped_pass(tree, feeds):
     """Step a pass of `tree` cycle by cycle; returns the merged (n, 2)
     records, the cycle of the root's last emission and the root's average
     records per cycle.
 
-    Each cycle ticks every rate-limited leaf port, then fires every unit
-    once, root first, so a block a unit emits reaches its parent one cycle
-    later and a read by the parent frees FIFO room in the same cycle.
+    Each cycle fires every unit once, root first, so a block a unit emits
+    reaches its parent one cycle later and a read by the parent frees FIFO
+    room in the same cycle.
     """
     arrays = [np.asarray(f, dtype=np.int64) for f in feeds]
     arrays = [a.reshape(-1, 2) if a.ndim == 2 else np.stack([a, np.zeros_like(a)], axis=1)
@@ -271,9 +256,7 @@ def cycle_stepped_pass(tree, feeds, feed_rate_per_leaf=None):
     leaf = np.repeat(np.arange(tree.leaves), lengths)[order]
 
     grp, bounds = _by_node(leaf, 0, tree.leaves)
-    srcs = [Source(grp[lo:hi].tolist(), feed_rate_per_leaf, tree.leaf_buffer_depth)
-            for lo, hi in pairwise(bounds)]
-    ticking = srcs if feed_rate_per_leaf is not None else []
+    srcs = [Source(grp[lo:hi].tolist()) for lo, hi in pairwise(bounds)]
     rows = []
     for j in range(tree.depth - 1, -1, -1):  # bottom level first
         shift = tree.depth - j
@@ -298,8 +281,6 @@ def cycle_stepped_pass(tree, feeds, feed_rate_per_leaf=None):
         cycle += 1
         if cycle > limit:
             raise RuntimeError(f"no progress after {limit} cycles")
-        for src in ticking:
-            src.tick()
         if root.fire():
             last_emit = cycle
         for unit in units[1:]:

@@ -89,6 +89,15 @@ def test_over_capacity_exits_with_data_status(argv, text, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("records", [1, 5])
+def test_model_of_fewer_records_than_trees(records, tmp_path, capsys):
+    report = tmp_path / "model.json"
+    argv = ["model", "--report", str(report),
+            "--config", _write(tmp_path, f"[sort]\nrecords = {records}\n")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(report.read_text())["single_wide_tree"]["passes"] == 1
+
+
 #: Sizes whose tuned pass merges only 2 runs per group.
 @pytest.mark.parametrize("argv", [
     ["sweep"],
@@ -166,9 +175,13 @@ def dataset_100003(tmp_path):
     (["gen", "{out}", "--records", "0"], "got 0"),
     (["sort", "{data}", "--threads", "0"], "got 0"),
     (["sort", "{data}", "--threads", "-4"], "got -4"),
+    (["sweep", "--sizes", "12"], "'12'"),
+    (["sweep", "--sizes", "0"], "'0'"),
+    (["sweep", "--sizes=-8"], "'-8'"),
 ], ids=["sort-records-mismatch", "sweep-empty-size", "sweep-non-numeric-size",
         "sweep-infinite-size", "gen-zero-records", "sort-zero-threads",
-        "sort-negative-threads"])
+        "sort-negative-threads", "sweep-size-not-whole-records", "sweep-zero-size",
+        "sweep-negative-size"])
 def test_usage_error_exits_with_usage_status(argv, bad, dataset_100003, tmp_path, capsys):
     argv = [a.format(data=dataset_100003, out=tmp_path / "out.bin") for a in argv]
     assert _status(argv) == cli.EXIT_USAGE
@@ -187,7 +200,7 @@ def test_empty_dataset_exits_with_data_status(command, tmp_path, capsys):
 def test_sort_cycles_reports_the_dry_run_timing(dataset_100003, tmp_path, capsys):
     """The model times a pass from its run lengths alone, never from the
     keys, so a real run reports the dry run's plan and timing.  Timing real
-    passes from their keys (ROADMAP item 1) will change this on purpose."""
+    passes from their keys (ROADMAP item 2) will change this on purpose."""
     report = tmp_path / "cycles.json"
     argv = ["sort", dataset_100003, "--mode", "cycles", "--report", str(report)]
     assert cli.main(argv) == cli.EXIT_OK

@@ -224,6 +224,24 @@ class TestKeyRangeSplit:
         assert [r for r in range(threads) if sizes[r] == 0] == empty
         assert sizes.sum() == plan.padded_records
 
+    def test_pools_are_bounded_by_the_cpus(self, monkeypatch):
+        # on 2 CPUs, 64 shares still cut phase two into 64 key ranges, but
+        # each phase's pool has 2 threads
+        recs, _cfg, _plan, _channels, want_sort, _p = _split_case("few-100003")
+        workers, ranges = [], []
+
+        class Recording(engine.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        key_ranges = engine._key_ranges
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(engine, "_key_ranges", lambda sub, n: ranges.append(n) or key_ranges(sub, n))
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        assert sort_records(recs, threads=64).output.tobytes() == want_sort.tobytes()
+        assert (workers, ranges) == ([2, 2], [64])
+
     def test_ranges_split_random_keys_evenly(self):
         _recs, _cfg, plan, channels, _s, _p = _split_case("uniform")
         subruns = channels[:, :, 0].reshape(-1, plan.subrun_records)

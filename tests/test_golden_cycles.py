@@ -3,11 +3,10 @@
 The file is the cycle oracle of pass timing: it was captured from the
 tuple-based simulator that pushed every record through the bitonic lanes
 and stepped every unit every cycle, and the plan-based timing must
-reproduce it exactly.  ``rate0.1-8x16`` was added later, from the
-cycle-stepped oracle with exact leaf credit (``tests/oracles.py``): the
-older keys use feed rates that a float adds up exactly, and its seed is
-one where summing 0.1 as a float ends the pass a cycle late (10266).
-Refresh the file only with a stated reason::
+reproduce it exactly.  Every pass has always-full leaf ports; a pass
+with a limited feed rate is bounded in closed form and is tested in
+``tests/test_mergetree.py``.  Refresh the file only with a stated
+reason::
 
     PYTHONPATH=src python tests/test_golden_cycles.py
 """
@@ -44,25 +43,19 @@ def _ragged(seed, leaves, feeds):
 
 
 def cases():
-    """Name -> (tree, feeds, feed_rate_per_leaf)."""
+    """Name -> (tree, feeds)."""
     t16 = build_tree(8, 16)
     return {
-        "random-8x16": (t16, _split(_draw(1), 16), None),
-        "presorted-8x16": (t16, _split(np.sort(_draw(2)), 16), None),
-        "rate0.25-8x16": (t16, _split(_draw(3), 16), 0.25),
-        "rate0.1-8x16": (t16, _split(_draw(12), 16), 0.1),
-        "wide-64": (compose_wide_tree([t16] * 4), _split(_draw(4), 64), None),
-        "random-4x32": (build_tree(4, 32), _split(_draw(5), 32), None),
-        "depth4-rate0.5-8x16": (build_tree(8, 16, leaf_buffer_depth=4), _split(_draw(6), 16), 0.5),
-        "depth4-rate3-8x16": (build_tree(8, 16, leaf_buffer_depth=4), _split(_draw(7), 16), 3.0),
-        "ragged-4x16": (build_tree(4, 16), _ragged(8, 16, 13), None),
-        "ragged-rate1-16x16": (build_tree(16, 16), _ragged(9, 16, 16), 1.0),
+        "random-8x16": (t16, _split(_draw(1), 16)),
+        "presorted-8x16": (t16, _split(np.sort(_draw(2)), 16)),
+        "wide-64": (compose_wide_tree([t16] * 4), _split(_draw(4), 64)),
+        "random-4x32": (build_tree(4, 32), _split(_draw(5), 32)),
+        "ragged-4x16": (build_tree(4, 16), _ragged(8, 16, 13)),
     }
 
 
 def measure(name):
-    tree, feeds, rate = cases()[name]
-    res = run_pass_cycles(tree, feeds, feed_rate_per_leaf=rate)
+    res = run_pass_cycles(*cases()[name])
     return {"cycles": res.cycles, "root_active_rate": res.root_active_rate}
 
 
