@@ -224,6 +224,15 @@ class TestCyclePass:
         # 16 leaves x 0.25 records/cycle caps the tree at 4 records/cycle
         assert (res.cycles, res.root_active_rate) == (n // 4, 4.0)
 
+    def test_feed_rate_is_shared_by_every_leaf_of_a_wide_tree(self):
+        wide = compose_wide_tree([build_tree(8, 16)] * 4)
+        n = 1 << 13
+        feeds = [np.arange(i, n, 64, dtype=np.uint32) for i in range(64)]
+        assert run_pass_cycles(wide, feeds).cycles < n // 16
+        res = run_pass_cycles(wide, feeds, 0.25)
+        # 64 leaves x 0.25 records/cycle cap the composite at 16 records/cycle
+        assert (res.cycles, res.root_active_rate) == (n // 16, 16.0)
+
     @pytest.mark.parametrize("rate", [0, -1.0, float("nan"), float("inf")])
     def test_bad_feed_rate_rejected(self, rate):
         feeds = [np.arange(i, 32, 16, dtype=np.uint32) for i in range(16)]
