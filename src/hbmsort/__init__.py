@@ -46,7 +46,6 @@ from .analytics import (
     select_burst_sizes,
 )
 from .engine import (
-    BatchedOutput,
     SortConfig,
     SortPlan,
     SortResult,

@@ -41,11 +41,27 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
+class _WriteError(Exception):
+    """A file could not be written; :func:`main` exits with ``EXIT_DATA``."""
+
+
+def _write(save, data, path: str):
+    """``save(data, path)``: every file the CLI writes goes through here."""
+    try:
+        save(data, path)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc}") from None
+
+
+def _save_json(report: dict, path: str):
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_report(report: dict, path: str | None):
     if path:
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write(_save_json, report, path)
 
 
 def _timing_dict(t: engine.RunTiming) -> dict:
@@ -77,7 +93,6 @@ def _plan_dict(plan: engine.SortPlan, cfg: engine.SortConfig) -> dict:
         "subrun_records": plan.subrun_records,
         "padded_records": plan.padded_records,
         "phase2_feeds": cfg.phase2_leaves,
-        "batch_records": cfg.batch_records,
     }
 
 
@@ -101,19 +116,18 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    data = dataset.generate(spec)
-    try:
-        dataset.save(data, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    print(f"wrote {args.records} records ({args.records * 8} bytes) to {args.out}")
+    _write(dataset.save, dataset.generate(spec), args.out)
+    print(f"wrote {args.records} records ({args.records * engine.RECORD_BYTES} bytes) "
+          f"to {args.out}")
     return EXIT_OK
 
 
 def cmd_sort(args) -> int:
     if args.threads < 1:
         print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.records is not None and args.records < 1:
+        print(f"error: --records must be at least 1, got {args.records}", file=sys.stderr)
         return EXIT_USAGE
     app = load_config(args.config)
     mode = "cycles" if args.dry_run else args.mode
@@ -162,7 +176,7 @@ def cmd_sort(args) -> int:
         message = _check_output(out, data)
         passed = message == "ok"
         if args.out:
-            dataset.save(out, args.out)
+            _write(dataset.save, out, args.out)
         report["observed_passes"] = plan.phase1_passes
     report["timing"] = _timing_dict(timing) if timing else None
     report["reference"] = _reference_dict(app.reference)
@@ -415,6 +429,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -6,8 +6,7 @@ with ``phase2_leaves / parallel_trees`` independent sorted sub-runs
 instead of one fully sorted sequence, so that the sub-runs of all
 channels feed every leaf of the wide tree in the next phase.  Phase two:
 one pass of the wide tree, built by reusing ``REUSE_FACTOR`` phase-one
-trees, merges all ``phase2_leaves`` sub-runs; its output is cut into
-batches and written round-robin across ``REUSE_FACTOR`` targets.
+trees, merges all ``phase2_leaves`` sub-runs into one sorted run.
 :func:`plan_sort` derives every such count from :class:`SortConfig`.
 
 The functional data path computes what the passes produce, not each
@@ -92,7 +91,6 @@ class SortConfig:
     phase1_rate: int = 8
     phase2_leaves: int = 64
     phase2_rate: int = 32
-    batch_bytes: int = 4096
     phase1_burst: int = 1024
     phase2_burst: int = 4096
     clock_hz: float = 214e6
@@ -110,12 +108,6 @@ class SortConfig:
             raise ValueError(f"the reuse composition requires phase2_rate == {r} * phase1_rate")
         if self.phase2_leaves % self.parallel_trees:
             raise ValueError(f"parallel_trees does not divide phase2_leaves = {self.phase2_leaves}")
-        if self.batch_bytes < RECORD_BYTES or self.batch_bytes % RECORD_BYTES:
-            raise ValueError("batch_bytes must be a positive multiple of the record size")
-
-    @property
-    def batch_records(self) -> int:
-        return self.batch_bytes // RECORD_BYTES
 
 
 @dataclass(frozen=True)
@@ -140,10 +132,6 @@ class SortPlan:
     @property
     def subrun_records(self) -> int:
         return self.run_lengths[-2]
-
-    @property
-    def pad_count(self) -> int:
-        return self.padded_records - self.records
 
     @property
     def phase1_passes(self) -> int:
@@ -260,23 +248,6 @@ def run_phase1(
     return out
 
 
-@dataclass
-class BatchedOutput:
-    """Phase-two output, cut into batches dealt round-robin to the write
-    targets; interleaving the streams batch by batch restores the sorted run."""
-
-    streams: tuple[np.ndarray, ...]
-    batch_records: int
-    total_records: int
-
-
-def _batch_layout(total: int, batch: int, targets: int) -> tuple[int, list[int]]:
-    """Whole rounds of ``targets`` batches, and each stream's share of the
-    last, incomplete round (the final batch may be short)."""
-    rounds, tail = divmod(total, batch * targets)
-    return rounds, [min(batch, max(0, tail - s * batch)) for s in range(targets)]
-
-
 def _key_ranges(subruns: np.ndarray, ranges: int) -> np.ndarray:
     """Cut points: range r of sorted sub-run j is ``subruns[j, cuts[j, r] :
     cuts[j, r + 1]]``.  The splitters are evenly spaced in a regular sample
@@ -320,8 +291,9 @@ def _merge_subruns(feeds: np.ndarray, per: int, threads: int) -> np.ndarray:
 
 def run_phase2(
     channels: np.ndarray, cfg: SortConfig, plan: SortPlan, threads: int = 1
-) -> BatchedOutput:
-    """One pass of the wide tree over all sub-runs, read in place; batched output.
+) -> np.ndarray:
+    """One pass of the wide tree over all sub-runs, read in place, into one
+    sorted run of ``padded_records`` records.
 
     The merge is cut into ``threads`` key ranges (:func:`_key_ranges`),
     which follow each other in the output.  Each range is merged, by a
@@ -337,40 +309,23 @@ def run_phase2(
     drops = drops[drops % plan.subrun_records != 0]  # a new sub-run may start lower
     if len(drops):
         raise UnsortedFeedError(int(drops[0]) // plan.subrun_records)
-    merged = _merge_subruns(feeds, plan.subrun_records, threads)
-    batch, targets, total = cfg.batch_records, REUSE_FACTOR, len(merged)
-    rounds, tails = _batch_layout(total, batch, targets)
-    cut = rounds * targets * batch
-    whole = merged[:cut].reshape(rounds, targets, batch, 2)
-    streams = []
-    for s, tail in enumerate(tails):
-        stream = np.empty((rounds * batch + tail, 2), dtype=merged.dtype)
-        stream[: rounds * batch].reshape(rounds, batch, 2)[...] = whole[:, s]
-        stream[rounds * batch :] = merged[cut + s * batch : cut + s * batch + tail]
-        streams.append(stream)
-    return BatchedOutput(streams=tuple(streams), batch_records=batch, total_records=total)
+    return _merge_subruns(feeds, plan.subrun_records, threads)
 
 
-def reconstruct_output(batched: BatchedOutput) -> np.ndarray:
-    """Interleave the streams batch by batch back into one run."""
-    batch, total = batched.batch_records, batched.total_records
-    targets = len(batched.streams)
-    rounds, tails = _batch_layout(total, batch, targets)
-    cut = rounds * targets * batch
-    out = np.empty((total, 2), dtype=np.uint32)
-    whole = out[:cut].reshape(rounds, targets, batch, 2)
-    for s, (stream, tail) in enumerate(zip(batched.streams, tails)):
-        want = rounds * batch + tail
-        if len(stream) < want:
-            raise IntegrityError(
-                f"batch missing or short: stream {s} holds {len(stream)} records, "
-                f"needed {want}"
-            )
-        if len(stream) > want:
-            raise IntegrityError(f"stream {s} has {len(stream) - want} stray records")
-        whole[:, s] = stream[: rounds * batch].reshape(rounds, batch, 2)
-        out[cut + s * batch : cut + s * batch + tail] = stream[rounds * batch :]
-    return out
+def reconstruct_output(merged: np.ndarray, plan: SortPlan) -> np.ndarray:
+    """The sorted run without the padding that :func:`pad_input` appended.
+
+    The sentinels have the largest key, ``MAX_KEY``, and follow every
+    record in input order, so the stable sort leaves them as the run's
+    last ``padded_records - records`` records; :class:`IntegrityError` if
+    one of those has another key, or if the run is not ``padded_records``
+    long.
+    """
+    if len(merged) != plan.padded_records:
+        raise IntegrityError(f"run has {len(merged)} records, expected {plan.padded_records}")
+    if not np.all(merged[plan.records :, 0] == MAX_KEY):
+        raise IntegrityError("padding records did not sort to the tail")
+    return merged[: plan.records]
 
 
 @dataclass(frozen=True)
@@ -557,9 +512,11 @@ def sort_records(
     the plan's channel capacity.  Each phase cuts its work into
     ``threads`` shares (at least 1, else ``ValueError``): phase one deals
     out the channels, phase two its key ranges.  A pool of at most one
-    thread per CPU runs the shares.  The output is the same for every
-    thread count.  The sort is functional only: the run's timing is
-    :func:`build_timing` of the returned plan.
+    thread per CPU runs the shares.  The input is padded with sentinels
+    (:func:`pad_input`), sorted by both phases into one run, and the
+    sentinels are cut from its tail (:func:`reconstruct_output`).  The
+    output is the same for every thread count.  The sort is functional
+    only: the run's timing is :func:`build_timing` of the returned plan.
     """
     records = np.asarray(records)
     _check_records(records)
@@ -568,10 +525,5 @@ def sort_records(
         raise ValueError(f"config says {cfg.records} records, input has {len(records)}")
     plan = plan_sort(cfg, topo)
     channels = run_phase1(split_channels(pad_input(records, plan), cfg), cfg, plan, threads)
-    output = reconstruct_output(run_phase2(channels, cfg, plan, threads))
-    if plan.pad_count:
-        sentinels = output[plan.records :]
-        if not np.all(sentinels[:, 0] == MAX_KEY):
-            raise IntegrityError("padding records did not sort to the tail")
-        output = output[: plan.records]
+    output = reconstruct_output(run_phase2(channels, cfg, plan, threads), plan)
     return SortResult(output, plan)

@@ -51,8 +51,7 @@ from .mergenet import MAX_KEY, Record, UnitPlans, UnsortedFeedError, mms_stats, 
 UNIT_FIFO_BLOCKS = 8
 
 #: Phase-one trees reused as the one phase-two wide tree; also the number
-#: of channels each access of the wide tree spans ("m x m" pattern m) and
-#: the number of phase-two write targets.
+#: of channels each access of the wide tree spans ("m x m" pattern m).
 REUSE_FACTOR = 4
 
 

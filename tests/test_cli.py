@@ -56,7 +56,6 @@ BAD_CONFIGS = {
     "zero-trees": "[sort]\nparallel_trees = 0\n",
     "too-many-trees": "[sort]\nparallel_trees = 32\n",
     "trees-not-dividing-wide-leaves": "[sort]\nparallel_trees = 12\n",
-    "zero-batch": "[sort]\nbatch_bytes = 0\n",
     "zero-tree-resources": "[floorplan]\ntree_resources = 0\n",
     "zero-channel-bandwidth": "[hbm]\nchannel_bandwidth = 0\n",
     "zero-channel-capacity": "[hbm]\nchannel_capacity = 0\n",
@@ -152,6 +151,21 @@ def test_gen_to_unwritable_path_exits_with_data_status(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["model", "--report", "{bad}"],
+    ["sort", "{data}", "--report", "{bad}"],
+    ["sort", "{data}", "--out", "{bad}"],
+    ["sweep", "--sizes", "32M", "--report", "{bad}"],
+    ["validate", "{data}", "--report", "{bad}"],
+], ids=["model-report", "sort-report", "sort-out", "sweep-report", "validate-report"])
+def test_unwritable_output_exits_with_data_status(argv, tmp_path, capsys):
+    data, bad = str(tmp_path / "in.bin"), str(tmp_path / "no-such-dir" / "x")
+    assert cli.main(["gen", data, "--records", "4096", "--seed", "3"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main([a.format(data=data, bad=bad) for a in argv]) == cli.EXIT_DATA
+    assert f"error: cannot write {bad}: " in capsys.readouterr().err
+
+
 def _status(argv):
     """Exit status of ``hbmsort ARGV``, whether returned or raised by argparse."""
     try:
@@ -178,10 +192,12 @@ def dataset_100003(tmp_path):
     (["sweep", "--sizes", "12"], "'12'"),
     (["sweep", "--sizes", "0"], "'0'"),
     (["sweep", "--sizes=-8"], "'-8'"),
+    (["sort", "--dry-run", "--records", "0"], "--records must be at least 1, got 0"),
+    (["sort", "--dry-run", "--records=-5"], "--records must be at least 1, got -5"),
 ], ids=["sort-records-mismatch", "sweep-empty-size", "sweep-non-numeric-size",
         "sweep-infinite-size", "gen-zero-records", "sort-zero-threads",
         "sort-negative-threads", "sweep-size-not-whole-records", "sweep-zero-size",
-        "sweep-negative-size"])
+        "sweep-negative-size", "sort-zero-records", "sort-negative-records"])
 def test_usage_error_exits_with_usage_status(argv, bad, dataset_100003, tmp_path, capsys):
     argv = [a.format(data=dataset_100003, out=tmp_path / "out.bin") for a in argv]
     assert _status(argv) == cli.EXIT_USAGE
@@ -217,8 +233,8 @@ ROUND_TRIP = {
         "records": ("4096", 4096), "parallel_trees": ("8", 8),
         "phase1_leaves": ("32", 32), "phase1_rate": ("4", 4),
         "phase2_leaves": ("128", 128), "phase2_rate": ("16", 16),
-        "batch_bytes": ("8192", 8192), "phase1_burst": ("2048", 2048),
-        "phase2_burst": ("2048", 2048), "clock_hz": ("3e8", 3e8),
+        "phase1_burst": ("2048", 2048), "phase2_burst": ("2048", 2048),
+        "clock_hz": ("3e8", 3e8),
     },
     "hbm": {
         "channel_bandwidth": ("1e10", 1e10), "channel_capacity": ("1048576", 1 << 20),

@@ -64,7 +64,7 @@ class TestSortRecordsOracle:
         n = 100003
         cfg = SortConfig(records=n)
         plan = plan_sort(cfg)
-        assert plan.pad_count
+        assert plan.padded_records > plan.records
         assert plan.subrun_records == 1568  # not a power of two
         assert plan.run_lengths == (1, 16, 256, 1568, 100352)
         rng = np.random.default_rng(3)
@@ -133,41 +133,34 @@ class TestPhases:
         per = plan.subrun_records
         subruns = list(channels.reshape(-1, per, 2))
         wide = compose_wide_tree([build_tree(8, 16)] * 4)
-        got = reconstruct_output(run_phase2(channels, cfg, plan))
+        got = run_phase2(channels, cfg, plan)
         np.testing.assert_array_equal(got, run_pass_cycles(wide, subruns).records)
 
-    def test_reconstruct_rejects_truncated_stream(self):
+    def test_reconstruct_without_padding_returns_every_record(self):
         recs = _records(np.arange(4096)[::-1])
         cfg, plan, _padded, channels = _phase1(recs)
-        batched = run_phase2(channels, cfg, plan)
-        batched.streams = (batched.streams[0][:-1],) + batched.streams[1:]
-        with pytest.raises(IntegrityError, match="missing or short"):
-            reconstruct_output(batched)
+        assert plan.padded_records == plan.records
+        merged = run_phase2(channels, cfg, plan)
+        merged[-1, 0] = 3  # any key: no padding tail to check
+        np.testing.assert_array_equal(reconstruct_output(merged, plan), merged)
 
-    def test_reconstruct_rejects_stray_records(self):
-        recs = _records(np.arange(4096)[::-1])
+    @pytest.mark.parametrize("at", [5000, -1])  # first and last sentinel
+    def test_reconstruct_rejects_a_record_in_the_padding_tail(self, at):
+        recs = _records(np.arange(5000)[::-1])
         cfg, plan, _padded, channels = _phase1(recs)
-        batched = run_phase2(channels, cfg, plan)
-        streams = list(batched.streams)
-        streams[2] = np.concatenate([streams[2], streams[2][:1]])
-        batched.streams = tuple(streams)
-        with pytest.raises(IntegrityError, match="stray"):
-            reconstruct_output(batched)
+        merged = run_phase2(channels, cfg, plan)
+        merged[at, 0] = MAX_KEY - 1
+        with pytest.raises(IntegrityError, match="padding"):
+            reconstruct_output(merged, plan)
 
-    @pytest.mark.parametrize("batch", [100, 3000])  # 3000: no whole round, two empty streams
-    def test_short_last_batch_deals_round_robin(self, batch):
-        rng = np.random.default_rng(7)
-        recs = _records(rng.integers(0, 500, size=5000))
-        cfg = SortConfig(records=len(recs), batch_bytes=8 * batch)
-        plan = plan_sort(cfg)
-        assert plan.padded_records % batch  # the last batch is short
-        channels = run_phase1(split_channels(pad_input(recs, plan), cfg), cfg, plan)
-        batched = run_phase2(channels, cfg, plan)
-        whole = _heap_sorted(pad_input(recs, plan))
-        batches = [whole[i : i + batch] for i in range(0, len(whole), batch)]
-        for s, stream in enumerate(batched.streams):
-            np.testing.assert_array_equal(stream, np.concatenate([whole[:0]] + batches[s::4]))
-        np.testing.assert_array_equal(reconstruct_output(batched), whole)
+    @pytest.mark.parametrize("delta", [-1, 1])  # a record missing, a stray record
+    def test_reconstruct_rejects_a_run_of_the_wrong_length(self, delta):
+        recs = _records(np.arange(5000)[::-1])
+        cfg, plan, _padded, channels = _phase1(recs)
+        merged = run_phase2(channels, cfg, plan)
+        run = np.concatenate([merged, merged[-1:]])[: len(merged) + delta]
+        with pytest.raises(IntegrityError, match="expected"):
+            reconstruct_output(run, plan)
 
     def test_unsorted_subrun_identifies_leaf(self):
         recs = _records(np.arange(4096))
@@ -209,7 +202,7 @@ class TestKeyRangeSplit:
     @pytest.mark.parametrize("name", SPLIT_INPUTS)
     def test_output_is_the_heap_merge_for_every_thread_count(self, name, threads):
         recs, cfg, plan, channels, want_sort, want_phase2 = _split_case(name)
-        phase2 = reconstruct_output(run_phase2(channels, cfg, plan, threads))
+        phase2 = run_phase2(channels, cfg, plan, threads)
         assert phase2.tobytes() == want_phase2.tobytes()
         assert sort_records(recs, threads=threads).output.tobytes() == want_sort.tobytes()
 
