@@ -173,7 +173,7 @@ def cmd_sort(args) -> int:
         passed, message = True, "dry run, no data"
     else:
         out = result.output
-        message = _check_output(out, data)
+        message = _check_output(out, data, args.threads)
         passed = message == "ok"
         if args.out:
             _write(dataset.save, out, args.out)
@@ -186,7 +186,7 @@ def cmd_sort(args) -> int:
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
-def _check_output(out: np.ndarray, data: np.ndarray) -> str:
+def _check_output(out: np.ndarray, data: np.ndarray, threads: int = 1) -> str:
     """"ok" when ``out`` is ``data`` sorted by key, else what is wrong.
 
     Exact, with no hashing and no sampling.  Each record is packed into
@@ -196,18 +196,29 @@ def _check_output(out: np.ndarray, data: np.ndarray) -> str:
     shows its keys sorted, and only the input side is sorted.  An output
     whose packing decreases anywhere has its neighbouring keys compared,
     and is then sorted as well, so the check is exact for any output.
+    Each side is sorted in two halves, with no second array: an in-place
+    partition at its own median puts every smaller packing below the
+    middle and every larger one above, and a pool of ``min(threads, 2)``
+    threads sorts the two halves in place.  The input's median comes from
+    the input alone, never from ``out``.
     """
     def packed(x):
         return engine.composite_keys(x[:, 0], x[:, 1], np.empty(len(x), dtype=np.uint64))
+
+    def sort_halves(x):
+        half = len(x) // 2
+        x.partition(half)
+        with engine._pool(min(threads, 2)) as pool:
+            list(pool.map(np.ndarray.sort, (x[:half], x[half:])))
 
     a = packed(out)
     if not np.all(a[1:] >= a[:-1]):
         keys = out[:, 0]
         if not np.all(keys[1:] >= keys[:-1]):
             return "output not sorted"
-        a.sort()
+        sort_halves(a)
     b = packed(data)
-    b.sort()
+    sort_halves(b)
     return "ok" if np.array_equal(a, b) else "record multiset changed"
 
 

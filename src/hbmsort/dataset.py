@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mergenet import RECORD_BYTES
+from .mergenet import MAX_KEY, RECORD_BYTES
 
 _VALUE_MASK = 0xA5A5A5A5
 
@@ -40,6 +40,9 @@ class DatasetSpec:
             raise ValueError(f"records must be positive, got {self.records}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        if self.distribution in ("permutation", "sorted", "reverse") and self.records > MAX_KEY:
+            raise ValueError(f"{self.distribution} keys 1..{self.records} exceed "
+                             f"the largest key {MAX_KEY}")
 
 
 def generate(spec: DatasetSpec) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from hbmsort import dataset
 from hbmsort.dataset import DatasetFormatError, DatasetSpec
+from hbmsort.mergenet import MAX_KEY
 
 
 def test_partial_record_file_rejected(tmp_path):
@@ -59,3 +60,15 @@ def test_few_draws_sixteen_distinct_keys():
 def test_unknown_distribution_rejected():
     with pytest.raises(ValueError, match="unknown distribution"):
         DatasetSpec(10, "zipf")
+
+
+@pytest.mark.parametrize("distribution", ["permutation", "sorted", "reverse"])
+def test_keys_one_to_n_must_fit_the_key_range(distribution):
+    DatasetSpec(MAX_KEY, distribution)  # keys 1..MAX_KEY still fit
+    with pytest.raises(ValueError, match="exceed the largest key"):
+        DatasetSpec(MAX_KEY + 1, distribution)
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "few"])
+def test_drawn_keys_allow_more_records_than_keys(distribution):
+    DatasetSpec(MAX_KEY + 1, distribution)

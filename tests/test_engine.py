@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hbmsort import cli, dataset, engine
@@ -235,6 +235,32 @@ class TestKeyRangeSplit:
         assert sort_records(recs, threads=64).output.tobytes() == want_sort.tobytes()
         assert (workers, ranges) == ([2, 2], [64])
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("name,tied", [
+        ("all-equal", True), ("two-keys", True), ("few-100003", True), ("uniform", False),
+    ])
+    def test_ranges_sized_by_records_match_the_heap_merge(self, name, tied, threads, monkeypatch):
+        # 512-record ranges: more ranges than threads, and where keys tie
+        # across the splitters most of them are empty
+        recs, cfg, plan, channels, want_sort, want_phase2 = _split_case(name)
+        ranges, sizes = [], []
+        key_ranges = engine._key_ranges
+
+        def recording(subruns, n):
+            cuts = key_ranges(subruns, n)
+            ranges.append(n)
+            sizes.append(np.diff(cuts, axis=1).sum(axis=0))
+            return cuts
+
+        monkeypatch.setattr(engine, "RANGE_RECORDS", 512)
+        monkeypatch.setattr(engine, "_key_ranges", recording)
+        assert run_phase2(channels, cfg, plan, threads).tobytes() == want_phase2.tobytes()
+        assert sort_records(recs, threads=threads).output.tobytes() == want_sort.tobytes()
+        want = -(-plan.padded_records // 512)
+        assert want > threads and ranges == [want, want]
+        empty = int(np.sum(sizes[0] == 0))
+        assert empty > want // 2 if tied else empty == 0
+
     def test_ranges_split_random_keys_evenly(self):
         _recs, _cfg, plan, channels, _s, _p = _split_case("uniform")
         subruns = channels[:, :, 0].reshape(-1, plan.subrun_records)
@@ -395,3 +421,75 @@ class TestCliSortCheck:
         path = request.getfixturevalue(path)
         assert self._sort_with(monkeypatch, path, duplicate) == cli.EXIT_VALIDATION
         assert "record multiset changed" in capsys.readouterr().out
+
+
+def _check_reference(out, data):
+    """The verdict of a plain full sort of both sides."""
+    if np.any(out[1:, 0] < out[:-1, 0]):
+        return "output not sorted"
+
+    def packed(x):
+        return np.sort(x[:, 0].astype(np.uint64) << np.uint64(32) | x[:, 1])
+
+    return "ok" if np.array_equal(packed(out), packed(data)) else "record multiset changed"
+
+
+@st.composite
+def _check_inputs(draw):
+    """Records, few or many distinct keys, 1, 2 or more of them (odd counts
+    included), and their stable sort by key."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 400)))
+    top = draw(st.sampled_from([0, 3, 40, MAX_KEY]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = np.stack([rng.integers(0, top, size=n, endpoint=True),
+                     rng.integers(0, MAX_KEY, size=n, endpoint=True)], axis=1).astype(np.uint32)
+    return data, data[np.argsort(data[:, 0], kind="stable")]
+
+
+class TestCheckOutput:
+    """``cli._check_output`` gives a plain full sort's verdict."""
+
+    def _verdict(self, out, data, threads):
+        got = cli._check_output(out, data, threads)
+        assert got == _check_reference(out, data)
+        return got
+
+    @given(_check_inputs(), st.sampled_from([1, 2]))
+    def test_the_sorted_input_passes(self, case, threads):
+        data, out = case
+        assert self._verdict(out, data, threads) == "ok"
+
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    def test_equal_keys_with_shuffled_payloads_pass(self, n, seed, threads):
+        rng = np.random.default_rng(seed)
+        data = np.stack([np.full(n, 7), rng.permutation(n)], axis=1).astype(np.uint32)
+        out = data[rng.permutation(n)]
+        assert self._verdict(out, data, threads) == "ok"
+
+    @given(_check_inputs(), st.data(), st.sampled_from([1, 2]))
+    def test_a_key_moved_from_the_lower_to_the_upper_half(self, case, data_st, threads):
+        data, out = case
+        assume(len(out) >= 2)
+        i = data_st.draw(st.integers(0, len(out) // 2 - 1))
+        j = data_st.draw(st.integers(len(out) // 2, len(out) - 1))
+        moved = out.copy()
+        moved[i, 0] = out[j, 0]
+        moved = moved[np.argsort(moved[:, 0], kind="stable")]  # sorted by key again
+        verdict = self._verdict(moved, data, threads)
+        assert verdict == ("ok" if out[i, 0] == out[j, 0] else "record multiset changed")
+
+    @given(_check_inputs(), st.data(), st.sampled_from([1, 2]))
+    def test_a_record_changed_in_the_upper_half(self, case, data_st, threads):
+        data, out = case
+        out = out.copy()
+        out[data_st.draw(st.integers(len(out) // 2, len(out) - 1)), 1] ^= 1
+        assert self._verdict(out, data, threads) == "record multiset changed"
+
+    @given(_check_inputs(), st.data(), st.sampled_from([1, 2]))
+    def test_an_unsorted_output(self, case, data_st, threads):
+        data, out = case
+        i, j = data_st.draw(st.lists(st.integers(0, len(out) - 1), min_size=2, max_size=2))
+        out = out.copy()
+        out[[i, j]] = out[[j, i]]
+        verdict = self._verdict(out, data, threads)
+        assert verdict == ("ok" if out[i, 0] == out[j, 0] else "output not sorted")
