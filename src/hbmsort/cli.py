@@ -186,7 +186,7 @@ def cmd_sort(args) -> int:
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
-def _check_output(out: np.ndarray, data: np.ndarray, threads: int = 1) -> str:
+def _check_output(out: np.ndarray, data: np.ndarray, threads: int) -> str:
     """"ok" when ``out`` is ``data`` sorted by key, else what is wrong.
 
     Exact, with no hashing and no sampling.  Each record is packed into

@@ -70,7 +70,7 @@ from .mergetree import (
 
 PAD_VALUE = 0xFFFFFFFF
 # Records per phase-two key range, 4 MB of composites: merging 4M records
-# on 2 threads took 80 ms in 2 ranges, 61 ms in 8 and 88 ms in 64.
+# on 2 threads took a median 80 ms in 2 ranges, 61 ms in 8 and 88 ms in 64.
 RANGE_RECORDS = 1 << 19
 
 class IntegrityError(ValueError):
