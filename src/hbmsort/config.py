@@ -21,7 +21,8 @@ from typing import Optional, get_type_hints
 
 from .analytics import FloorplanProblem, ResourceModelParams
 from .engine import SortConfig
-from .hbm import BandwidthProfile, HbmTopology
+from .hbm import BandwidthProfile, HbmTopology, ProfileKeyError
+from .mergetree import REUSE_FACTOR
 
 
 class ConfigError(ValueError):
@@ -54,9 +55,16 @@ class AppConfig:
         if "records" not in kwargs:
             raise ConfigError("record count required: set [sort] records or pass --records")
         try:
-            return SortConfig(**kwargs)
+            cfg = SortConfig(**kwargs)
         except ValueError as exc:
             raise ConfigError(f"[sort] {exc}") from None
+        # phase one drives the 1x1 pattern, phase two that of the reused trees
+        for key, pattern in (("phase1_burst", 1), ("phase2_burst", REUSE_FACTOR)):
+            try:
+                self.profile.efficiency(pattern, getattr(cfg, key))
+            except ProfileKeyError as exc:
+                raise ConfigError(f"[sort] {key} = {getattr(cfg, key)}: {exc.args[0]}") from None
+        return cfg
 
 
 #: Section -> the AppConfig attribute it sets and the dataclass whose

@@ -113,6 +113,8 @@ class SortConfig:
             raise ValueError(f"the reuse composition requires phase2_rate == {r} * phase1_rate")
         if self.phase2_leaves % self.parallel_trees:
             raise ValueError(f"parallel_trees does not divide phase2_leaves = {self.phase2_leaves}")
+        if not 0 < self.clock_hz < math.inf:
+            raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
 
 
 @dataclass(frozen=True)

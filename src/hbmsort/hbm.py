@@ -12,6 +12,7 @@ constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 MiB = 1 << 20
@@ -32,8 +33,8 @@ class HbmTopology:
 
     def __post_init__(self):
         for name in ("channel_bandwidth", "channel_capacity"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 #: Illustrative per-channel efficiency by (pattern m, burst bytes); shaped

@@ -274,9 +274,10 @@ def plan_units(rate: int, ranks: np.ndarray, bounds: np.ndarray, merged: np.ndar
     out -= np.maximum(held, 0, out=held)
     del held
 
+    is0 = np.empty(len(merged), dtype=bool)  # by rank: read from an input 0
+    is0[ranks] = np.repeat(np.arange(len(nin)) & 1 == 0, nin)
     c0 = np.zeros(len(merged) + 1, dtype=np.int64)
-    c0[ranks + 1] = np.repeat(np.arange(len(nin)) & 1 ^ 1, nin)
-    np.cumsum(c0[np.concatenate(([0], merged + 1))], out=c0)
+    np.cumsum(is0[merged], out=c0[1:])
     lo = np.repeat(bounds[:-1:2], fires)
     from0 = c0[lo + out] - c0[lo]
     bad = np.flatnonzero((from0 > pos[0]) | (out - from0 > pos[1]))

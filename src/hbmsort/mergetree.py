@@ -26,10 +26,16 @@ after which the FIFO has room for a block.  The least solution is the
 cycle-stepped schedule.  :func:`run_pass_cycles` computes each firing's
 cycle once, in dependency order, so host time follows firings; stalls
 and idle leaf cycles cost nothing.  ``tests/oracles.py`` keeps a
-cycle-stepped tree as the reference.  :func:`run_pass_functional` only
-validates and sorts the feeds.  Leaf ports are always full; a pass fed
-at a limited rate takes the larger of its compute cycles and its records
-over the supply that all leaves share, as the engine bounds a pass.
+cycle-stepped tree as the reference.
+
+Leaf ports are always full, so a unit over leaf ports waits only for
+FIFO room and its cycles follow in closed form from its parent's.  Those
+units, about half of a tree's firings, are never built: their parents
+fold them into their own loop (see :class:`_Unit`), and the root of a
+one-level tree fires in cycles 1, 2, ....  A pass fed at a limited rate
+takes the larger of its compute cycles and its records over the supply
+that all leaves share, as the engine bounds a pass.
+:func:`run_pass_functional` only validates and sorts the feeds.
 """
 
 from __future__ import annotations
@@ -183,8 +189,11 @@ def _merge_feeds(tree: TreeSpec, feeds) -> tuple[np.ndarray, np.ndarray, list[in
     cols = [_feed_columns(f, i) for i, f in enumerate(feeds)] or [_feed_columns([], 0)]
     keys = _as_u32(np.concatenate([k for k, _ in cols]), "key")
     values = _as_u32(np.concatenate([v for _, v in cols]), "value")
-    order = np.argsort(keys, kind="stable")
-    return np.stack([keys[order], values[order]], axis=1), order, [len(k) for k, _ in cols]
+    comp = keys.astype(np.uint64) << 32 | np.arange(len(keys), dtype=np.uint64)
+    comp.sort()  # unique (key, position) composites: a stable sort by key
+    order = (comp & 0xFFFFFFFF).astype(np.intp)
+    records = np.stack([(comp >> 32).astype(np.uint32), values[order]], axis=1)
+    return records, order, [len(k) for k, _ in cols]
 
 
 @dataclass
@@ -209,8 +218,8 @@ class StuckPassError(RuntimeError):
         self.level, self.unit, self.firing = level, unit, firing
 
 
-#: Times of a producer that never makes its consumer wait (an always-full
-#: leaf port, or the missing parent of the root): index 0, cycle 0.
+#: Times of the root's missing parent, which never makes it wait: index 0,
+#: cycle 0.
 _ALWAYS = [0]
 
 
@@ -219,20 +228,31 @@ class _Unit:
     firing f and ``times[fires + 1]`` the cycle it finishes in; ``times[0]``
     is 0, so a dependency index of 0 is no dependency.
 
-    ``columns`` holds per-firing columns, first the index into the parent's
-    times that a firing waits on for FIFO room.  A unit over two producer
-    units then has the index into each producer's times that the firing
-    waits on; a unit over leaf ports has no other column, as a leaf port
-    is always full.  A unit that passes one FIFO through may close only
-    after its last take: `closer` is then that FIFO's producer and
-    `close_room` the index into the parent's times that the extra
-    finishing firing waits on.  A unit holds its parent's times, not the
-    parent, so that the units of a pass form no reference cycle and are
-    freed as soon as it ends.
+    ``columns`` holds per-firing columns: first the index into the
+    parent's times that a firing waits on for FIFO room, then, per input,
+    the index into its producer's times that the firing waits on.
+
+    A unit reads its producers' times from `kids`, unless it sits over the
+    leaf level.  No unit over leaf ports is built: it waits only for FIFO
+    room, so its firing ``a - 1`` ends in cycle ``a - 1 + max(1, m)``, m
+    the largest ``T_parent[R] - S`` over its runs of firings that wait on
+    the same parent firing R, S the first firing of a run (R never
+    decreases, so no other firing can raise m).  Its parent holds the runs
+    of the whole level in `runs` (a list of S and a list of R) and, per
+    input, the next run to fold in and the running max in `fold` (index,
+    m, index, m; m starts at 1); after each input's index it has a column
+    counting the runs before the firing that index waits on.
+
+    A unit that passes one FIFO through may close only after its last
+    take: `closer` is then that FIFO's producer, or (input, end of its
+    runs, its firings) over the leaf level, and `close_room` the index
+    into the parent's times that the extra finishing firing waits on.  A
+    unit holds its parent's times, not the parent, so that the units of a
+    pass form no reference cycle and are freed as soon as it ends.
     """
 
     __slots__ = ("level", "index", "fires", "times", "columns", "firings", "pending",
-                 "kids", "parent_times", "closer", "close_room")
+                 "kids", "runs", "fold", "parent_times", "closer", "close_room")
 
     def __init__(self, level: int, index: int, fires: int):
         self.level, self.index, self.fires = level, index, fires
@@ -240,7 +260,7 @@ class _Unit:
         self.columns = [repeat(0, fires)]
         self.firings = None
         self.pending = ()  # the firing that waited on a time not yet known
-        self.kids = None
+        self.kids = self.runs = self.fold = None
         self.parent_times = _ALWAYS
         self.closer = None
         self.close_room = 0
@@ -256,33 +276,45 @@ class _Unit:
             if kids:
                 self._time_merge(kids[0].times, kids[1].times, tp)
             else:
-                self._time_full(tp)
+                self._time_folded(tp)
             if not self.pending:
                 break
             waiting = self.pending[0]
             if waiting[0] >= len(tp):
                 return
-            # only a unit over producers waits on anything but its parent
+            if not kids:  # a folded kid waits on this firing or a later one
+                raise StuckPassError(self.level, self.index, len(times) - 1)
             self._pull(len(times) - 1, kids[waiting[1] < len(kids[0].times)])
-        while len(times) == self.fires + 1:
-            last = times[-1]
-            kid = self.closer
-            if kid is None:
-                times.append(last)
-            elif len(kid.times) < kid.fires + 2:
-                self._pull(self.fires, kid)
-            elif kid.times[-1] + 1 <= last:
-                times.append(last)  # the FIFO closed before the last take
-            elif self.close_room >= len(tp):
-                return
-            else:
-                times.append(max(last + 1, kid.times[-1] + 1, tp[self.close_room]))
+        if len(times) == self.fires + 1:
+            last, done = times[-1], self._closed()
+            if done <= last:
+                times.append(last)  # no FIFO to close, or it closed before the last take
+            elif self.close_room < len(tp):
+                times.append(max(last + 1, done, tp[self.close_room]))
 
     def _pull(self, firing: int, kid: "_Unit"):
         known = len(kid.times)
         kid.advance()
         if len(kid.times) == known:
             raise StuckPassError(self.level, self.index, firing)
+
+    def _closed(self) -> int:
+        """The cycle after the FIFO this unit passes through closes; 0 if
+        it passes none through."""
+        closer = self.closer
+        if closer is None:
+            return 0
+        if self.kids:
+            while len(closer.times) < closer.fires + 2:
+                self._pull(self.fires, closer)
+            return closer.times[-1] + 1
+        side, end, fires = closer  # a folded kid finishes with its last firing
+        i, m = self.fold[2 * side : 2 * side + 2]
+        times, (S, R) = self.times, self.runs
+        try:
+            return fires + max([m] + [times[R[k]] - S[k] for k in range(i, end)])
+        except IndexError:
+            raise StuckPassError(self.level, self.index, self.fires) from None
 
     # The loops below stop at the first firing that reads a time not yet
     # known (an IndexError) and keep it in `pending`.
@@ -305,20 +337,38 @@ class _Unit:
         else:
             self.pending = ()
 
-    def _time_full(self, tp):
-        """Over always-full leaf ports, only FIFO room holds a firing back."""
+    def _time_folded(self, tp):
+        """Over two folded kids: the cycle after kid firing ``a - 1`` is
+        ``a + m``, m folded in run by run up to the firing."""
         times = self.times
         t = times[-1]
+        S, R = self.runs
+        i0, m0, i1, m1 = self.fold
         try:
-            for (r,) in chain(self.pending, self.firings):
+            for r, a, c0, b, c1 in chain(self.pending, self.firings):
                 t += 1
+                while i0 < c0:
+                    v = times[R[i0]] - S[i0]
+                    if v > m0:
+                        m0 = v
+                    i0 += 1
+                if a + m0 > t:
+                    t = a + m0
+                while i1 < c1:
+                    v = times[R[i1]] - S[i1]
+                    if v > m1:
+                        m1 = v
+                    i1 += 1
+                if b + m1 > t:
+                    t = b + m1
                 if tp[r] > t:
                     t = tp[r]
                 times.append(t)
         except IndexError:
-            self.pending = ((r,),)
+            self.pending = ((r, a, c0, b, c1),)
         else:
             self.pending = ()
+        self.fold = [i0, m0, i1, m1]
 
 
 def _by_node(leaf: np.ndarray, shift: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +433,10 @@ def run_pass_cycles(
     the producer firing that emits the last record it needs (or closes the
     FIFO), and not before the parent firing that leaves room in its FIFO.
     Every firing's cycle is computed once, in dependency order, starting
-    from the root.  Raises :class:`StuckPassError` if some firing can
+    from the root.  The units over leaf ports are not timed one by one:
+    their parents fold in, per run of firings that wait on the same
+    parent firing, the one term that can hold the run back (see
+    :class:`_Unit`).  Raises :class:`StuckPassError` if some firing can
     never become ready.  With `feed_rate_per_leaf`, a supply all leaves
     share, the cycles are at least ``ceil(n / (feed_rate_per_leaf *
     leaves))``, computed exactly; the firings are the unlimited pass's.
@@ -403,31 +456,65 @@ def run_pass_cycles(
     for j in range(tree.depth - 1, -1, -1):  # bottom level first
         merged = _by_node(leaf, tree.depth - j, len(tree.levels[j]))
         plan = plan_units(tree.levels[j][0], ranks, bounds, merged[0])
-        row = [_Unit(j, u, m) for u, m in enumerate(np.diff(plan.start).tolist())]
-        if kids:
-            for unit, *deps in zip(row, *(_per_unit(d, plan.start) for d in _input_deps(plan, below, bounds))):
-                unit.columns += deps
-            room, close_room = _room_deps(plan, below, bounds)
-            for kid, r, c in zip(kids, _per_unit(room, below.start), close_room.tolist()):
-                kid.columns[0] = r
-                kid.close_room = c
-            for u, unit in enumerate(row):
-                unit.kids = kids[2 * u : 2 * u + 2]
-                for kid in unit.kids:
-                    kid.parent_times = unit.times
-                n0, n1 = plan.n[0][u], plan.n[1][u]
-                if (n0 == 0) != (n1 == 0):
-                    unit.closer = unit.kids[int(n0 == 0)]
-        below, kids = plan, row
+        if below is not None:  # the units over leaf ports are folded into their parents
+            row = [_Unit(j, u, m) for u, m in enumerate(np.diff(plan.start).tolist())]
+            _link(row, plan, below, kids, bounds)
+            kids = row
+        below = plan
         ranks, bounds = merged
 
-    root = kids[0]
-    root.advance()
     last = int(np.flatnonzero(np.diff(below.out, prepend=0))[-1])  # the root's last emission
-    cycles = root.times[last + 1]
+    if kids:
+        root = kids[0]
+        root.advance()
+        cycles = root.times[last + 1]
+    else:  # the root reads leaf ports: it fires in cycles 1, 2, ...
+        cycles = last + 1
     if feed_rate_per_leaf is not None:
         cycles = max(cycles, math.ceil(total / (Fraction(feed_rate_per_leaf) * tree.leaves)))
     return PassResult(records, cycles, total / cycles)
+
+
+def _link(row: list[_Unit], plan: UnitPlans, below: UnitPlans, kids: Optional[list[_Unit]],
+          bounds: np.ndarray):
+    """Give a row of units their input columns and the units below them
+    (`kids`) their room columns; with no `kids`, the units below read leaf
+    ports and are folded into the row as runs of their room column."""
+    deps = _input_deps(plan, below, bounds)
+    room, close_room = _room_deps(plan, below, bounds)
+    fires = np.diff(below.start)
+    if kids:
+        for kid, r, c in zip(kids, _per_unit(room, below.start), close_room.tolist()):
+            kid.columns[0] = r
+            kid.close_room = c
+    else:
+        prev = np.concatenate(([0], room[:-1]))
+        prev[below.start[:-1]] = 0
+        first = room > prev  # the first firing of each run of equal room > 0
+        runs_before = np.concatenate(([0], np.cumsum(first)))  # per firing of all kids
+        first = np.flatnonzero(first)
+        ends = runs_before[below.start]  # kid k's runs: ends[k] to ends[k + 1]
+        runs = (first - np.repeat(below.start[:-1], np.diff(ends))).tolist(), room[first].tolist()
+        units = np.repeat(np.arange(len(row)), np.diff(plan.start))
+        columns = []
+        for s, dep in enumerate(deps):
+            kid = 2 * units + s
+            a = np.minimum(dep, fires[kid])  # a kid finishes with its last firing
+            columns += a, runs_before[below.start[kid] + a]  # and the runs before firing a
+        deps = columns
+        ends, fires = ends.tolist(), fires.tolist()
+    for u, (unit, *cols) in enumerate(zip(row, *(_per_unit(d, plan.start) for d in deps))):
+        unit.columns += cols
+        if kids:
+            unit.kids = kids[2 * u : 2 * u + 2]
+            for kid in unit.kids:
+                kid.parent_times = unit.times
+        else:
+            unit.runs, unit.fold = runs, [ends[2 * u], 1, ends[2 * u + 1], 1]
+        n0, n1 = plan.n[0][u], plan.n[1][u]
+        if (n0 == 0) != (n1 == 0):  # passes the other input through
+            s = int(n0 == 0)
+            unit.closer = unit.kids[s] if kids else (s, ends[2 * u + s + 1], fires[2 * u + s])
 
 
 def _per_unit(column: np.ndarray, start: np.ndarray) -> list[memoryview]:

@@ -58,6 +58,13 @@ BAD_CONFIGS = {
     "trees-not-dividing-wide-leaves": "[sort]\nparallel_trees = 12\n",
     "zero-tree-resources": "[floorplan]\ntree_resources = 0\n",
     "zero-channel-bandwidth": "[hbm]\nchannel_bandwidth = 0\n",
+    "infinite-channel-bandwidth": "[hbm]\nchannel_bandwidth = inf\n",
+    "nan-channel-bandwidth": "[hbm]\nchannel_bandwidth = nan\n",
+    "zero-clock": "[sort]\nclock_hz = 0\n",
+    "nan-clock": "[sort]\nclock_hz = nan\n",
+    "infinite-clock": "[sort]\nclock_hz = inf\n",
+    "phase1-burst-not-in-profile": "[sort]\nphase1_burst = 3000\n",
+    "phase2-burst-not-in-profile": "[sort]\nphase2_burst = 3000\n",
     "zero-channel-capacity": "[hbm]\nchannel_capacity = 0\n",
     "unknown-section": "[sorting]\nrecords = 5\n",
     "unknown-key": "[sort]\nleaves = 16\n",
@@ -76,6 +83,19 @@ def test_bad_config_exits_with_usage_status(text, tmp_path, capsys):
 def test_bad_config_model_exits_with_usage_status(text, tmp_path, capsys):
     assert cli.main(["model", "--config", _write(tmp_path, text)]) == cli.EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_sweep_exits_with_usage_status(text, tmp_path, capsys):
+    assert cli.main(["sweep", "--sizes", "32M", "--config", _write(tmp_path, text)]) == cli.EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,pattern", [("phase1_burst", "1x1"), ("phase2_burst", "4x4")])
+def test_burst_missing_from_profile_is_named(key, pattern, tmp_path, capsys):
+    argv = ["sort", "--dry-run", "--records", "1000", "--config", _write(tmp_path, f"[sort]\n{key} = 3000\n")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"[sort] {key} = 3000: no efficiency entry for pattern {pattern} at 3000 B" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,text", [

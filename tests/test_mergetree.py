@@ -285,28 +285,37 @@ class TestCyclePass:
 
     def test_pass_leaves_no_reference_cycles(self):
         # a pass's timing state must be freed when it returns, not at the
-        # next full collection
+        # next full collection; with two feeds, the unit over leaves 0-3
+        # passes its first input through and closes on that input's finish
         feeds = [np.arange(i, 4096, 16, dtype=np.uint32) for i in range(16)]
         gc.collect()
         gc.disable()
         try:
-            run_pass_cycles(build_tree(8, 16), feeds, 0.5)
-            assert gc.collect() == 0
+            for fed in (feeds, feeds[:2]):
+                run_pass_cycles(build_tree(8, 16), fed, 0.5)
+                assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_stuck_pass_raises_at_once(self, monkeypatch):
-        # without FIFO room no unit below the root can ever fire
+        # without FIFO room no unit below the root can ever fire; the
+        # (4, 4) tree's root sits over the units over leaf ports
         monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 0)
-        feeds = [np.arange(i, 256, 16, dtype=np.uint32) for i in range(16)]
-        with pytest.raises(StuckPassError) as err:
-            run_pass_cycles(build_tree(8, 16), feeds)
-        assert (err.value.level, err.value.unit, err.value.firing) == (0, 0, 0)
+        for tree in (build_tree(8, 16), build_tree(4, 4)):
+            feeds = [np.arange(i, 256, tree.leaves, dtype=np.uint32) for i in range(tree.leaves)]
+            with pytest.raises(StuckPassError) as err:
+                run_pass_cycles(tree, feeds)
+            assert (err.value.level, err.value.unit, err.value.firing) == (0, 0, 0)
 
 
 #: Trees cross-checked against the cycle-stepped oracle: the shapes of
-#: ``golden/cycles.json`` and a small composed wide tree.
+#: ``golden/cycles.json``, a small composed wide tree, a one-level tree
+#: (its root reads leaf ports) and two-level trees (the root sits over the
+#: units over leaf ports).
 CROSS_TREES = {
+    "2x2": build_tree(2, 2),
+    "4x4": build_tree(4, 4),
+    "2x4": build_tree(2, 4),
     "8x16": build_tree(8, 16),
     "4x32": build_tree(4, 32),
     "16x16": build_tree(16, 16),
