@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hbmsort import mergetree
 from hbmsort.mergenet import Record, mms_stats
 from hbmsort.mergetree import (
@@ -282,6 +283,16 @@ class TestCyclePass:
         feeds = [[0, 5], [1], [2], [], [], [], [], [], [3], [4], [6], [7]]
         assert run_pass_cycles(build_tree(8, 16), feeds).cycles == 7
         assert cycle_stepped_pass(build_tree(8, 16), feeds)[1] == 7
+
+    def test_pass_through_closes_after_a_flush_that_waits_for_room(self, monkeypatch):
+        # with one-block FIFOs, the unit over leaves 0-1 ends in a flush that
+        # emits nothing and waits for room until its parent's last take;
+        # that parent passes it through, so it closes only after the flush
+        for module in (mergetree, oracles):
+            monkeypatch.setattr(module, "UNIT_FIFO_BLOCKS", 1)
+        feeds = [[0] * 4 + [1] * 5, [0] * 4 + [1] * 7, [], [], [0] * 29, [0] * 9, [0] * 10]
+        assert run_pass_cycles(build_tree(8, 8), feeds).cycles == 28
+        assert cycle_stepped_pass(build_tree(8, 8), feeds)[1] == 28
 
     def test_pass_leaves_no_reference_cycles(self):
         # a pass's timing state must be freed when it returns, not at the
