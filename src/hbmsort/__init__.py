@@ -9,8 +9,6 @@ from .mergenet import (
     UnsortedFeedError,
     bitonic_merge_blocks,
     bitonic_merge_network,
-    compare_swap,
-    merger_stats,
     mms_merge_runs,
     mms_stats,
 )
@@ -37,7 +35,6 @@ from .analytics import (
     ResourceModelParams,
     bandwidth_utilization,
     ceil_log,
-    comparator_recurrence,
     floorplan_solve,
     perf_overall,
     perf_phase1,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .hbm import BandwidthProfile
-from .mergenet import mms_stats
 from .mergetree import REUSE_FACTOR, build_tree
 
 
@@ -60,11 +59,19 @@ def bandwidth_utilization(phase_gbps: float, passes: int) -> float:
 
 @dataclass(frozen=True)
 class ResourceModelParams:
-    base_comparators: int = 0        # recurrence seed; the l=p family has no rate-1 level
     lut_per_comparator: int = 116    # calibrated against a placed 16-leaf tree
     axi_converter_luts: int = 5000
     axi_converter_ffs: int = 6000
     lut_buffer_fraction: float = 0.75  # share of leaf buffers built from LUT shift registers
+
+    def __post_init__(self):
+        for name in ("axi_converter_luts", "axi_converter_ffs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.lut_per_comparator < 1:
+            raise ValueError(f"lut_per_comparator must be at least 1, got {self.lut_per_comparator}")
+        if not 0 <= self.lut_buffer_fraction <= 1:
+            raise ValueError(f"lut_buffer_fraction must be between 0 and 1, got {self.lut_buffer_fraction}")
 
 
 class TreeResources(NamedTuple):
@@ -73,21 +80,6 @@ class TreeResources(NamedTuple):
     buffer_luts: int
     axi_luts: int
     axi_ffs: int
-
-
-def unit_cost(rate: int) -> int:
-    """Comparators in one merge unit at the given rate."""
-    return mms_stats(rate).comparators
-
-
-def comparator_recurrence(p: int, params: Optional[ResourceModelParams] = None) -> int:
-    """L(p) = 2 L(p/2) + unit_cost(p), seeded by the params base."""
-    params = params or ResourceModelParams()
-    if p < 1 or p & (p - 1):
-        raise ValueError(f"rate must be a power of two, got {p}")
-    if p == 1:
-        return params.base_comparators
-    return 2 * comparator_recurrence(p // 2, params) + unit_cost(p)
 
 
 def buffer_luts(burst_bytes: int) -> int:
@@ -106,12 +98,13 @@ def resource_tree(
     params: Optional[ResourceModelParams] = None,
     burst_bytes: int = 1024,
 ) -> TreeResources:
-    """Comparator count and LUT estimate for one (p, leaves) tree.
+    """Comparator count and LUT estimate for one (p, leaves) tree: the
+    one source of a tree's cost, which the floorplan also places.
 
-    Comparators are enumerated from the generated structure; they satisfy
-    the doubling recurrence exactly for the leaves == p family.  The LUT
-    estimate adds the AXI rate converter and the LUT-implemented share of
-    the leaf burst buffers.
+    Comparators are summed over the units of ``build_tree(p, leaves)``;
+    for the leaves == p family they follow the doubling recurrence
+    L(p) = 2 L(p/2) + L_unit(p).  The LUT estimate adds the AXI rate
+    converter and the LUT-implemented share of the leaf burst buffers.
     """
     params = params or ResourceModelParams()
     leaves = leaves if leaves is not None else p
@@ -131,21 +124,18 @@ def resource_tree(
 class FloorplanProblem:
     """Distribute identical tree kernels over the two dies away from the
     memory die, under per-die resource budgets and a die-crossing signal
-    budget.  Defaults encode the production 16-tree instance."""
+    budget.  Defaults encode the production 16-tree instance; the LUTs of
+    one kernel come from :func:`resource_tree`."""
 
-    tree_resources: int = 28788       # L: LUTs per tree kernel
     die1_available: int = 235000      # a1: top die budget for tree kernels
     die2_available: int = 190000      # a2: middle die budget
     axi_width: int = 1300             # w: signals one kernel drags across a die boundary
     crossing_budget: int = 18200      # W: signals available between dies 0 and 1
 
     def __post_init__(self):
-        for name in ("tree_resources", "die1_available", "die2_available",
-                     "axi_width", "crossing_budget"):
+        for name in ("die1_available", "die2_available", "axi_width", "crossing_budget"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.tree_resources == 0:
-            raise ValueError("tree_resources must be positive")
 
 
 class FloorplanSolution(NamedTuple):
@@ -154,15 +144,18 @@ class FloorplanSolution(NamedTuple):
     objective: int
 
 
-def floorplan_solve(prob: FloorplanProblem) -> FloorplanSolution:
-    """Maximize trees moved off the memory die.
+def floorplan_solve(prob: FloorplanProblem, tree_luts: int) -> FloorplanSolution:
+    """Maximize trees of ``tree_luts`` LUTs each (L, a
+    :func:`resource_tree` estimate) moved off the memory die.
 
     Exhaustive over integer (u1, u2) subject to (u1+u2)*w <= W,
     u1*L <= a1 and u2*L <= a2; ties broken toward the larger u1 (fill the
     die farther from the memory first).
     """
-    u1_cap = prob.die1_available // prob.tree_resources
-    u2_cap = prob.die2_available // prob.tree_resources
+    if tree_luts < 1:
+        raise ValueError(f"tree_luts must be positive, got {tree_luts}")
+    u1_cap = prob.die1_available // tree_luts
+    u2_cap = prob.die2_available // tree_luts
     best = FloorplanSolution(0, 0, 0)
     for u1 in range(u1_cap + 1):
         for u2 in range(u2_cap + 1):

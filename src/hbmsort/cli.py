@@ -31,7 +31,7 @@ from .analytics import floorplan_solve, resource_tree, select_burst_sizes
 from .config import AppConfig, ConfigError, load_config
 from .engine import build_timing, plan_sort, verify_permutation
 from .hbm import CapacityError
-from .mergetree import REUSE_FACTOR, build_tree, compose_wide_tree
+from .mergetree import REUSE_FACTOR, build_tree
 
 SCHEMA_VERSION = 1
 
@@ -261,14 +261,10 @@ def cmd_model(args) -> int:
                           burst_bytes=cfg.phase1_burst)
     tree_reused = resource_tree(cfg.phase1_rate, cfg.phase1_leaves, app.resource,
                                 burst_bytes=cfg.phase2_burst)
-    tree = build_tree(cfg.phase1_rate, cfg.phase1_leaves)
-    wide = compose_wide_tree([tree] * REUSE_FACTOR)
-    extra_comparators = wide.comparator_total() - REUSE_FACTOR * tree.comparator_total()
-    recurrence = {
-        str(p): analytics.comparator_recurrence(p, app.resource)
-        for p in (2, 4, 8, 16, 32)
-    }
-    plan_sol = floorplan_solve(app.floorplan)
+    extra_comparators = (build_tree(cfg.phase2_rate, cfg.phase2_leaves).comparator_total()
+                         - REUSE_FACTOR * tree1.comparators)
+    recurrence = {str(p): build_tree(p, p).comparator_total() for p in (2, 4, 8, 16, 32)}
+    plan_sol = floorplan_solve(app.floorplan, tree1.luts)
     bursts = select_burst_sizes(app.profile)
 
     report = {

@@ -3,19 +3,21 @@
 Sections: [sort] the sorter's settings (the sub-run and feed counts are
 derived from them, not set), [hbm] per-channel bandwidth and capacity,
 [bandwidth] the measured efficiency table as ``MxM,BURST = fraction``
-entries, [resource] the comparator/LUT cost model, [floorplan] the
-die-placement instance, [reference] reported hardware anchor figures
-used by the analytic reports.  The keys of every section but [bandwidth]
-are the fields of its dataclass (``SortConfig``, ``HbmTopology``,
+entries, [resource] the LUT cost model of one tree, which also sizes
+the trees the floorplan places, [floorplan] the die budgets of the
+placement instance, [reference] reported hardware anchor figures used
+by the analytic reports.  The keys of every section but [bandwidth] are
+the fields of its dataclass (``SortConfig``, ``HbmTopology``,
 ``ResourceModelParams``, ``FloorplanProblem``, ``Reference``), parsed as
-the field's type.  Unknown sections or keys are errors; missing ones
-fall back to the field defaults, [bandwidth] entries to those of
-``BandwidthProfile``.
+the field's type and checked by the dataclass.  Unknown sections or
+keys and out-of-range values are errors; missing keys fall back to the
+field defaults, [bandwidth] entries to those of ``BandwidthProfile``.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_type_hints
 
@@ -37,6 +39,15 @@ class Reference:
     phase2_gbps: float = 38.0
     phase1_passes: int = 6
     single_tree_leaves: int = 256
+
+    def __post_init__(self):
+        for name in ("phase1_gbps", "phase2_gbps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if self.phase1_passes < 1:
+            raise ValueError(f"phase1_passes must be at least 1, got {self.phase1_passes}")
+        if self.single_tree_leaves < 2:
+            raise ValueError(f"single_tree_leaves must be at least 2, got {self.single_tree_leaves}")
 
 
 @dataclass
@@ -82,13 +93,14 @@ _SECTIONS = {
 def _parse_bandwidth_key(key: str) -> tuple[int, int]:
     try:
         pattern, burst = key.split(",")
-        m, m2 = pattern.lower().split("x")
-        if int(m) != int(m2):
+        m, m2 = map(int, pattern.lower().split("x"))
+        burst = int(burst)
+        if m != m2 or min(m, burst) < 1:
             raise ValueError
-        return int(m), int(burst)
+        return m, burst
     except ValueError:
         raise ConfigError(
-            f"bad bandwidth entry {key!r}: expected 'MxM,BURST_BYTES'"
+            f"bad bandwidth entry {key!r}: expected 'MxM,BURST_BYTES', M and BURST_BYTES at least 1"
         ) from None
 
 

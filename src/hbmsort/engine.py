@@ -5,8 +5,9 @@ data over several passes, the last pass capped so every channel ends
 with ``phase2_leaves / parallel_trees`` independent sorted sub-runs
 instead of one fully sorted sequence, so that the sub-runs of all
 channels feed every leaf of the wide tree in the next phase.  Phase two:
-one pass of the wide tree, built by reusing ``REUSE_FACTOR`` phase-one
-trees, merges all ``phase2_leaves`` sub-runs into one sorted run.
+one pass of the wide (``phase2_rate``, ``phase2_leaves``) tree, which
+reuses ``REUSE_FACTOR`` phase-one trees, merges all ``phase2_leaves``
+sub-runs into one sorted run.
 :func:`plan_sort` derives every such count from :class:`SortConfig`.
 
 The functional data path computes what the passes produce, not each
@@ -64,7 +65,6 @@ from .mergetree import (
     TreeSpec,
     UnsortedFeedError,
     build_tree,
-    compose_wide_tree,
     run_pass_cycles,
 )
 
@@ -453,7 +453,6 @@ def build_timing(
     topo = topo or HbmTopology()
     profile = profile or BandwidthProfile()
     group_cycles = functools.partial(_group_cycles, samples={})
-    base = build_tree(cfg.phase1_rate, cfg.phase1_leaves)
     bytes_total = plan.records * RECORD_BYTES
 
     def phase(tree, run_lengths, records, pattern, burst, last_kind) -> PhaseTiming:
@@ -478,9 +477,9 @@ def build_timing(
         return PhaseTiming(cycles, seconds, bytes_total / seconds / 1e9,
                            records * len(passes) / cycles, tuple(passes))
 
-    phase1 = phase(base, plan.run_lengths[:-1], plan.channel_records,
-                   1, cfg.phase1_burst, "tuned")
-    phase2 = phase(compose_wide_tree([base] * REUSE_FACTOR), plan.run_lengths[-2:],
+    phase1 = phase(build_tree(cfg.phase1_rate, cfg.phase1_leaves), plan.run_lengths[:-1],
+                   plan.channel_records, 1, cfg.phase1_burst, "tuned")
+    phase2 = phase(build_tree(cfg.phase2_rate, cfg.phase2_leaves), plan.run_lengths[-2:],
                    plan.padded_records, REUSE_FACTOR, cfg.phase2_burst, "final")
     gbps1, gbps2 = phase1.gbytes_per_s, phase2.gbytes_per_s
     return RunTiming(phase1, phase2, perf_overall(gbps1, gbps2),

@@ -76,11 +76,6 @@ class Record:
             raise ValueError(f"value {self.value} outside 32-bit range")
 
 
-def compare_swap(a: Record, b: Record) -> tuple[Record, Record]:
-    """Order two records by key; equal keys keep input order."""
-    return (a, b) if a.key <= b.key else (b, a)
-
-
 @functools.cache
 def bitonic_merge_network(width: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Comparator stages of a bitonic merger over `width` lanes.
@@ -105,25 +100,19 @@ class UnitStats(NamedTuple):
     stages: int
 
 
-def merger_stats(rate: int) -> UnitStats:
-    """Comparator and stage count of one bitonic merger over 2*rate lanes."""
-    _check_rate(rate, cap=None)
-    stages = (2 * rate).bit_length() - 1  # log2(2E)
-    return UnitStats(comparators=rate * stages, stages=stages)
-
-
 def mms_stats(rate: int) -> UnitStats:
     """Cost of a full streaming merge unit at the given rate.
 
-    Rates above 1 use two back-to-back bitonic mergers, doubling both the
-    comparator count and the pipeline depth.  The rate-1 unit degenerates
-    to a single compare-swap cell.
+    Rates above 1 use two back-to-back bitonic mergers over ``2 * rate``
+    lanes, doubling both the comparator count and the pipeline depth of
+    :func:`bitonic_merge_network`.  The rate-1 unit degenerates to a
+    single compare-swap cell.
     """
     _check_rate(rate, cap=None)
     if rate == 1:
         return UnitStats(comparators=1, stages=1)
-    single = merger_stats(rate)
-    return UnitStats(comparators=2 * single.comparators, stages=2 * single.stages)
+    stages = bitonic_merge_network(2 * rate)
+    return UnitStats(comparators=2 * sum(map(len, stages)), stages=2 * len(stages))
 
 
 def _check_rate(rate, cap=max(BLOCK_RATES)):

@@ -3,10 +3,11 @@
 A tree is described by its root rate ``p`` (records emitted per cycle)
 and leaf count ``l``.  Rates halve level by level toward the leaves; when
 ``l`` exceeds twice the root rate, extra rate-1 levels sit above the leaf
-buffers.  Phase two reuses ``REUSE_FACTOR`` identical trees as one tree
-that many times wider, adding units above them (two half-rate units and
-one full-rate unit for four trees); the result is an ordinary
-:class:`TreeSpec` whose lower levels are the subtrees' levels side by side.
+buffers.  Phase two reuses ``R = REUSE_FACTOR`` identical (p, l) trees as
+one tree that many times wider, adding units above them (two half-rate
+units and one full-rate unit for four trees).  That is the tree
+``build_tree(R * p, R * l)``: below its top levels, each of its levels is
+a level of the (p, l) tree repeated R times.
 
 A pass is timed from the units' firing plans instead of stepping every
 unit every cycle.  One stable sort of the feeds is the pass output, and
@@ -77,14 +78,6 @@ class TreeSpec:
     def depth(self) -> int:
         return len(self.levels)
 
-    @property
-    def leaf_port_width(self) -> int:
-        """Records per cycle one leaf can inject (rate of the bottom units)."""
-        return self.levels[-1][0]
-
-    def unit_count(self) -> int:
-        return sum(len(level) for level in self.levels)
-
     def comparator_total(self) -> int:
         return sum(mms_stats(r).comparators for level in self.levels for r in level)
 
@@ -122,22 +115,15 @@ def build_tree(p: int, l: int) -> TreeSpec:
 
 
 def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
-    """Reuse ``REUSE_FACTOR`` identical (p/R, l/R) trees under R - 1 extra
-    units whose rates halve from p at the root."""
+    """Reuse ``REUSE_FACTOR`` identical (p, l) trees as one tree R times
+    wider: the (R * p, R * l) tree."""
     if len(subtrees) != REUSE_FACTOR:
         raise TreeShapeError(f"wide tree needs {REUSE_FACTOR} subtrees, got {len(subtrees)}")
     first = subtrees[0]
     for i, st in enumerate(subtrees[1:], 1):
         if (st.root_rate, st.leaves, st.levels) != (first.root_rate, first.leaves, first.levels):
             raise TreeShapeError(f"subtree {i} shape differs from subtree 0")
-    q = first.root_rate
-    levels = [(REUSE_FACTOR * q // 2**j,) * 2**j for j in range(REUSE_FACTOR.bit_length() - 1)]
-    for j in range(first.depth):
-        combined = ()
-        for st in subtrees:
-            combined += st.levels[j]
-        levels.append(combined)
-    return TreeSpec(REUSE_FACTOR * q, REUSE_FACTOR * first.leaves, tuple(levels))
+    return build_tree(REUSE_FACTOR * first.root_rate, REUSE_FACTOR * first.leaves)
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ def test_default_bursts():
     st.integers(0, 40), st.integers(0, 300),
 )
 def test_floorplan_matches_brute_force(tree, die1, die2, width, budget):
-    prob = FloorplanProblem(tree, die1, die2, width, budget)
-    sol = floorplan_solve(prob)
-    assert (sol.die1_trees, sol.die2_trees) == brute_force_floorplan(prob)
+    prob = FloorplanProblem(die1, die2, width, budget)
+    sol = floorplan_solve(prob, tree)
+    assert (sol.die1_trees, sol.die2_trees) == brute_force_floorplan(prob, tree)
     assert sol.objective == sol.die1_trees + sol.die2_trees

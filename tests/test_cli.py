@@ -50,13 +50,14 @@ BAD_CONFIGS = {
     "non-monotone-bandwidth": "[bandwidth]\n4x4,4096 = 0.9\n",
     "non-numeric-bandwidth": "[bandwidth]\n4x4,4096 = abc\n",
     "non-square-pattern": "[bandwidth]\n4x3,4096 = 0.9\n",
+    "zero-bandwidth-pattern": "[bandwidth]\n0x0,0 = 0.5\n",
+    "negative-bandwidth-burst": "[bandwidth]\n1x1,-64 = 0.3\n",
     "no-4x-composition": "[sort]\nphase2_leaves = 10\n",
     "one-leaf-tree": "[sort]\nphase1_leaves = 1\nphase2_leaves = 4\n",
     "non-numeric-int": "[sort]\nphase1_rate = abc\n",
     "zero-trees": "[sort]\nparallel_trees = 0\n",
     "too-many-trees": "[sort]\nparallel_trees = 32\n",
     "trees-not-dividing-wide-leaves": "[sort]\nparallel_trees = 12\n",
-    "zero-tree-resources": "[floorplan]\ntree_resources = 0\n",
     "zero-channel-bandwidth": "[hbm]\nchannel_bandwidth = 0\n",
     "infinite-channel-bandwidth": "[hbm]\nchannel_bandwidth = inf\n",
     "nan-channel-bandwidth": "[hbm]\nchannel_bandwidth = nan\n",
@@ -66,6 +67,19 @@ BAD_CONFIGS = {
     "phase1-burst-not-in-profile": "[sort]\nphase1_burst = 3000\n",
     "phase2-burst-not-in-profile": "[sort]\nphase2_burst = 3000\n",
     "zero-channel-capacity": "[hbm]\nchannel_capacity = 0\n",
+    "negative-lut-per-comparator": "[resource]\nlut_per_comparator = -500\n",
+    "zero-lut-per-comparator": "[resource]\nlut_per_comparator = 0\n",
+    "negative-axi-converter-luts": "[resource]\naxi_converter_luts = -1\n",
+    "negative-axi-converter-ffs": "[resource]\naxi_converter_ffs = -1\n",
+    "lut-buffer-fraction-above-one": "[resource]\nlut_buffer_fraction = 7\n",
+    "negative-lut-buffer-fraction": "[resource]\nlut_buffer_fraction = -0.5\n",
+    "zero-reference-phase1-gbps": "[reference]\nphase1_gbps = 0\n",
+    "nan-reference-phase2-gbps": "[reference]\nphase2_gbps = nan\n",
+    "infinite-reference-phase1-gbps": "[reference]\nphase1_gbps = inf\n",
+    "negative-reference-passes": "[reference]\nphase1_passes = -3\n",
+    "one-leaf-reference-tree": "[reference]\nsingle_tree_leaves = 1\n",
+    "removed-base-comparators-key": "[resource]\nbase_comparators = 3\n",
+    "removed-tree-resources-key": "[floorplan]\ntree_resources = 28788\n",
     "unknown-section": "[sorting]\nrecords = 5\n",
     "unknown-key": "[sort]\nleaves = 16\n",
     "no-section-header": "records = 5\n",
@@ -106,6 +120,19 @@ def test_over_capacity_exits_with_data_status(argv, text, tmp_path, capsys):
     config = ["--config", _write(tmp_path, text)] if text else []
     assert cli.main(argv + config) == cli.EXIT_DATA
     assert "error:" in capsys.readouterr().err
+
+
+def test_floorplan_places_trees_of_the_resource_model_cost(tmp_path, capsys):
+    """The floorplan places trees of ``resource_tree``'s LUT count, so a
+    dearer comparator places fewer trees: 41,544 LUTs each at 200 per
+    comparator, against 28,776 at the default 116."""
+    report = tmp_path / "model.json"
+    argv = ["model", "--report", str(report),
+            "--config", _write(tmp_path, "[resource]\nlut_per_comparator = 200\n")]
+    assert cli.main(argv) == cli.EXIT_OK
+    got = json.loads(report.read_text())
+    assert got["resources"]["tree_phase1_only"]["luts"] == 41544
+    assert got["floorplan"] == {"die1_trees": 5, "die2_trees": 4, "objective": 9}
 
 
 @pytest.mark.parametrize("records", [1, 5])
@@ -262,12 +289,12 @@ ROUND_TRIP = {
         "channel_bandwidth": ("1e10", 1e10), "channel_capacity": ("1048576", 1 << 20),
     },
     "resource": {
-        "base_comparators": ("3", 3), "lut_per_comparator": ("100", 100),
+        "lut_per_comparator": ("100", 100),
         "axi_converter_luts": ("4000", 4000), "axi_converter_ffs": ("5000", 5000),
         "lut_buffer_fraction": ("0.5", 0.5),
     },
     "floorplan": {
-        "tree_resources": ("30000", 30000), "die1_available": ("200000", 200000),
+        "die1_available": ("200000", 200000),
         "die2_available": ("150000", 150000), "axi_width": ("1000", 1000),
         "crossing_budget": ("9000", 9000),
     },

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,6 @@ from hbmsort.mergenet import (
     UnsortedFeedError,
     bitonic_merge_blocks,
     bitonic_merge_network,
-    compare_swap,
-    merger_stats,
     mms_merge_runs,
     mms_stats,
     plan_units,
@@ -58,21 +58,6 @@ def retained_keys(unit, ports, merged):
     return [merged[r][0] for r in read]
 
 
-class TestCompareSwap:
-    def test_swaps_out_of_order(self):
-        lo, hi = compare_swap(Record(5), Record(3))
-        assert (lo.key, hi.key) == (3, 5)
-
-    def test_equal_keys_keep_input_order(self):
-        a, b = Record(7, 1), Record(7, 2)
-        lo, hi = compare_swap(a, b)
-        assert lo is a and hi is b
-
-    def test_extreme_keys_identity(self):
-        lo, hi = compare_swap(Record(0), Record(MAX_KEY))
-        assert (lo.key, hi.key) == (0, MAX_KEY)
-
-
 class TestRecord:
     @pytest.mark.parametrize("key,value", [(-1, 0), (1 << 32, 0), (0, 1 << 32)])
     def test_range_checks(self, key, value):
@@ -88,18 +73,18 @@ class TestRecord:
 class TestNetwork:
     @pytest.mark.parametrize("rate", BLOCK_RATES)
     def test_enumeration_matches_stats(self, rate):
+        """A bitonic merger over 2E lanes has log2(2E) stages of E
+        comparators; a unit above rate 1 is two of them back to back."""
         stages = bitonic_merge_network(2 * rate)
-        stats = merger_stats(rate)
-        assert len(stages) == stats.stages
-        assert sum(len(s) for s in stages) == stats.comparators
+        log = math.log2(2 * rate)
+        assert len(stages) == log
+        assert sum(len(s) for s in stages) == rate * log
+        if rate > 1:
+            assert mms_stats(rate) == (2 * rate * log, 2 * log)
         # every stage touches each lane at most once
         for stage in stages:
             lanes = [l for pair in stage for l in pair]
             assert len(lanes) == len(set(lanes))
-
-    def test_known_sizes(self):
-        assert merger_stats(1) == (1, 1)
-        assert merger_stats(4) == (12, 3)
 
     def test_mms_doubles(self):
         assert mms_stats(1) == (1, 1)
@@ -110,7 +95,7 @@ class TestNetwork:
         with pytest.raises(RateError):
             bitonic_merge_network(6)
         with pytest.raises(RateError):
-            merger_stats(3)
+            mms_stats(3)
 
 
 class TestBitonicMergeBlocks:

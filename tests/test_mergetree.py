@@ -32,12 +32,10 @@ class TestBuildTree:
         t = build_tree(8, 16)
         assert t.levels == ((8,), (4, 4), (2, 2, 2, 2), (1,) * 8)
         assert t.leaves == 16
-        assert t.leaf_port_width == 1
 
     def test_minimal_tree_is_one_compare_swap(self):
         t = build_tree(1, 2)
         assert t.levels == ((1,),)
-        assert t.unit_count() == 1
         assert t.comparator_total() == 1
 
     def test_equal_rate_and_leaves_stops_at_rate_two(self):
@@ -75,6 +73,17 @@ class TestComposeWideTree:
         assert wide.levels[0] == (32,)
         assert wide.levels[1] == (16, 16)
         assert wide.levels[2] == (8,) * 4
+
+    def test_wide_tree_is_four_trees_under_three_units(self):
+        """build_tree(4p, 4l) is four (p, l) trees side by side under one
+        unit of rate 4p and two of rate 2p, for every valid (p, l) with
+        p <= 32 and l <= 256: phase two's timing relies on it."""
+        shapes = [(2**i, 2**j) for i in range(6) for j in range(1, 9) if j >= i]
+        assert len(shapes) == 38
+        for p, l in shapes:
+            sub = build_tree(p, l).levels
+            assert build_tree(4 * p, 4 * l).levels == ((4 * p,), (2 * p, 2 * p)) + tuple(
+                level * 4 for level in sub), (p, l)
 
     def test_smallest_composition(self):
         wide = compose_wide_tree([build_tree(1, 2)] * 4)
