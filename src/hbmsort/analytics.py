@@ -144,26 +144,22 @@ class FloorplanSolution(NamedTuple):
     objective: int
 
 
-def floorplan_solve(prob: FloorplanProblem, tree_luts: int) -> FloorplanSolution:
-    """Maximize trees of ``tree_luts`` LUTs each (L, a
-    :func:`resource_tree` estimate) moved off the memory die.
+def floorplan_solve(prob: FloorplanProblem, tree_luts: int, trees: int) -> FloorplanSolution:
+    """Place as many of the sorter's `trees` trees of ``tree_luts`` LUTs
+    each (L, a :func:`resource_tree` estimate) off the memory die as fit.
 
-    Exhaustive over integer (u1, u2) subject to (u1+u2)*w <= W,
-    u1*L <= a1 and u2*L <= a2; ties broken toward the larger u1 (fill the
-    die farther from the memory first).
+    The most trees (u1 + u2) subject to (u1+u2)*w <= W, u1*L <= a1,
+    u2*L <= a2 and u1 + u2 <= trees; of those placements, the one with the
+    largest u1 (fill the die farther from the memory first).
     """
     if tree_luts < 1:
         raise ValueError(f"tree_luts must be positive, got {tree_luts}")
     u1_cap = prob.die1_available // tree_luts
-    u2_cap = prob.die2_available // tree_luts
-    best = FloorplanSolution(0, 0, 0)
-    for u1 in range(u1_cap + 1):
-        for u2 in range(u2_cap + 1):
-            if (u1 + u2) * prob.axi_width > prob.crossing_budget:
-                break
-            if (u1 + u2, u1) > (best.objective, best.die1_trees):
-                best = FloorplanSolution(u1, u2, u1 + u2)
-    return best
+    total = min(u1_cap + prob.die2_available // tree_luts, trees)
+    if prob.axi_width > 0:
+        total = min(total, prob.crossing_budget // prob.axi_width)
+    u1 = min(u1_cap, total)
+    return FloorplanSolution(u1, total - u1, total)
 
 
 class BurstChoice(NamedTuple):

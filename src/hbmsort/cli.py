@@ -141,7 +141,7 @@ def cmd_sort(args) -> int:
             print("error: input dataset required unless --dry-run", file=sys.stderr)
             return EXIT_USAGE
         try:
-            data = dataset.load(args.input, mmap=True)
+            data = dataset.load(args.input)
         except (OSError, dataset.DatasetFormatError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
@@ -264,7 +264,7 @@ def cmd_model(args) -> int:
     extra_comparators = (build_tree(cfg.phase2_rate, cfg.phase2_leaves).comparator_total()
                          - REUSE_FACTOR * tree1.comparators)
     recurrence = {str(p): build_tree(p, p).comparator_total() for p in (2, 4, 8, 16, 32)}
-    plan_sol = floorplan_solve(app.floorplan, tree1.luts)
+    plan_sol = floorplan_solve(app.floorplan, tree1.luts, cfg.parallel_trees)
     bursts = select_burst_sizes(app.profile)
 
     report = {
@@ -362,7 +362,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        data = dataset.load(args.input, mmap=True)
+        data = dataset.load(args.input)
     except (OSError, dataset.DatasetFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

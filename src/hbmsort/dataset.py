@@ -71,16 +71,15 @@ def save(records: np.ndarray, path: str):
         arr.tofile(fh)
 
 
-def load(path: str, mmap: bool = False) -> np.ndarray:
+def load(path: str) -> np.ndarray:
+    """Memory-map a dataset file read-only as (n, 2) uint32 records."""
     size = os.path.getsize(path)
     n, partial = divmod(size, RECORD_BYTES)
     if partial or not n:
         raise DatasetFormatError(
             f"{path}: size {size} is not a positive multiple of {RECORD_BYTES}-byte records"
         )
-    if mmap:
-        return np.memmap(path, dtype="<u4", mode="r", shape=(n, 2))
-    return np.fromfile(path, dtype="<u4").reshape(n, 2)
+    return np.memmap(path, dtype="<u4", mode="r", shape=(n, 2))
 
 
 def payload_intact(records: np.ndarray) -> bool:

@@ -29,13 +29,15 @@ cycle once, in dependency order, so host time follows firings; stalls
 and idle leaf cycles cost nothing.  ``tests/oracles.py`` keeps a
 cycle-stepped tree as the reference.
 
-Leaf ports are always full, so a unit over leaf ports waits only for
-FIFO room and its cycles follow in closed form from its parent's.  Those
-units, about half of a tree's firings, are never built: their parents
-fold them into their own loop (see :class:`_Unit`), and the root of a
-one-level tree fires in cycles 1, 2, ....  A pass fed at a limited rate
-takes the larger of its compute cycles and its records over the supply
-that all leaves share, as the engine bounds a pass.
+Each unit is a generator that appends the cycles of its firings to its
+list of times, and the root's generator times the pass.  A firing that
+needs a producer time not yet known resumes that producer; the producer
+hands control back once one of its own firings waits for FIFO room its
+parent has not yet freed.  Leaf ports are always full, so a unit over
+leaf ports runs the same generator over producers whose only time is
+cycle 0.  A pass fed at a limited rate takes the larger of its compute
+cycles and its records over the supply that all leaves share, as the
+engine bounds a pass.
 :func:`run_pass_functional` only validates and sorts the feeds.
 """
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, pairwise, repeat
+from itertools import pairwise, repeat
 from operator import index
 from typing import Optional, Sequence
 
@@ -214,147 +216,81 @@ class _Unit:
     firing f and ``times[fires + 1]`` the cycle it finishes in; ``times[0]``
     is 0, so a dependency index of 0 is no dependency.
 
-    ``columns`` holds per-firing columns: first the index into the
-    parent's times that a firing waits on for FIFO room, then, per input,
-    the index into its producer's times that the firing waits on.
-
-    A unit reads its producers' times from `kids`, unless it sits over the
-    leaf level.  No unit over leaf ports is built: it waits only for FIFO
-    room, so its firing ``a - 1`` ends in cycle ``a - 1 + max(1, m)``, m
-    the largest ``T_parent[R] - S`` over its runs of firings that wait on
-    the same parent firing R, S the first firing of a run (R never
-    decreases, so no other firing can raise m).  Its parent holds the runs
-    of the whole level in `runs` (a list of S and a list of R) and, per
-    input, the next run to fold in and the running max in `fold` (index,
-    m, index, m; m starts at 1); after each input's index it has a column
-    counting the runs before the firing that index waits on.
-
-    A unit that passes one FIFO through may close only after its last
-    take: `closer` is then that FIFO's producer, or (input, end of its
-    runs, its firings) over the leaf level, and `close_room` the index
-    into the parent's times that the extra finishing firing waits on.  A
-    unit holds its parent's times, not the parent, so that the units of a
-    pass form no reference cycle and are freed as soon as it ends.
+    `inputs` holds the arguments of :func:`_timing` that come from the row
+    below: the two producers, the per-firing indices into their times, the
+    producer whose FIFO the unit passes through (if any) and where the unit
+    sits.  Once its parent is built, `run` is the generator that appends
+    to `times`.
     """
 
-    __slots__ = ("level", "index", "fires", "times", "columns", "firings", "pending",
-                 "kids", "runs", "fold", "parent_times", "closer", "close_room")
+    __slots__ = ("fires", "times", "inputs", "run")
 
-    def __init__(self, level: int, index: int, fires: int):
-        self.level, self.index, self.fires = level, index, fires
-        self.times = [0]
-        self.columns = [repeat(0, fires)]
-        self.firings = None
-        self.pending = ()  # the firing that waited on a time not yet known
-        self.kids = self.runs = self.fold = None
-        self.parent_times = _ALWAYS
-        self.closer = None
-        self.close_room = 0
+    def __init__(self, fires: int, inputs: tuple = ()):
+        self.fires, self.times, self.inputs, self.run = fires, [0], inputs, None
 
-    def advance(self):
-        """Time firings in order until one waits on a parent firing not yet
-        timed; when one waits on a producer, advance that first."""
-        times, kids = self.times, self.kids
-        tp = self.parent_times
-        if self.firings is None:
-            self.firings = zip(*self.columns)
-        while len(times) <= self.fires:
-            if kids:
-                self._time_merge(kids[0].times, kids[1].times, tp)
-            else:
-                self._time_folded(tp)
-            if not self.pending:
-                break
-            waiting = self.pending[0]
-            if waiting[0] >= len(tp):
-                return
-            if not kids:  # a folded kid waits on this firing or a later one
-                raise StuckPassError(self.level, self.index, len(times) - 1)
-            self._pull(len(times) - 1, kids[waiting[1] < len(kids[0].times)])
-        if len(times) == self.fires + 1:
-            last, done = times[-1], self._closed()
-            if done <= last:
-                times.append(last)  # no FIFO to close, or it closed before the last take
-            elif self.close_room < len(tp):
-                times.append(max(last + 1, done, tp[self.close_room]))
 
-    def _pull(self, firing: int, kid: "_Unit"):
-        known = len(kid.times)
-        kid.advance()
-        if len(kid.times) == known:
-            raise StuckPassError(self.level, self.index, firing)
+#: A leaf port: always full and closed, so a firing over it waits on
+#: nothing (index 0) and it closes before any firing (index ``fires + 1``).
+_LEAF = _Unit(-1)
 
-    def _closed(self) -> int:
-        """The cycle after the FIFO this unit passes through closes; 0 if
-        it passes none through."""
-        closer = self.closer
-        if closer is None:
-            return 0
-        if self.kids:
-            while len(closer.times) < closer.fires + 2:
-                self._pull(self.fires, closer)
-            return closer.times[-1] + 1
-        side, end, fires = closer  # a folded kid finishes with its last firing
-        i, m = self.fold[2 * side : 2 * side + 2]
-        times, (S, R) = self.times, self.runs
-        try:
-            return fires + max([m] + [times[R[k]] - S[k] for k in range(i, end)])
-        except IndexError:
-            raise StuckPassError(self.level, self.index, self.fires) from None
 
-    # The loops below stop at the first firing that reads a time not yet
-    # known (an IndexError) and keep it in `pending`.
+def _timing(times, tp, rooms, close_room, k0, k1, deps0, deps1, closer, level, index):
+    """Time a unit's firings into `times`.  Firing f happens in cycle
 
-    def _time_merge(self, t0, t1, tp):
-        times = self.times
-        t = times[-1]
-        try:
-            for r, a, b in chain(self.pending, self.firings):
-                t += 1
-                if t0[a] >= t:
-                    t = t0[a] + 1
-                if t1[b] >= t:
-                    t = t1[b] + 1
-                if tp[r] > t:
-                    t = tp[r]
-                times.append(t)
-        except IndexError:
-            self.pending = ((r, a, b),)
-        else:
-            self.pending = ()
+        t_f = max(t_{f-1} + 1, tp[r], t0[a] + 1, t1[b] + 1)
 
-    def _time_folded(self, tp):
-        """Over two folded kids: the cycle after kid firing ``a - 1`` is
-        ``a + m``, m folded in run by run up to the firing."""
-        times = self.times
-        t = times[-1]
-        S, R = self.runs
-        i0, m0, i1, m1 = self.fold
-        try:
-            for r, a, c0, b, c1 in chain(self.pending, self.firings):
-                t += 1
-                while i0 < c0:
-                    v = times[R[i0]] - S[i0]
-                    if v > m0:
-                        m0 = v
-                    i0 += 1
-                if a + m0 > t:
-                    t = a + m0
-                while i1 < c1:
-                    v = times[R[i1]] - S[i1]
-                    if v > m1:
-                        m1 = v
-                    i1 += 1
-                if b + m1 > t:
-                    t = b + m1
-                if tp[r] > t:
-                    t = tp[r]
-                times.append(t)
-        except IndexError:
-            self.pending = ((r, a, c0, b, c1),)
-        else:
-            self.pending = ()
-        self.fold = [i0, m0, i1, m1]
+    for its index r into the parent's times `tp` (the room wait) and its
+    indices a and b into the times of producers `k0` and `k1`.  While
+    ``tp[r]`` is not known the generator yields; a producer time not yet
+    known is pulled from the producer first.  A unit that passes the FIFO
+    of `closer` through finishes only once that FIFO has closed, with one
+    more firing if it closes after the unit's last take.
+
+    The generator holds time lists and producers, never its own unit or
+    its parent, so the units of a pass form no reference cycle.
+    """
+    t0, t1 = k0.times, k1.times
+    t = 0
+    known_p = known0 = known1 = 1  # lower bounds of the lengths: times only grow
+    for r, a, b in zip(rooms, deps0, deps1):
+        if r >= known_p:
+            while r >= len(tp):
+                yield
+            known_p = len(tp)
+        if a >= known0:
+            _pull(k0, a, level, index, len(times) - 1)
+            known0 = len(t0)
+        if b >= known1:
+            _pull(k1, b, level, index, len(times) - 1)
+            known1 = len(t1)
+        t += 1
+        if t0[a] >= t:
+            t = t0[a] + 1
+        if t1[b] >= t:
+            t = t1[b] + 1
+        if tp[r] > t:
+            t = tp[r]
+        times.append(t)
+    if closer is not None:
+        _pull(closer, closer.fires + 1, level, index, len(times) - 1)
+        if closer.times[-1] >= t:  # the FIFO closed after the last take
+            while close_room >= len(tp):
+                yield
+            t = max(t + 1, closer.times[-1] + 1, tp[close_room])
+    times.append(t)
+
+
+def _pull(kid: _Unit, need: int, level: int, index: int, firing: int):
+    """Resume `kid` until it has timed index `need`; firing `firing` of
+    unit `index` on `level` waits on it.  A kid that yields without
+    progress waits on that firing or a later one: the pass is stuck."""
+    times = kid.times
+    while len(times) <= need:
+        known = len(times)
+        next(kid.run, None)  # a kid may time everything without yielding
+        if len(times) == known:
+            raise StuckPassError(level, index, firing)
+
 
 
 def _by_node(leaf: np.ndarray, shift: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -418,14 +354,15 @@ def run_pass_cycles(
     ``t_f = max(t_{f-1} + 1, producer + 1, parent read)``: one cycle after
     the producer firing that emits the last record it needs (or closes the
     FIFO), and not before the parent firing that leaves room in its FIFO.
-    Every firing's cycle is computed once, in dependency order, starting
-    from the root.  The units over leaf ports are not timed one by one:
-    their parents fold in, per run of firings that wait on the same
-    parent firing, the one term that can hold the run back (see
-    :class:`_Unit`).  Raises :class:`StuckPassError` if some firing can
-    never become ready.  With `feed_rate_per_leaf`, a supply all leaves
-    share, the cycles are at least ``ceil(n / (feed_rate_per_leaf *
-    leaves))``, computed exactly; the firings are the unlimited pass's.
+    One generator per unit (:func:`_timing`) computes every firing's cycle
+    once, in dependency order.  The root's generator times the pass: it
+    resumes a producer when a firing needs the producer's times, and a
+    producer hands control back when one of its firings waits for room.
+    Units over leaf ports run the same generator over :data:`_LEAF`.  Raises
+    :class:`StuckPassError` if some firing can never become ready.  With
+    `feed_rate_per_leaf`, a supply all leaves share, the cycles are at
+    least ``ceil(n / (feed_rate_per_leaf * leaves))``, computed exactly;
+    the firings are the unlimited pass's.
     """
     if feed_rate_per_leaf is not None and not 0 < feed_rate_per_leaf < math.inf:
         raise ValueError(f"feed_rate_per_leaf must be positive and finite, got {feed_rate_per_leaf}")
@@ -438,69 +375,43 @@ def run_pass_cycles(
     leaf = np.repeat(leaf_ids, lengths)[order]  # leaf of each rank
 
     ranks, bounds = _by_node(leaf, 0, tree.leaves)
-    below = kids = None
+    below, kids = None, [_LEAF] * tree.leaves
     for j in range(tree.depth - 1, -1, -1):  # bottom level first
         merged = _by_node(leaf, tree.depth - j, len(tree.levels[j]))
         plan = plan_units(tree.levels[j][0], ranks, bounds, merged[0])
-        if below is not None:  # the units over leaf ports are folded into their parents
-            row = [_Unit(j, u, m) for u, m in enumerate(np.diff(plan.start).tolist())]
-            _link(row, plan, below, kids, bounds)
-            kids = row
+        kids = _link(j, plan, below, kids, bounds)
         below = plan
         ranks, bounds = merged
 
+    root = kids[0]
+    root.run = _timing(root.times, _ALWAYS, repeat(0, root.fires), 0, *root.inputs)
+    next(root.run, None)  # the root never waits for room: this times all of it
     last = int(np.flatnonzero(np.diff(below.out, prepend=0))[-1])  # the root's last emission
-    if kids:
-        root = kids[0]
-        root.advance()
-        cycles = root.times[last + 1]
-    else:  # the root reads leaf ports: it fires in cycles 1, 2, ...
-        cycles = last + 1
+    cycles = root.times[last + 1]
     if feed_rate_per_leaf is not None:
         cycles = max(cycles, math.ceil(total / (Fraction(feed_rate_per_leaf) * tree.leaves)))
     return PassResult(records, cycles, total / cycles)
 
 
-def _link(row: list[_Unit], plan: UnitPlans, below: UnitPlans, kids: Optional[list[_Unit]],
-          bounds: np.ndarray):
-    """Give a row of units their input columns and the units below them
-    (`kids`) their room columns; with no `kids`, the units below read leaf
-    ports and are folded into the row as runs of their room column."""
-    deps = _input_deps(plan, below, bounds)
-    room, close_room = _room_deps(plan, below, bounds)
-    fires = np.diff(below.start)
-    if kids:
-        for kid, r, c in zip(kids, _per_unit(room, below.start), close_room.tolist()):
-            kid.columns[0] = r
-            kid.close_room = c
+def _link(level: int, plan: UnitPlans, below: Optional[UnitPlans], kids: list[_Unit],
+          bounds: np.ndarray) -> list[_Unit]:
+    """Build the row of units `plan` plans over `kids`, the units `below`
+    plans (leaf ports when `below` is None), and start the kids, which
+    wait on the row for FIFO room."""
+    fires = np.diff(plan.start).tolist()
+    if below is None:  # leaf ports are always full
+        deps = [[repeat(0, f) for f in fires] for _ in (0, 1)]
     else:
-        prev = np.concatenate(([0], room[:-1]))
-        prev[below.start[:-1]] = 0
-        first = room > prev  # the first firing of each run of equal room > 0
-        runs_before = np.concatenate(([0], np.cumsum(first)))  # per firing of all kids
-        first = np.flatnonzero(first)
-        ends = runs_before[below.start]  # kid k's runs: ends[k] to ends[k + 1]
-        runs = (first - np.repeat(below.start[:-1], np.diff(ends))).tolist(), room[first].tolist()
-        units = np.repeat(np.arange(len(row)), np.diff(plan.start))
-        columns = []
-        for s, dep in enumerate(deps):
-            kid = 2 * units + s
-            a = np.minimum(dep, fires[kid])  # a kid finishes with its last firing
-            columns += a, runs_before[below.start[kid] + a]  # and the runs before firing a
-        deps = columns
-        ends, fires = ends.tolist(), fires.tolist()
-    for u, (unit, *cols) in enumerate(zip(row, *(_per_unit(d, plan.start) for d in deps))):
-        unit.columns += cols
-        if kids:
-            unit.kids = kids[2 * u : 2 * u + 2]
-            for kid in unit.kids:
-                kid.parent_times = unit.times
-        else:
-            unit.runs, unit.fold = runs, [ends[2 * u], 1, ends[2 * u + 1], 1]
-        n0, n1 = plan.n[0][u], plan.n[1][u]
-        if (n0 == 0) != (n1 == 0):  # passes the other input through
-            s = int(n0 == 0)
-            unit.closer = unit.kids[s] if kids else (s, ends[2 * u + s + 1], fires[2 * u + s])
+        deps = [_per_unit(d, plan.start) for d in _input_deps(plan, below, bounds)]
+    row = []
+    for u, (f, d0, d1, n0, n1) in enumerate(zip(fires, *deps, plan.n[0].tolist(), plan.n[1].tolist())):
+        closer = kids[2 * u + (n0 == 0)] if (n0 == 0) != (n1 == 0) else None  # passed through
+        row.append(_Unit(f, (kids[2 * u], kids[2 * u + 1], d0, d1, closer, level, u)))
+    if below is not None:
+        room, close_room = _room_deps(plan, below, bounds)
+        for k, (kid, r, c) in enumerate(zip(kids, _per_unit(room, below.start), close_room.tolist())):
+            kid.run = _timing(kid.times, row[k // 2].times, r, c, *kid.inputs)
+    return row
 
 
 def _per_unit(column: np.ndarray, start: np.ndarray) -> list[memoryview]:

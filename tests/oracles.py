@@ -65,13 +65,14 @@ def random_sorted_records(rng, n, key_range=None):
     return [Record(int(k), int(rng.integers(0, 1 << 32))) for k in keys]
 
 
-def brute_force_floorplan(prob: FloorplanProblem, tree_luts: int):
-    """Full-grid enumeration of the placement problem, max (sum, u1)."""
+def brute_force_floorplan(prob: FloorplanProblem, tree_luts: int, trees: int):
+    """Full-grid enumeration of the placement of at most `trees` trees,
+    max (sum, u1)."""
     best = (0, 0)
     best_key = (0, 0)
     for u1 in range(prob.die1_available // tree_luts + 1):
         for u2 in range(prob.die2_available // tree_luts + 1):
-            if (u1 + u2) * prob.axi_width > prob.crossing_budget:
+            if (u1 + u2) * prob.axi_width > prob.crossing_budget or u1 + u2 > trees:
                 continue
             if (u1 + u2, u1) > best_key:
                 best_key = (u1 + u2, u1)

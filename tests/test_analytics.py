@@ -40,10 +40,10 @@ def test_default_bursts():
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 60), st.integers(0, 400), st.integers(0, 400),
-    st.integers(0, 40), st.integers(0, 300),
+    st.integers(0, 40), st.integers(0, 300), st.integers(0, 20),
 )
-def test_floorplan_matches_brute_force(tree, die1, die2, width, budget):
+def test_floorplan_matches_brute_force(tree, die1, die2, width, budget, trees):
     prob = FloorplanProblem(die1, die2, width, budget)
-    sol = floorplan_solve(prob, tree)
-    assert (sol.die1_trees, sol.die2_trees) == brute_force_floorplan(prob, tree)
+    sol = floorplan_solve(prob, tree, trees)
+    assert (sol.die1_trees, sol.die2_trees) == brute_force_floorplan(prob, tree, trees)
     assert sol.objective == sol.die1_trees + sol.die2_trees

@@ -135,6 +135,17 @@ def test_floorplan_places_trees_of_the_resource_model_cost(tmp_path, capsys):
     assert got["floorplan"] == {"die1_trees": 5, "die2_trees": 4, "objective": 9}
 
 
+def test_floorplan_places_no_more_trees_than_the_sorter_has(tmp_path, capsys):
+    """Dies with room for thousands of trees and no crossing limit place
+    the sorter's 16 trees, all on die 1."""
+    report = tmp_path / "model.json"
+    text = "[floorplan]\ndie1_available = 100000000\ndie2_available = 100000000\naxi_width = 0\n"
+    argv = ["model", "--report", str(report), "--config", _write(tmp_path, text)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(report.read_text())["floorplan"] == {"die1_trees": 16, "die2_trees": 0, "objective": 16}
+    assert "floorplan: 16 trees on die 1, 0 on die 2" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("records", [1, 5])
 def test_model_of_fewer_records_than_trees(records, tmp_path, capsys):
     report = tmp_path / "model.json"

@@ -13,20 +13,18 @@ def test_partial_record_file_rejected(tmp_path):
         dataset.load(str(path))
 
 
-@pytest.mark.parametrize("mmap", [False, True])
-def test_empty_file_rejected(tmp_path, mmap):
+def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.bin"
     path.write_bytes(b"")
     with pytest.raises(DatasetFormatError, match="size 0"):
-        dataset.load(str(path), mmap=mmap)
+        dataset.load(str(path))
 
 
-@pytest.mark.parametrize("mmap", [False, True])
-def test_save_load_round_trip(tmp_path, mmap):
+def test_save_load_round_trip(tmp_path):
     data = dataset.generate(DatasetSpec(1000, "uniform", seed=3))
     path = str(tmp_path / "d.bin")
     dataset.save(data, path)
-    np.testing.assert_array_equal(dataset.load(path, mmap=mmap), data)
+    np.testing.assert_array_equal(dataset.load(path), data)
 
 
 def test_generate_is_deterministic_per_seed():

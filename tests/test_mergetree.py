@@ -303,10 +303,11 @@ class TestCyclePass:
         assert run_pass_cycles(build_tree(8, 8), feeds).cycles == 28
         assert cycle_stepped_pass(build_tree(8, 8), feeds)[1] == 28
 
-    def test_pass_leaves_no_reference_cycles(self):
+    def test_pass_leaves_no_reference_cycles(self, monkeypatch):
         # a pass's timing state must be freed when it returns, not at the
         # next full collection; with two feeds, the unit over leaves 0-3
-        # passes its first input through and closes on that input's finish
+        # passes its first input through and closes on that input's finish;
+        # without FIFO room the pass is stuck and leaves units waiting
         feeds = [np.arange(i, 4096, 16, dtype=np.uint32) for i in range(16)]
         gc.collect()
         gc.disable()
@@ -314,6 +315,10 @@ class TestCyclePass:
             for fed in (feeds, feeds[:2]):
                 run_pass_cycles(build_tree(8, 16), fed, 0.5)
                 assert gc.collect() == 0
+            monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 0)
+            with pytest.raises(StuckPassError):
+                run_pass_cycles(build_tree(8, 16), feeds)
+            assert gc.collect() == 0
         finally:
             gc.enable()
 
@@ -346,8 +351,11 @@ CROSS_TREES = {
 
 class TestCrossCheck:
     @settings(deadline=None)  # example count from the profile (tests/conftest.py)
-    @given(st.sampled_from(sorted(CROSS_TREES)), st.data())
-    def test_matches_cycle_stepped_oracle(self, name, data):
+    @given(st.sampled_from(sorted(CROSS_TREES)), st.sampled_from([1, 2, 3, mergetree.UNIT_FIFO_BLOCKS]),
+           st.data())
+    def test_matches_cycle_stepped_oracle(self, name, depth, data):
+        # shallow FIFOs make units wait for room far more often; one-block
+        # FIFOs can deadlock a pass, and then both must say so
         tree = CROSS_TREES[name]
         lengths = data.draw(st.lists(st.integers(0, 24), max_size=tree.leaves))
         lo = data.draw(st.integers(0, len(lengths)))  # a run of empty leaves
@@ -356,7 +364,16 @@ class TestCrossCheck:
         top = data.draw(st.sampled_from([3, 40, (1 << 32) - 1]))
         feeds = [np.sort(np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)),
                                   dtype=np.uint32)) for n in lengths]
-        res = run_pass_cycles(tree, feeds)
-        records, cycles, root_rate = cycle_stepped_pass(tree, feeds)
+        with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the fixture
+            for module in (mergetree, oracles):
+                patch.setattr(module, "UNIT_FIFO_BLOCKS", depth)
+            try:
+                records, cycles, root_rate = cycle_stepped_pass(tree, feeds)
+            except RuntimeError as err:
+                assert str(err).startswith("no progress")
+                with pytest.raises(StuckPassError):
+                    run_pass_cycles(tree, feeds)
+                return
+            res = run_pass_cycles(tree, feeds)
         np.testing.assert_array_equal(res.records, records)
         assert (res.cycles, res.root_active_rate) == (cycles, root_rate)
