@@ -27,6 +27,25 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(dataset.load(path), data)
 
 
+def test_load_memory_maps_read_only(tmp_path):
+    path = str(tmp_path / "d.bin")
+    dataset.save(dataset.generate(DatasetSpec(64, seed=5)), path)
+    got = dataset.load(path)
+    assert isinstance(got, np.memmap)
+    assert got.shape == (64, 2) and got.dtype == np.dtype("<u4")
+    assert not got.flags.writeable
+    with pytest.raises(ValueError):
+        got[0, 0] = 0
+
+
+def test_load_reads_little_endian_key_value_pairs(tmp_path):
+    path = tmp_path / "d.bin"
+    path.write_bytes(bytes([1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0xFF]))
+    np.testing.assert_array_equal(
+        dataset.load(str(path)), np.array([[1, 2], [0x80000000, 0xFFFFFFFF]], dtype=np.uint32)
+    )
+
+
 def test_generate_is_deterministic_per_seed():
     a = dataset.generate(DatasetSpec(5000, seed=9))
     np.testing.assert_array_equal(a, dataset.generate(DatasetSpec(5000, seed=9)))
