@@ -333,13 +333,13 @@ def _parse_sizes(text: str) -> list[int]:
 def cmd_sweep(args) -> int:
     app = load_config(args.config)
     sizes = args.sizes or [32 * (1 << 20) * (1 << i) for i in range(8)]  # 32 MB .. 4 GB
-    rows = []
+    rows, samples = [], {}  # every size shares the pass timings of one config
     for size in sizes:
         records = size // engine.RECORD_BYTES
         cfg = app.sort_config(records)
         try:
             plan = plan_sort(cfg, app.topo)
-            timing = build_timing(cfg, plan, app.topo, app.profile)
+            timing = build_timing(cfg, plan, app.topo, app.profile, samples)
         except CapacityError as exc:
             print(f"error: {size} B: {exc}", file=sys.stderr)
             return EXIT_DATA

@@ -373,7 +373,12 @@ def _balanced_feeds(leaves: int, runs: int, r_out: int) -> list[np.ndarray]:
     """
     keys = np.arange(r_out, dtype=np.uint32)
     quanta = max(1, leaves // runs)
-    return [q for r in range(runs) for q in np.array_split(keys[r::runs], quanta)]
+    feeds = []
+    for r in range(runs):
+        size, extra = divmod((r_out - r + runs - 1) // runs, quanta)  # np.array_split's rule
+        cuts = [r + runs * (q * size + min(q, extra)) for q in range(quanta + 1)]
+        feeds += [keys[lo:hi:runs] for lo, hi in zip(cuts, cuts[1:])]
+    return feeds
 
 
 def _group_cycles(tree: TreeSpec, runs: int, r_out: int, samples: Optional[dict] = None) -> int:
@@ -436,6 +441,7 @@ def build_timing(
     plan: SortPlan,
     topo: Optional[HbmTopology] = None,
     profile: Optional[BandwidthProfile] = None,
+    samples: Optional[dict] = None,
 ) -> RunTiming:
     """Model both phases from the plan's run lengths alone.
 
@@ -447,12 +453,13 @@ def build_timing(
     takes :func:`_group_cycles`, and each group boundary one tree depth.
     The pass takes the larger of those compute cycles and the cycles the
     memory system needs to stream its records in the phase's access
-    pattern and burst size.  Sample timings are shared by the passes of
-    one call only.
+    pattern and burst size.  Sample timings are memoised in `samples`:
+    a fresh memo per call by default, or one dict that a caller shares
+    across calls that model the same config.
     """
     topo = topo or HbmTopology()
     profile = profile or BandwidthProfile()
-    group_cycles = functools.partial(_group_cycles, samples={})
+    group_cycles = functools.partial(_group_cycles, samples={} if samples is None else samples)
     bytes_total = plan.records * RECORD_BYTES
 
     def phase(tree, run_lengths, records, pattern, burst, last_kind) -> PhaseTiming:

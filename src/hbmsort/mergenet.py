@@ -166,19 +166,20 @@ def bitonic_merge_blocks(a: Sequence[Record], b: Sequence[Record]) -> tuple[Reco
 class UnitPlans(NamedTuple):
     """Firing plans of a row of merge units of one rate.
 
-    Unit u's firings are entries ``start[u]`` to ``start[u + 1]`` of the
-    per-firing arrays.  Each pair holds one array per input side:
-    ``n[s][u]`` counts the records of unit u's input s, ``take[s][f]`` is
-    what firing f reads from input s and ``pos[s][f]`` what its unit has
-    read from it after the firing.  ``out[f]`` counts the records its unit
-    has emitted after firing f.
+    Unit u's ``fires[u]`` firings are entries ``start[u]`` to
+    ``start[u + 1]`` of the per-firing arrays.  Each of `n`, `take` and
+    `pos` has one row per input side: ``n[s][u]`` counts the records of
+    unit u's input s, ``take[s][f]`` is what firing f reads from input s
+    and ``pos[s][f]`` what its unit has read from it after the firing.
+    ``out[f]`` counts the records its unit has emitted after firing f.
     """
 
     rate: int
-    n: tuple[np.ndarray, np.ndarray]
+    n: np.ndarray
+    fires: np.ndarray
     start: np.ndarray
-    take: tuple[np.ndarray, np.ndarray]
-    pos: tuple[np.ndarray, np.ndarray]
+    take: np.ndarray
+    pos: np.ndarray
     out: np.ndarray
 
 
@@ -188,7 +189,7 @@ def plan_units(rate: int, ranks: np.ndarray, bounds: np.ndarray, merged: np.ndar
     Unit u reads inputs 2u and 2u+1, whose records have the ascending
     ranks ``ranks[bounds[i]:bounds[i + 1]]``, and ``merged[bounds[2u]:bounds[2u + 2]]``
     is its merged stream: the ranks of both inputs in ascending order.
-    Ranks are distinct and below ``len(merged)``.
+    The ranks are a permutation of ``range(len(merged))``.
 
     The firing rule, one E-block in and one E-block out per firing
     (E = `rate`):
@@ -204,79 +205,75 @@ def plan_units(rate: int, ranks: np.ndarray, bounds: np.ndarray, merged: np.ndar
     Padding orders after every record, so a firing that takes k records
     emits ``min(E, ret + k)`` and retains ``max(ret + k - E, 0)`` real
     records.  Only priming takes more than E, so the retained count never
-    grows after it: it is ``max(S, 0)``, S being the unit's running sum of
-    ``k - E``.
+    grows after it, and a unit has emitted ``min(read, E * firings)``
+    records after each firing.
 
-    Guard: emitting ``out`` records needs ``c0`` of them read from input 0
-    and ``out - c0`` from input 1, ``c0`` counting the input-0 records
+    One code per record, scattered by rank and gathered along the merged
+    streams, carries both what the block order and the guard need: the
+    record's input side, and at the head of a block after priming the
+    block's size.  The heads in merged order are the blocks in firing order.
+
+    Guard: emitting ``out`` records needs ``out - c1`` of them read from
+    input 0 and ``c1`` from input 1, ``c1`` counting the input-1 records
     among the first ``out`` of the merged stream; otherwise the unit
     emitted a record it has not read, and :class:`MergeOrderError` is
     raised.
     """
     _check_rate(rate, cap=None)
     E = rate
-    nin = np.diff(bounds)
-    n = nin[0::2], nin[1::2]
-    prime = (n[0] > 0) & (n[1] > 0)
-    lone = (n[0] == 0) & (n[1] == 0)
-    first = np.where(np.repeat(prime, 2), np.minimum(nin, E), 0)
-    blocks = -(-(nin - first) // E)
-    fires = blocks[0::2] + blocks[1::2] + 2 * prime + lone
-    start = np.concatenate(([0], np.cumsum(fires)))
+    nin = bounds[1:] - bounds[:-1]
+    n = nin.reshape(-1, 2).T
+    prime = np.minimum(*n) > 0
+    first = np.minimum(nin, E) * prime.repeat(2)
+    blocks = (nin - first + E - 1) // E
+    per_unit = blocks[0::2] + blocks[1::2]
+    fires = per_unit + 2 * prime
+    fires += np.maximum(*n) == 0  # both inputs empty: one firing finishes the unit
+    start = np.zeros(len(fires) + 1, dtype=np.intp)
+    fires.cumsum(out=start[1:])
     total = int(start[-1])
 
-    # The blocks after priming, taken in the order of their head ranks:
-    # the order in which the heads appear in the merged stream.  `head`
-    # indexes each block's first record in `ranks`; `block[r]` is one
-    # more than the index of the block whose head has rank r.
-    inp = np.repeat(np.arange(len(nin)), blocks)
-    head = np.arange(len(inp)) * E
-    head += np.repeat(bounds[:-1] + first - (np.cumsum(blocks) - blocks) * E, blocks)
-    block = np.zeros(len(merged), dtype=np.min_scalar_type(len(head)))
-    block[ranks[head]] = np.arange(1, len(head) + 1)
-    order = block[merged]
-    del block
-    order = order[order > 0] - 1
-    size = np.minimum(bounds[1:][inp] - head, E)[order]
-    from1 = (inp & 1)[order].astype(bool)
-    del inp, head, order
+    # Code 2 * size + side at each block head, side elsewhere; by input.
+    side = np.arange(len(nin)) & 1
+    code = side.astype(np.min_scalar_type(2 * E + 1)).repeat(nin)
+    ends = blocks.cumsum()
+    head = np.arange(0, E * int(ends[-1]), E)
+    head += (bounds[:-1] + first - (ends - blocks) * E).repeat(blocks)
+    size = (2 * E + side).repeat(blocks)
+    tails = blocks.nonzero()[0]  # the last block of an input may be short
+    size[ends[tails] - 1] = (2 * (nin - first - E * (blocks - 1)) + side)[tails]
+    code[head] = size
+    by_rank = np.empty_like(code)
+    by_rank[ranks] = code
+    stream = by_rank[merged]
+    del code, head, size, by_rank
+    heads = stream[(stream > 1).nonzero()[0]]  # the blocks after priming, in firing order
 
-    regular = np.ones(total, dtype=bool)  # not priming, flushing or finishing
-    regular[start[:-1][prime | lone]] = False
-    regular[start[1:][prime] - 1] = False
-    take, pos = [], []
-    for s, mine in enumerate((~from1, from1)):
-        k = np.zeros(total, dtype=np.int64)
-        k[regular] = np.where(mine, size, 0)
-        k[start[:-1][prime]] = np.minimum(n[s][prime], E)
-        p = np.cumsum(k)
-        p -= np.repeat(p[start[:-1]] - k[start[:-1]], fires)
-        take.append(k)
-        pos.append(p)
-    del size, from1, regular
-    # S = records read - E * firings so far; the unit retains max(S, 0)
-    held = np.arange(1, total + 1) - np.repeat(start[:-1], fires)
-    held *= -E
-    held += pos[0]
-    held += pos[1]
-    out = pos[0] + pos[1]
-    out -= np.maximum(held, 0, out=held)
-    del held
+    take = np.zeros((2, total), dtype=np.intp)
+    take[:, start[:-1][prime]] = first.reshape(-1, 2)[prime].T
+    regular = np.arange(len(heads))
+    regular += (start[:-1] + prime - ends[1::2] + per_unit).repeat(per_unit)
+    take[heads & 1, regular] = heads >> 1
+    del heads, regular
+    pos = take.copy()
+    pos[:, start[1:-1]] -= n[:, :-1]  # each unit reads all its input: restart the sums
+    pos.cumsum(axis=1, out=pos)
+    firings = np.arange(E, E * (total + 1), E)
+    firings -= (E * start[:-1]).repeat(fires)
+    out = np.minimum(pos[0] + pos[1], firings, out=firings)
 
-    is0 = np.empty(len(merged), dtype=bool)  # by rank: read from an input 0
-    is0[ranks] = np.repeat(np.arange(len(nin)) & 1 == 0, nin)
-    c0 = np.zeros(len(merged) + 1, dtype=np.int64)
-    np.cumsum(is0[merged], out=c0[1:])
-    lo = np.repeat(bounds[:-1:2], fires)
-    from0 = c0[lo + out] - c0[lo]
-    bad = np.flatnonzero((from0 > pos[0]) | (out - from0 > pos[1]))
+    c1 = np.zeros(len(merged) + 1, dtype=np.intp)  # input-1 records in merged prefixes
+    (stream & 1).cumsum(dtype=np.intp, out=c1[1:])
+    from1 = c1[bounds[:-1:2].repeat(fires) + out]
+    from1 -= c1[bounds[:-1:2]].repeat(fires)
+    bad = ((out - from1 > pos[0]) | (from1 > pos[1])).nonzero()[0]
     if len(bad):
         f = bad[0]
         raise MergeOrderError(
-            f"rate-{E} unit {np.searchsorted(start, f, 'right') - 1} emitted {out[f]} records "
+            f"rate-{E} unit {(start > f).nonzero()[0][0] - 1} emitted {out[f]} records "
             f"after reading {pos[0][f]} + {pos[1][f]}, not the head of its merged stream"
         )
-    return UnitPlans(E, n, start, tuple(take), tuple(pos), out)
+    return UnitPlans(E, n, fires, start, take, pos, out)
 
 
 def mms_merge_runs(

@@ -29,6 +29,14 @@ cycle once, in dependency order, so host time follows firings; stalls
 and idle leaf cycles cost nothing.  ``tests/oracles.py`` keeps a
 cycle-stepped tree as the reference.
 
+Each row of units is planned once, bottom up, together with the
+dependency columns between it and the row below (:func:`_plan_level`).
+Both columns are gathers from per-record maps over the row's inputs,
+each built by one linear count over a row's firings: for every record,
+the firing below that emits it and the firing above that reads it
+(:func:`_deps`).  ``tests/oracles.py`` keeps binary searches over the
+rows' running counts as the reference for the columns.
+
 Each unit is a generator that appends the cycles of its firings to its
 list of times, and the root's generator times the pass.  A firing that
 needs a producer time not yet known resumes that producer; the producer
@@ -157,10 +165,7 @@ def _feed_columns(run, leaf: int) -> tuple[np.ndarray, np.ndarray]:
             raise FeedFormatError(leaf, f"is not integer: {err}") from None
         except OverflowError:
             raise ValueError(f"feed {leaf} holds a key outside the 32-bit range") from None
-    keys, values = (run, np.zeros_like(run)) if run.ndim == 1 else (run[:, 0], run[:, 1])
-    if np.any(keys[1:] < keys[:-1]):
-        raise UnsortedFeedError(leaf)
-    return keys, values
+    return (run, np.zeros(len(run), run.dtype)) if run.ndim == 1 else (run[:, 0], run[:, 1])
 
 
 def _as_u32(col: np.ndarray, what: str) -> np.ndarray:
@@ -175,13 +180,20 @@ def _merge_feeds(tree: TreeSpec, feeds) -> tuple[np.ndarray, np.ndarray, list[in
     if len(feeds) > tree.leaves:
         raise TreeShapeError(f"{len(feeds)} feeds for a {tree.leaves}-leaf tree")
     cols = [_feed_columns(f, i) for i, f in enumerate(feeds)] or [_feed_columns([], 0)]
-    keys = _as_u32(np.concatenate([k for k, _ in cols]), "key")
+    lengths = [len(k) for k, _ in cols]
+    keys = np.concatenate([k for k, _ in cols])
+    down = keys[1:] < keys[:-1]
+    ends = np.cumsum(lengths)
+    down[ends[(0 < ends) & (ends < len(keys))] - 1] = False  # pairs across two feeds
+    if down.any():
+        raise UnsortedFeedError(int(np.count_nonzero(ends <= down.argmax())))
+    keys = _as_u32(keys, "key")
     values = _as_u32(np.concatenate([v for _, v in cols]), "value")
     comp = keys.astype(np.uint64) << 32 | np.arange(len(keys), dtype=np.uint64)
     comp.sort()  # unique (key, position) composites: a stable sort by key
     order = (comp & 0xFFFFFFFF).astype(np.intp)
     records = np.stack([(comp >> 32).astype(np.uint32), values[order]], axis=1)
-    return records, order, [len(k) for k, _ in cols]
+    return records, order, lengths
 
 
 @dataclass
@@ -293,53 +305,83 @@ def _pull(kid: _Unit, need: int, level: int, index: int, firing: int):
 
 
 
-def _by_node(leaf: np.ndarray, shift: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _by_node(leaf: np.ndarray, lengths: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
     """Ranks grouped by the node ``leaf >> shift`` they pass through, each
-    group ascending, and the group bounds (``nodes + 1`` offsets)."""
-    node = leaf >> shift
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(node, minlength=nodes))))
-    return np.argsort(node, kind="stable"), bounds
+    group ascending, and the group bounds: the feed `lengths` summed over
+    the leaves under each node."""
+    bounds = np.zeros(len(lengths) // (1 << shift) + 1, dtype=np.intp)
+    lengths.reshape(len(bounds) - 1, -1).sum(axis=1).cumsum(out=bounds[1:])
+    return (leaf >> shift).argsort(kind="stable"), bounds
 
 
-def _input_deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray) -> list[np.ndarray]:
-    """For each firing and input, the index into the producer's times that
-    the firing waits on: the producer's firing that emits the last record
-    the firing takes (or the unselected input's head), or its finish
+def _counts(at: np.ndarray, regions: np.ndarray, events: np.ndarray, slots: int,
+            first: int) -> np.ndarray:
+    """A map of running counts over regions of `slots` slots: entry
+    ``regions[c] + i`` is 0 for ``i < first`` and otherwise one more than
+    the entries of `at` in ``regions[c]..regions[c] + i``, of which there
+    are ``events[c]`` in all."""
+    hist = np.bincount(at.ravel(), minlength=slots)
+    hist[regions + first] += 1
+    hist[regions[1:]] -= events[:-1] + 1
+    return hist.cumsum(out=hist)
+
+
+def _deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray):
+    """The dependency columns between the row `plan` plans and the row
+    `below` it, gathered from two per-record maps over the row's inputs.
+    Input c is unit c below; its records are ``bounds[c]`` to
+    ``bounds[c + 1]`` of the row's input records.
+
+    Returns the input deps of each firing of `plan`, one row per input
+    side: the index into the producer's times that the firing waits on.
+    That is the producer firing that emits the last record the firing
+    takes (or the unselected input's head), or the producer's finish
     (index ``fires + 1``) when the firing needs the FIFO closed: to take a
-    short tail, to see an input exhausted, or to flush."""
-    units = np.repeat(np.arange(len(plan.start) - 1), np.diff(plan.start))
-    below_fires = np.diff(below.start)
-    emitted = below.out + np.repeat(bounds[:-1], below_fires)
-    deps = []
-    for s in (0, 1):
-        k, pos, kid = plan.take[s], plan.pos[s], 2 * units + s
-        closed = np.where(k > 0, k < plan.rate, pos == plan.n[s][units])
-        last = np.searchsorted(emitted, bounds[kid] + pos + (k == 0))
-        deps.append(np.where(closed, below_fires[kid] + 1, last - below.start[kid] + 1))
-    return deps
+    short tail, to see an input exhausted, or to flush.  The emitter map
+    has ``n_c + 1`` slots for input c: slot i holds one more than the
+    firings of unit c that emit at most i records, which is the index of
+    the firing that emits record i, and slot ``n_c`` the finish.  A firing
+    that takes a full block waits on record ``pos - 1`` of that input;
+    any other firing on record ``pos``, its head, or on the finish past
+    the last record.
 
+    Then the room deps of each firing of `below`, and of each unit's
+    finish after all its records: the index into the parent's times that
+    it waits on for FIFO room, the parent firing after which the FIFO
+    holds at most ``cap - E`` records (0: none).  The parent fires first
+    in a cycle, so the two may share a cycle.  Slot m of input c's region
+    of the reader map is the index of the first parent firing that has
+    read m records of it, and 0 for m = 0.  With a FIFO smaller than a
+    block a need can exceed the input's records: the map then gives the
+    parent's finish, which waits on this unit's own finish, so the pass is
+    stuck as it should be.
+    """
+    E, kids = plan.rate, len(bounds) - 1
+    emits = bounds[:-1] + np.arange(kids)
+    emitter = _counts(below.out + emits.repeat(below.fires), emits, below.fires,
+                      bounds[-1] + kids, 0)
+    need = plan.pos - (plan.take == E)
+    need += emits.reshape(-1, 2).T.repeat(plan.fires, axis=1)
+    inputs = emitter[need]
+    del emitter, need
 
-def _room_deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each firing of the units below `plan`, the index into the
-    parent's times that it waits on for FIFO room: the parent firing after
-    which the FIFO holds at most ``cap - E`` records (0: none).  The parent
-    fires first in a cycle, so the two may share a cycle.  Then the same
-    for each unit's finish, after all its records."""
-    cap = UNIT_FIFO_BLOCKS * plan.rate
-    kids = np.arange(len(below.start) - 1)
-    fires = np.diff(below.start)
-    before = np.concatenate(([0], below.out[:-1]))
-    before[below.start[:-1]] = 0
-    need = np.concatenate((before, below.n[0] + below.n[1])) - cap + below.rate
-    kid = np.concatenate((np.repeat(kids, fires), kids))
-    room = np.zeros(len(need), dtype=np.int64)
-    units = np.repeat(np.arange(len(plan.start) - 1), np.diff(plan.start))
-    for s in (0, 1):
-        read = plan.pos[s] + bounds[2 * units + s]
-        mine = np.flatnonzero(((kid & 1) == s) & (need > 0))
-        room[mine] = (np.searchsorted(read, bounds[kid[mine]] + need[mine])
-                      - plan.start[kid[mine] >> 1] + 1)
-    return room[: len(before)], room[len(before):]
+    slack = UNIT_FIFO_BLOCKS * E - below.rate  # room needs records before a firing - slack
+    width = 1 + max(1, -slack)
+    reads = bounds[:-1] + width * np.arange(kids)
+    at = plan.pos + 1
+    at += reads.reshape(-1, 2).T.repeat(plan.fires, axis=1)
+    reader = _counts(at, reads, plan.fires.repeat(2), bounds[-1] + width * kids, 1)
+    del at
+    need = np.empty_like(below.out)
+    need[0] = 0
+    need[1:] = below.out[:-1]
+    need[below.start[:-1]] = 0  # the records each unit below emitted before the firing
+    need -= slack
+    np.maximum(need, 0, out=need)
+    need += reads.repeat(below.fires)
+    room = reader[need]
+    close_room = reader[reads + np.maximum(bounds[1:] - bounds[:-1] - slack, 0)]
+    return inputs, room, close_room
 
 
 def run_pass_cycles(
@@ -348,21 +390,22 @@ def run_pass_cycles(
     """Time one pass; returns the merged run, its cycles and the average
     root emission rate in records per cycle.
 
-    Each unit's firings are planned from the ranks (see
-    :func:`~hbmsort.mergenet.plan_units`).  A firing happens at the
-    earliest cycle at which the cycle-stepped hardware would fire it,
-    ``t_f = max(t_{f-1} + 1, producer + 1, parent read)``: one cycle after
-    the producer firing that emits the last record it needs (or closes the
-    FIFO), and not before the parent firing that leaves room in its FIFO.
-    One generator per unit (:func:`_timing`) computes every firing's cycle
-    once, in dependency order.  The root's generator times the pass: it
-    resumes a producer when a firing needs the producer's times, and a
-    producer hands control back when one of its firings waits for room.
-    Units over leaf ports run the same generator over :data:`_LEAF`.  Raises
-    :class:`StuckPassError` if some firing can never become ready.  With
-    `feed_rate_per_leaf`, a supply all leaves share, the cycles are at
-    least ``ceil(n / (feed_rate_per_leaf * leaves))``, computed exactly;
-    the firings are the unlimited pass's.
+    Each row of units is planned from the ranks, with the dependency
+    columns between it and the row below (:func:`_plan_level`).  A firing
+    happens at the earliest cycle at which the cycle-stepped hardware
+    would fire it, ``t_f = max(t_{f-1} + 1, producer + 1, parent read)``:
+    one cycle after the producer firing that emits the last record it
+    needs (or closes the FIFO), and not before the parent firing that
+    leaves room in its FIFO.  One generator per unit (:func:`_timing`)
+    computes every firing's cycle once, in dependency order.  The root's
+    generator times the pass: it resumes a producer when a firing needs
+    the producer's times, and a producer hands control back when one of
+    its firings waits for room.  Units over leaf ports run the same
+    generator over :data:`_LEAF`.  Raises :class:`StuckPassError` if some
+    firing can never become ready.  With `feed_rate_per_leaf`, a supply
+    all leaves share, the cycles are at least
+    ``ceil(n / (feed_rate_per_leaf * leaves))``, computed exactly; the
+    firings are the unlimited pass's.
     """
     if feed_rate_per_leaf is not None and not 0 < feed_rate_per_leaf < math.inf:
         raise ValueError(f"feed_rate_per_leaf must be positive and finite, got {feed_rate_per_leaf}")
@@ -370,48 +413,51 @@ def run_pass_cycles(
     total = len(order)
     if total == 0:
         return PassResult(records, 0, 0.0)
-    lengths += [0] * (tree.leaves - len(lengths))
+    lengths = np.array(lengths + [0] * (tree.leaves - len(lengths)))
     leaf_ids = np.arange(tree.leaves, dtype=np.min_scalar_type(tree.leaves))
-    leaf = np.repeat(leaf_ids, lengths)[order]  # leaf of each rank
+    leaf = leaf_ids.repeat(lengths)[order]  # leaf of each rank
 
-    ranks, bounds = _by_node(leaf, 0, tree.leaves)
+    ranks = np.empty_like(order)  # by input position: each feed's ranks ascend
+    ranks[order] = np.arange(total)
+    bounds = np.zeros(tree.leaves + 1, dtype=np.intp)
+    lengths.cumsum(out=bounds[1:])
     below, kids = None, [_LEAF] * tree.leaves
     for j in range(tree.depth - 1, -1, -1):  # bottom level first
-        merged = _by_node(leaf, tree.depth - j, len(tree.levels[j]))
-        plan = plan_units(tree.levels[j][0], ranks, bounds, merged[0])
-        kids = _link(j, plan, below, kids, bounds)
-        below = plan
+        merged = _by_node(leaf, lengths, tree.depth - j)
+        below, kids = _plan_level(j, tree.levels[j][0], ranks, bounds, merged[0], below, kids)
         ranks, bounds = merged
 
     root = kids[0]
     root.run = _timing(root.times, _ALWAYS, repeat(0, root.fires), 0, *root.inputs)
     next(root.run, None)  # the root never waits for room: this times all of it
-    last = int(np.flatnonzero(np.diff(below.out, prepend=0))[-1])  # the root's last emission
+    last = int((below.out == total).argmax())  # the root's last firing that emits records
     cycles = root.times[last + 1]
     if feed_rate_per_leaf is not None:
         cycles = max(cycles, math.ceil(total / (Fraction(feed_rate_per_leaf) * tree.leaves)))
     return PassResult(records, cycles, total / cycles)
 
 
-def _link(level: int, plan: UnitPlans, below: Optional[UnitPlans], kids: list[_Unit],
-          bounds: np.ndarray) -> list[_Unit]:
-    """Build the row of units `plan` plans over `kids`, the units `below`
-    plans (leaf ports when `below` is None), and start the kids, which
-    wait on the row for FIFO room."""
-    fires = np.diff(plan.start).tolist()
+def _plan_level(level: int, rate: int, ranks: np.ndarray, bounds: np.ndarray, merged: np.ndarray,
+                below: Optional[UnitPlans], kids: list[_Unit]) -> tuple[UnitPlans, list[_Unit]]:
+    """Plan the row of units of `rate` on `level` over `kids`, the units
+    `below` plans (leaf ports when `below` is None), with the dependency
+    columns between the two rows (:func:`_deps`).  Returns the plan and
+    the row's units; the kids are started and wait on the row for room."""
+    plan = plan_units(rate, ranks, bounds, merged)
+    fires = plan.fires.tolist()
     if below is None:  # leaf ports are always full
         deps = [[repeat(0, f) for f in fires] for _ in (0, 1)]
     else:
-        deps = [_per_unit(d, plan.start) for d in _input_deps(plan, below, bounds)]
+        inputs, room, close_room = _deps(plan, below, bounds)
+        deps = [_per_unit(d, plan.start) for d in inputs]
     row = []
-    for u, (f, d0, d1, n0, n1) in enumerate(zip(fires, *deps, plan.n[0].tolist(), plan.n[1].tolist())):
+    for u, (f, d0, d1, n0, n1) in enumerate(zip(fires, *deps, *plan.n.tolist())):
         closer = kids[2 * u + (n0 == 0)] if (n0 == 0) != (n1 == 0) else None  # passed through
         row.append(_Unit(f, (kids[2 * u], kids[2 * u + 1], d0, d1, closer, level, u)))
     if below is not None:
-        room, close_room = _room_deps(plan, below, bounds)
         for k, (kid, r, c) in enumerate(zip(kids, _per_unit(room, below.start), close_room.tolist())):
             kid.run = _timing(kid.times, row[k // 2].times, r, c, *kid.inputs)
-    return row
+    return plan, row
 
 
 def _per_unit(column: np.ndarray, start: np.ndarray) -> list[memoryview]:

@@ -2,9 +2,10 @@
 
 These deliberately use different algorithms from the code under test:
 element-wise two-pointer merging instead of compare-swap networks, a heap
-instead of a unit tree, plain grid enumeration for the floorplanner, and
-a cycle-stepped tree of stateful merge units instead of firing plans
-timed in dependency order.
+instead of a unit tree, plain grid enumeration for the floorplanner, a
+cycle-stepped tree of stateful merge units instead of firing plans timed
+in dependency order, and binary searches over a row's running counts
+instead of per-record maps for the dependency columns between two rows.
 """
 
 import heapq
@@ -287,3 +288,48 @@ def cycle_stepped_pass(tree, feeds):
         for unit in units[1:]:
             unit.fire()
     return records, last_emit, total / last_emit
+
+
+# ----------------------------------------------------------------------
+# Dependency columns between two rows of firing plans, by binary search.
+# ----------------------------------------------------------------------
+
+def searchsorted_input_deps(plan, below, bounds):
+    """For each firing and input, the index into the producer's times that
+    the firing waits on: the producer's firing that emits the last record
+    the firing takes (or the unselected input's head), or its finish
+    (index ``fires + 1``) when the firing needs the FIFO closed: to take a
+    short tail, to see an input exhausted, or to flush."""
+    units = np.repeat(np.arange(len(plan.start) - 1), np.diff(plan.start))
+    below_fires = np.diff(below.start)
+    emitted = below.out + np.repeat(bounds[:-1], below_fires)
+    deps = []
+    for s in (0, 1):
+        k, pos, kid = plan.take[s], plan.pos[s], 2 * units + s
+        closed = np.where(k > 0, k < plan.rate, pos == plan.n[s][units])
+        last = np.searchsorted(emitted, bounds[kid] + pos + (k == 0))
+        deps.append(np.where(closed, below_fires[kid] + 1, last - below.start[kid] + 1))
+    return deps
+
+
+def searchsorted_room_deps(plan, below, bounds):
+    """For each firing of the units below `plan`, the index into the
+    parent's times that it waits on for FIFO room: the parent firing after
+    which the FIFO holds at most ``cap - E`` records (0: none).  Then the
+    same for each unit's finish, after all its records.  A need past the
+    unit's records points past the parent's last firing."""
+    cap = UNIT_FIFO_BLOCKS * plan.rate
+    kids = np.arange(len(below.start) - 1)
+    fires = np.diff(below.start)
+    before = np.concatenate(([0], below.out[:-1]))
+    before[below.start[:-1]] = 0
+    need = np.concatenate((before, below.n[0] + below.n[1])) - cap + below.rate
+    kid = np.concatenate((np.repeat(kids, fires), kids))
+    room = np.zeros(len(need), dtype=np.int64)
+    units = np.repeat(np.arange(len(plan.start) - 1), np.diff(plan.start))
+    for s in (0, 1):
+        read = plan.pos[s] + bounds[2 * units + s]
+        mine = np.flatnonzero(((kid & 1) == s) & (need > 0))
+        room[mine] = (np.searchsorted(read, bounds[kid[mine]] + need[mine])
+                      - plan.start[kid[mine] >> 1] + 1)
+    return room[: len(before)], room[len(before):]

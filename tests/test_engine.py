@@ -308,6 +308,54 @@ class TestGroupCycles:
         engine.build_timing(cfg, plan_sort(cfg))
         assert timed[len(first):] == first
 
+    def test_sweep_times_each_sample_once(self, monkeypatch, capsys):
+        # the sweep's sizes share one memo: 12 distinct samples, where a
+        # memo per size times 60
+        timed = []
+
+        def counting(tree, feeds, *args, **kwargs):
+            timed.append((tree, tuple(len(f) for f in feeds), tuple(int(f[0]) for f in feeds if len(f))))
+            return run_pass_cycles(tree, feeds, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_pass_cycles", counting)
+        assert cli.main(["sweep"]) == cli.EXIT_OK
+        assert len(timed) == len(set(timed)) == 12
+
+
+def _array_split_feeds(leaves, runs, r_out):
+    """The balanced feeds cut with ``np.array_split``, one call per run."""
+    keys = np.arange(r_out, dtype=np.uint32)
+    return [q for r in range(runs) for q in np.array_split(keys[r::runs], max(1, leaves // runs))]
+
+
+class TestBalancedFeeds:
+    def _check(self, leaves, runs, r_out):
+        got, want = engine._balanced_feeds(leaves, runs, r_out), _array_split_feeds(leaves, runs, r_out)
+        assert len(got) == len(want), (leaves, runs, r_out)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), (leaves, runs, r_out)
+
+    def test_every_feed_of_the_default_sweep(self, monkeypatch, capsys):
+        reached, cut = set(), engine._balanced_feeds
+
+        def recording(*args):
+            reached.add(args)
+            return cut(*args)
+
+        monkeypatch.setattr(engine, "_balanced_feeds", recording)
+        assert cli.main(["sweep"]) == cli.EXIT_OK
+        assert len(reached) == 12
+        for args in reached:
+            self._check(*args)
+
+    @pytest.mark.parametrize("leaves", [2, 16, 64])
+    def test_ragged_counts(self, leaves):
+        # runs that do not divide the leaves, and records that do not
+        # divide into runs or quanta
+        for runs in range(1, leaves + 1):
+            for r_out in {runs, runs + 1, 2 * runs - 1, 97, 4099}:
+                self._check(leaves, runs, r_out)
+
 
 class TestInputValidation:
     def test_negative_key_rejected(self):

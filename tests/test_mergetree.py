@@ -349,6 +349,18 @@ CROSS_TREES = {
 }
 
 
+def draw_ragged_feeds(data, tree):
+    """Sorted feeds of 0-24 records for some leaves of `tree`, with a run of
+    empty leaves, over a key range that makes ties rare or common."""
+    lengths = data.draw(st.lists(st.integers(0, 24), max_size=tree.leaves))
+    lo = data.draw(st.integers(0, len(lengths)))  # a run of empty leaves
+    hi = data.draw(st.integers(lo, len(lengths)))
+    lengths[lo:hi] = [0] * (hi - lo)
+    top = data.draw(st.sampled_from([3, 40, (1 << 32) - 1]))
+    return [np.sort(np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)),
+                             dtype=np.uint32)) for n in lengths]
+
+
 class TestCrossCheck:
     @settings(deadline=None)  # example count from the profile (tests/conftest.py)
     @given(st.sampled_from(sorted(CROSS_TREES)), st.sampled_from([1, 2, 3, mergetree.UNIT_FIFO_BLOCKS]),
@@ -357,13 +369,7 @@ class TestCrossCheck:
         # shallow FIFOs make units wait for room far more often; one-block
         # FIFOs can deadlock a pass, and then both must say so
         tree = CROSS_TREES[name]
-        lengths = data.draw(st.lists(st.integers(0, 24), max_size=tree.leaves))
-        lo = data.draw(st.integers(0, len(lengths)))  # a run of empty leaves
-        hi = data.draw(st.integers(lo, len(lengths)))
-        lengths[lo:hi] = [0] * (hi - lo)
-        top = data.draw(st.sampled_from([3, 40, (1 << 32) - 1]))
-        feeds = [np.sort(np.array(data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n)),
-                                  dtype=np.uint32)) for n in lengths]
+        feeds = draw_ragged_feeds(data, tree)
         with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the fixture
             for module in (mergetree, oracles):
                 patch.setattr(module, "UNIT_FIFO_BLOCKS", depth)
@@ -377,3 +383,37 @@ class TestCrossCheck:
             res = run_pass_cycles(tree, feeds)
         np.testing.assert_array_equal(res.records, records)
         assert (res.cycles, res.root_active_rate) == (cycles, root_rate)
+
+    @settings(deadline=None)
+    @given(st.sampled_from(sorted(CROSS_TREES)), st.sampled_from([0, 1, 2, 8]), st.data())
+    def test_dependency_columns_match_binary_search(self, name, depth, data):
+        # the per-record maps against binary searches over each row's running
+        # counts; without FIFO room a need can exceed a unit's records, and
+        # then both must point past the parent's last firing (a stuck wait)
+        tree = CROSS_TREES[name]
+        feeds = draw_ragged_feeds(data, tree)
+        rows, deps = [], mergetree._deps
+
+        def recording(plan, below, bounds):
+            rows.append((plan, below, bounds, deps(plan, below, bounds)))
+            return rows[-1][-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mergetree, "_deps", recording)
+            for module in (mergetree, oracles):
+                patch.setattr(module, "UNIT_FIFO_BLOCKS", depth)
+            try:
+                run_pass_cycles(tree, feeds)
+            except StuckPassError:  # the columns are computed before any firing is timed
+                pass
+            assert len(rows) == (tree.depth - 1 if sum(map(len, feeds)) else 0)
+            for plan, below, bounds, (inputs, room, close_room) in rows:
+                for got, want in zip(inputs, oracles.searchsorted_input_deps(plan, below, bounds)):
+                    np.testing.assert_array_equal(got, want)
+                parent_fires = plan.fires[np.arange(len(below.fires)) >> 1]
+                want_room, want_close = oracles.searchsorted_room_deps(plan, below, bounds)
+                for got, want, fires in ((room, want_room, parent_fires.repeat(below.fires)),
+                                         (close_room, want_close, parent_fires)):
+                    stuck = want > fires
+                    np.testing.assert_array_equal(got[~stuck], want[~stuck])
+                    assert (got[stuck] > fires[stuck]).all()
