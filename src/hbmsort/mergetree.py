@@ -29,13 +29,10 @@ cycle once, in dependency order, so host time follows firings; stalls
 and idle leaf cycles cost nothing.  ``tests/oracles.py`` keeps a
 cycle-stepped tree as the reference.
 
-Each row of units is planned once, bottom up, together with the
-dependency columns between it and the row below (:func:`_plan_level`).
-Both columns are gathers from per-record maps over the row's inputs,
-each built by one linear count over a row's firings: for every record,
-the firing below that emits it and the firing above that reads it
-(:func:`_deps`).  ``tests/oracles.py`` keeps binary searches over the
-rows' running counts as the reference for the columns.
+Each row of units is planned once, bottom up, with the dependency
+columns between it and the row below (:func:`_plan_level`): gathers from
+per-record maps, built by one count over a row's firings, of the firing
+below that emits each record and the firing above that reads it.
 
 Each unit is a generator that appends the cycles of its firings to its
 list of times, and the root's generator times the pass.  A firing that
@@ -328,33 +325,24 @@ def _counts(at: np.ndarray, regions: np.ndarray, events: np.ndarray, slots: int,
 
 def _deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray):
     """The dependency columns between the row `plan` plans and the row
-    `below` it, gathered from two per-record maps over the row's inputs.
-    Input c is unit c below; its records are ``bounds[c]`` to
-    ``bounds[c + 1]`` of the row's input records.
+    `below` it, gathered from per-record maps over the row's inputs (input
+    c is unit c below, its records ``bounds[c]`` to ``bounds[c + 1]``).
 
-    Returns the input deps of each firing of `plan`, one row per input
-    side: the index into the producer's times that the firing waits on.
-    That is the producer firing that emits the last record the firing
-    takes (or the unselected input's head), or the producer's finish
-    (index ``fires + 1``) when the firing needs the FIFO closed: to take a
-    short tail, to see an input exhausted, or to flush.  The emitter map
-    has ``n_c + 1`` slots for input c: slot i holds one more than the
-    firings of unit c that emit at most i records, which is the index of
-    the firing that emits record i, and slot ``n_c`` the finish.  A firing
-    that takes a full block waits on record ``pos - 1`` of that input;
-    any other firing on record ``pos``, its head, or on the finish past
-    the last record.
+    Input deps, one row per input side of each firing of `plan`: the index
+    into the producer's times of the firing that emits the last record the
+    firing takes (record ``pos - 1`` for a full block) or the unselected
+    input's head (record ``pos``), or of the producer's finish
+    (``fires + 1``) when the firing needs the FIFO closed.  Slot i of the
+    emitter map is one more than the producer's firings that emit at most
+    i records; slot ``n_c``, past the last record, is the finish.
 
-    Then the room deps of each firing of `below`, and of each unit's
-    finish after all its records: the index into the parent's times that
-    it waits on for FIFO room, the parent firing after which the FIFO
-    holds at most ``cap - E`` records (0: none).  The parent fires first
-    in a cycle, so the two may share a cycle.  Slot m of input c's region
-    of the reader map is the index of the first parent firing that has
-    read m records of it, and 0 for m = 0.  With a FIFO smaller than a
-    block a need can exceed the input's records: the map then gives the
-    parent's finish, which waits on this unit's own finish, so the pass is
-    stuck as it should be.
+    Room deps of each firing of `below`, then of each unit's finish: the
+    index into the parent's times of the firing after which the FIFO
+    holds at most ``cap - E`` records (0: none; the parent fires first in
+    a cycle).  Slot m of the reader map is the first parent firing that
+    has read m records of the input.  A need past the input's records,
+    possible only with a FIFO smaller than a block, maps to the parent's
+    finish, which waits on this unit's: the pass is stuck.
     """
     E, kids = plan.rate, len(bounds) - 1
     emits = bounds[:-1] + np.arange(kids)
