@@ -4,8 +4,8 @@ Each record is a 4-byte unsigned key followed by a 4-byte payload.  The
 benchmark generator emits keys 1..N shuffled by a seeded permutation so a
 sorted result can be verified as exactly 1..N; payloads are derived from
 the key so value integrity survives any reordering check.  The other
-distributions (:data:`DISTRIBUTIONS`) vary the input order and the number
-of distinct keys.
+distributions (:data:`DISTRIBUTIONS`) vary the input order, the number
+of distinct keys and how often each recurs.
 """
 
 from __future__ import annotations
@@ -20,9 +20,17 @@ from .mergenet import MAX_KEY, RECORD_BYTES
 _VALUE_MASK = 0xA5A5A5A5
 
 #: Key distributions: ``permutation`` (1..N shuffled), ``uniform`` (random
-#: 32-bit keys), ``sorted`` (1..N ascending), ``reverse`` (N..1) and
-#: ``few`` (16 distinct keys spread over the key range, MAX_KEY included).
-DISTRIBUTIONS = ("permutation", "uniform", "sorted", "reverse", "few")
+#: 32-bit keys), ``sorted`` (1..N ascending), ``reverse`` (N..1), ``few``
+#: (16 distinct keys spread over the key range, MAX_KEY included) and
+#: ``zipf`` (:data:`ZIPF_KEYS` keys spread over the key range, MAX_KEY
+#: included, the k-th most frequent drawn with weight ``k ** -ZIPF_EXPONENT``
+#: and placed in the range by the seed).
+DISTRIBUTIONS = ("permutation", "uniform", "sorted", "reverse", "few", "zipf")
+
+#: Support and exponent of the ``zipf`` distribution: the multiples of
+#: ``MAX_KEY // (ZIPF_KEYS - 1)`` up to MAX_KEY, so that no key wraps.
+ZIPF_KEYS = 1 << 16
+ZIPF_EXPONENT = 1.0
 
 
 class DatasetFormatError(ValueError):
@@ -58,8 +66,13 @@ def generate(spec: DatasetSpec) -> np.ndarray:
         keys = ascending
     elif spec.distribution == "reverse":
         keys = ascending[::-1]
-    else:
+    elif spec.distribution == "few":
         keys = rng.integers(0, 16, size=spec.records, dtype=np.uint32) * np.uint32(0x11111111)
+    else:
+        cdf = np.cumsum(np.arange(1, ZIPF_KEYS + 1, dtype=np.float64) ** -ZIPF_EXPONENT)
+        popularity = cdf.searchsorted(rng.random(spec.records) * cdf[-1])
+        spread = rng.permutation(ZIPF_KEYS).astype(np.uint32) * np.uint32(MAX_KEY // (ZIPF_KEYS - 1))
+        keys = spread[popularity]
     out[:, 0] = keys
     out[:, 1] = keys ^ _VALUE_MASK
     return out

@@ -36,13 +36,14 @@ below that emits each record and the firing above that reads it.
 
 Each unit is a generator that appends the cycles of its firings to its
 list of times, and the root's generator times the pass.  A firing that
-needs a producer time not yet known resumes that producer; the producer
-hands control back once one of its own firings waits for FIFO room its
-parent has not yet freed.  Leaf ports are always full, so a unit over
-leaf ports runs the same generator over producers whose only time is
-cycle 0.  A pass fed at a limited rate takes the larger of its compute
-cycles and its records over the supply that all leaves share, as the
-engine bounds a pass.
+needs a producer time not yet known resumes that producer in place; the
+producer hands control back once one of its own firings waits for FIFO
+room its parent has not yet freed.  Leaf ports are always full and
+closed from the start, so a unit over leaf ports waits on no producer:
+its generator is a loop of room waits alone, ``t_f = max(t_{f-1} + 1,
+T_parent)``, and it finishes with its last firing.  A pass fed at a
+limited rate takes the larger of its compute cycles and its records over
+the supply that all leaves share, as the engine bounds a pass.
 :func:`run_pass_functional` only validates and sorts the feeds.
 """
 
@@ -228,8 +229,9 @@ class _Unit:
     `inputs` holds the arguments of :func:`_timing` that come from the row
     below: the two producers, the per-firing indices into their times, the
     producer whose FIFO the unit passes through (if any) and where the unit
-    sits.  Once its parent is built, `run` is the generator that appends
-    to `times`.
+    sits.  A unit over leaf ports has none; it waits only for room
+    (:func:`_room_timing`).  Once its parent is built, `run` is the
+    generator that appends to `times` (:func:`_start`).
     """
 
     __slots__ = ("fires", "times", "inputs", "run")
@@ -238,9 +240,37 @@ class _Unit:
         self.fires, self.times, self.inputs, self.run = fires, [0], inputs, None
 
 
-#: A leaf port: always full and closed, so a firing over it waits on
-#: nothing (index 0) and it closes before any firing (index ``fires + 1``).
-_LEAF = _Unit(-1)
+def _start(unit: _Unit, tp: list, rooms, close_room: int):
+    """Make the generator that times `unit` against its parent's times `tp`."""
+    if unit.inputs:
+        unit.run = _timing(unit.times, tp, rooms, close_room, *unit.inputs)
+    else:
+        unit.run = _room_timing(unit.times, tp, rooms)
+
+
+def _room_timing(times, tp, rooms):
+    """Time the firings of a unit over leaf ports into `times`.  Leaf ports
+    are always full and closed, so firing f waits only for room:
+
+        t_f = max(t_{f-1} + 1, tp[r])
+
+    for its index r into the parent's times `tp`; the generator yields
+    while ``tp[r]`` is not known.  The unit finishes with its last firing:
+    a leaf port closes at cycle 0, before any firing.
+    """
+    t = 0
+    known = 1  # a lower bound of len(tp): times only grow
+    for r in rooms:
+        if r >= known:
+            while r >= len(tp):
+                yield
+            known = len(tp)
+        t += 1
+        room = tp[r]
+        if room > t:
+            t = room
+        times.append(t)
+    times.append(t)
 
 
 def _timing(times, tp, rooms, close_room, k0, k1, deps0, deps1, closer, level, index):
@@ -250,15 +280,19 @@ def _timing(times, tp, rooms, close_room, k0, k1, deps0, deps1, closer, level, i
 
     for its index r into the parent's times `tp` (the room wait) and its
     indices a and b into the times of producers `k0` and `k1`.  While
-    ``tp[r]`` is not known the generator yields; a producer time not yet
-    known is pulled from the producer first.  A unit that passes the FIFO
-    of `closer` through finishes only once that FIFO has closed, with one
-    more firing if it closes after the unit's last take.
+    ``tp[r]`` is not known the generator yields; while a producer time is
+    not known it resumes the producer's generator in place, room first,
+    then producer 0, then producer 1.  A producer that yields without
+    progress waits on this firing or a later one: the pass is stuck.  A
+    unit that passes the FIFO of `closer` through finishes only once that
+    FIFO has closed, with one more firing if it closes after the unit's
+    last take.
 
     The generator holds time lists and producers, never its own unit or
     its parent, so the units of a pass form no reference cycle.
     """
     t0, t1 = k0.times, k1.times
+    run0, run1 = k0.run, k1.run
     t = 0
     known_p = known0 = known1 = 1  # lower bounds of the lengths: times only grow
     for r, a, b in zip(rooms, deps0, deps1):
@@ -267,18 +301,29 @@ def _timing(times, tp, rooms, close_room, k0, k1, deps0, deps1, closer, level, i
                 yield
             known_p = len(tp)
         if a >= known0:
-            _pull(k0, a, level, index, len(times) - 1)
+            while a >= len(t0):
+                known0 = len(t0)
+                next(run0, None)  # a producer may time everything without yielding
+                if len(t0) == known0:
+                    raise StuckPassError(level, index, len(times) - 1)
             known0 = len(t0)
         if b >= known1:
-            _pull(k1, b, level, index, len(times) - 1)
+            while b >= len(t1):
+                known1 = len(t1)
+                next(run1, None)
+                if len(t1) == known1:
+                    raise StuckPassError(level, index, len(times) - 1)
             known1 = len(t1)
         t += 1
-        if t0[a] >= t:
-            t = t0[a] + 1
-        if t1[b] >= t:
-            t = t1[b] + 1
-        if tp[r] > t:
-            t = tp[r]
+        ready = t0[a]
+        if ready >= t:
+            t = ready + 1
+        ready = t1[b]
+        if ready >= t:
+            t = ready + 1
+        ready = tp[r]
+        if ready > t:
+            t = ready
         times.append(t)
     if closer is not None:
         _pull(closer, closer.fires + 1, level, index, len(times) - 1)
@@ -299,7 +344,6 @@ def _pull(kid: _Unit, need: int, level: int, index: int, firing: int):
         next(kid.run, None)  # a kid may time everything without yielding
         if len(times) == known:
             raise StuckPassError(level, index, firing)
-
 
 
 def _by_node(leaf: np.ndarray, lengths: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
@@ -386,14 +430,14 @@ def run_pass_cycles(
     needs (or closes the FIFO), and not before the parent firing that
     leaves room in its FIFO.  One generator per unit (:func:`_timing`)
     computes every firing's cycle once, in dependency order.  The root's
-    generator times the pass: it resumes a producer when a firing needs
-    the producer's times, and a producer hands control back when one of
-    its firings waits for room.  Units over leaf ports run the same
-    generator over :data:`_LEAF`.  Raises :class:`StuckPassError` if some
-    firing can never become ready.  With `feed_rate_per_leaf`, a supply
-    all leaves share, the cycles are at least
-    ``ceil(n / (feed_rate_per_leaf * leaves))``, computed exactly; the
-    firings are the unlimited pass's.
+    generator times the pass: it resumes a producer in place when a firing
+    needs the producer's times, and a producer hands control back when one
+    of its firings waits for room.  Units over leaf ports, which wait on no
+    producer, run a loop of room waits alone (:func:`_room_timing`).
+    Raises :class:`StuckPassError` if some firing can never become ready.
+    With `feed_rate_per_leaf`, a supply all leaves share, the cycles are
+    at least ``ceil(n / (feed_rate_per_leaf * leaves))``, computed
+    exactly; the firings are the unlimited pass's.
     """
     if feed_rate_per_leaf is not None and not 0 < feed_rate_per_leaf < math.inf:
         raise ValueError(f"feed_rate_per_leaf must be positive and finite, got {feed_rate_per_leaf}")
@@ -409,14 +453,14 @@ def run_pass_cycles(
     ranks[order] = np.arange(total)
     bounds = np.zeros(tree.leaves + 1, dtype=np.intp)
     lengths.cumsum(out=bounds[1:])
-    below, kids = None, [_LEAF] * tree.leaves
+    below, kids = None, []
     for j in range(tree.depth - 1, -1, -1):  # bottom level first
         merged = _by_node(leaf, lengths, tree.depth - j)
         below, kids = _plan_level(j, tree.levels[j][0], ranks, bounds, merged[0], below, kids)
         ranks, bounds = merged
 
     root = kids[0]
-    root.run = _timing(root.times, _ALWAYS, repeat(0, root.fires), 0, *root.inputs)
+    _start(root, _ALWAYS, repeat(0, root.fires), 0)
     next(root.run, None)  # the root never waits for room: this times all of it
     last = int((below.out == total).argmax())  # the root's last firing that emits records
     cycles = root.times[last + 1]
@@ -428,23 +472,22 @@ def run_pass_cycles(
 def _plan_level(level: int, rate: int, ranks: np.ndarray, bounds: np.ndarray, merged: np.ndarray,
                 below: Optional[UnitPlans], kids: list[_Unit]) -> tuple[UnitPlans, list[_Unit]]:
     """Plan the row of units of `rate` on `level` over `kids`, the units
-    `below` plans (leaf ports when `below` is None), with the dependency
-    columns between the two rows (:func:`_deps`).  Returns the plan and
-    the row's units; the kids are started and wait on the row for room."""
+    `below` plans (over leaf ports when `below` is None: no kids), with the
+    dependency columns between the two rows (:func:`_deps`).  Returns the
+    plan and the row's units; the kids are started and wait on the row for
+    room."""
     plan = plan_units(rate, ranks, bounds, merged)
     fires = plan.fires.tolist()
-    if below is None:  # leaf ports are always full
-        deps = [[repeat(0, f) for f in fires] for _ in (0, 1)]
-    else:
-        inputs, room, close_room = _deps(plan, below, bounds)
-        deps = [_per_unit(d, plan.start) for d in inputs]
+    if below is None:  # leaf ports are always full: the units wait only for room
+        return plan, [_Unit(f) for f in fires]
+    inputs, room, close_room = _deps(plan, below, bounds)
+    deps = [_per_unit(d, plan.start) for d in inputs]
     row = []
     for u, (f, d0, d1, n0, n1) in enumerate(zip(fires, *deps, *plan.n.tolist())):
         closer = kids[2 * u + (n0 == 0)] if (n0 == 0) != (n1 == 0) else None  # passed through
         row.append(_Unit(f, (kids[2 * u], kids[2 * u + 1], d0, d1, closer, level, u)))
-    if below is not None:
-        for k, (kid, r, c) in enumerate(zip(kids, _per_unit(room, below.start), close_room.tolist())):
-            kid.run = _timing(kid.times, row[k // 2].times, r, c, *kid.inputs)
+    for k, (kid, r, c) in enumerate(zip(kids, _per_unit(room, below.start), close_room.tolist())):
+        _start(kid, row[k // 2].times, r, c)
     return plan, row
 
 

@@ -74,9 +74,25 @@ def test_few_draws_sixteen_distinct_keys():
     assert len(values) == 16 and values[-1] == 0xFFFFFFFF
 
 
+def test_zipf_draws_skewed_keys_spread_over_the_key_range():
+    n = 100003
+    keys = dataset.generate(DatasetSpec(n, "zipf", seed=2))[:, 0]
+    np.testing.assert_array_equal(keys, dataset.generate(DatasetSpec(n, "zipf", seed=2))[:, 0])
+    step = MAX_KEY // (dataset.ZIPF_KEYS - 1)
+    assert step * (dataset.ZIPF_KEYS - 1) == MAX_KEY  # the support ends at MAX_KEY
+    assert (keys % step == 0).all()  # a wrapped key would leave the support
+    values, counts = np.unique(keys, return_counts=True)
+    assert values[0] < MAX_KEY // 16 and values[-1] > MAX_KEY - MAX_KEY // 16
+    # the k-th most frequent key holds about 1 / (k * H) of the records
+    harmonic = (1 / np.arange(1, dataset.ZIPF_KEYS + 1) ** dataset.ZIPF_EXPONENT).sum()
+    top = np.sort(counts)[::-1][:3] / n
+    np.testing.assert_allclose(top * harmonic * np.arange(1, 4) ** dataset.ZIPF_EXPONENT, 1, rtol=0.1)
+    assert not np.array_equal(keys, dataset.generate(DatasetSpec(n, "zipf", seed=3))[:, 0])
+
+
 def test_unknown_distribution_rejected():
     with pytest.raises(ValueError, match="unknown distribution"):
-        DatasetSpec(10, "zipf")
+        DatasetSpec(10, "normal")
 
 
 @pytest.mark.parametrize("distribution", ["permutation", "sorted", "reverse"])
@@ -86,6 +102,6 @@ def test_keys_one_to_n_must_fit_the_key_range(distribution):
         DatasetSpec(MAX_KEY + 1, distribution)
 
 
-@pytest.mark.parametrize("distribution", ["uniform", "few"])
+@pytest.mark.parametrize("distribution", ["uniform", "few", "zipf"])
 def test_drawn_keys_allow_more_records_than_keys(distribution):
     DatasetSpec(MAX_KEY + 1, distribution)

@@ -326,11 +326,35 @@ class TestCyclePass:
         # without FIFO room no unit below the root can ever fire; the
         # (4, 4) tree's root sits over the units over leaf ports
         monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 0)
-        for tree in (build_tree(8, 16), build_tree(4, 4)):
+        for tree in (build_tree(8, 16), build_tree(4, 4), build_tree(32, 64), build_tree(2, 4)):
             feeds = [np.arange(i, 256, tree.leaves, dtype=np.uint32) for i in range(tree.leaves)]
             with pytest.raises(StuckPassError) as err:
                 run_pass_cycles(tree, feeds)
             assert (err.value.level, err.value.unit, err.value.firing) == (0, 0, 0)
+
+    @pytest.mark.parametrize("shape,feeds,stuck", [
+        ((8, 16), [[0, 0, 1, 1, 1], [], [], [], [0, 1, 1, 2, 2, 2, 2, 2, 3, 3]], (0, 0, 1)),
+        ((16, 16), [[0, 0, 2, 2], [1], [0]], (1, 0, 0)),
+        ((16, 16), [[1, 1]] + [[]] * 8 + [[2], [0, 1, 1, 3, 3]], (1, 1, 0)),
+        ((16, 16), [[24], [1, 2, 4, 11, 11, 20, 21, 23, 24, 26, 30, 30, 34, 34, 34, 39],
+                    [8, 20, 25, 33, 37]], (1, 0, 2)),
+        ((16, 16), [[]] * 9 + [[0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3],
+                               [0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3],
+                               [0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3]], (1, 1, 4)),
+        ((32, 64), [[1], [1, 3], [0, 0, 0, 1], [1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3],
+                    [0, 0, 0, 0, 1, 2, 2, 2, 3, 3], [0, 1, 1, 1, 2, 2, 3, 3, 3], [1, 1]], (2, 0, 4)),
+    ])
+    def test_mid_pass_deadlock_names_its_firing(self, monkeypatch, shape, feeds, stuck):
+        # with one-block FIFOs a ragged pass can deadlock after units have
+        # fired, on any level; the error names the first firing found that
+        # can never become ready, and the cycle-stepped oracle stalls too
+        for module in (mergetree, oracles):
+            monkeypatch.setattr(module, "UNIT_FIFO_BLOCKS", 1)
+        with pytest.raises(StuckPassError) as err:
+            run_pass_cycles(build_tree(*shape), feeds)
+        assert (err.value.level, err.value.unit, err.value.firing) == stuck
+        with pytest.raises(RuntimeError, match="no progress"):
+            cycle_stepped_pass(build_tree(*shape), feeds)
 
 
 #: Trees cross-checked against the cycle-stepped oracle: the shapes of
