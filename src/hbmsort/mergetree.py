@@ -279,14 +279,14 @@ def _timing(times, tp, rooms, close_room, k0, k1, deps0, deps1, closer, level, i
         t_f = max(t_{f-1} + 1, tp[r], t0[a] + 1, t1[b] + 1)
 
     for its index r into the parent's times `tp` (the room wait) and its
-    indices a and b into the times of producers `k0` and `k1`.  While
-    ``tp[r]`` is not known the generator yields; while a producer time is
-    not known it resumes the producer's generator in place, room first,
-    then producer 0, then producer 1.  A producer that yields without
-    progress waits on this firing or a later one: the pass is stuck.  A
-    unit that passes the FIFO of `closer` through finishes only once that
-    FIFO has closed, with one more firing if it closes after the unit's
-    last take.
+    indices a and b into the times of producers `k0` and `k1`.  A firing
+    waits for room first, then for producer 0, then for producer 1: while
+    ``tp[r]`` is not known the generator yields, and while a producer time
+    is not known it resumes the producer's generator in place.  A producer
+    that yields without progress waits on this firing or a later one: the
+    pass is stuck.  A unit that passes the FIFO of `closer` through
+    finishes only once that FIFO has closed, with one more firing if it
+    closes after the unit's last take.
 
     The generator holds time lists and producers, never its own unit or
     its parent, so the units of a pass form no reference cycle.

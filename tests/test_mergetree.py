@@ -343,6 +343,10 @@ class TestCyclePass:
                                [0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3]], (1, 1, 4)),
         ((32, 64), [[1], [1, 3], [0, 0, 0, 1], [1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3],
                     [0, 0, 0, 0, 1, 2, 2, 2, 3, 3], [0, 1, 1, 1, 2, 2, 3, 3, 3], [1, 1]], (2, 0, 4)),
+        # stuck waiting on its second producer, the others on their first
+        ((16, 16), [[0, 3, 7, 12, 15, 20, 22, 25, 27, 29, 30, 34, 39, 39, 40], [], [],
+                    [8, 11, 11, 16, 21, 32], [], [0, 5, 6, 10, 12, 23],
+                    [7, 8, 9, 13, 15, 16, 20, 21, 21, 23, 25, 31, 32, 35, 39, 39, 40]], (1, 0, 3)),
     ])
     def test_mid_pass_deadlock_names_its_firing(self, monkeypatch, shape, feeds, stuck):
         # with one-block FIFOs a ragged pass can deadlock after units have
