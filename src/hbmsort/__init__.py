@@ -22,6 +22,7 @@ from .mergetree import (
     compose_wide_tree,
     run_pass_cycles,
     run_pass_functional,
+    run_passes_cycles,
 )
 from .hbm import (
     BandwidthProfile,

@@ -33,11 +33,14 @@ phase two against a timed pass of the wide tree.
 Timing is modelled from the plan alone (:func:`build_timing`).  The
 plan's ``run_lengths`` are the pass schedule of both phases, and one
 loop times every pass: it cuts the pass's records into groups of the
-output run length, times a group of R runs merged into one with
-:func:`~hbmsort.mergetree.run_pass_cycles` on synthetic feeds that keep
-the R runs balanced, and takes the larger of the compute cycles and the
-memory cycles.  A group of more than 2*S records, S = max(64 R,
-2048), takes the line through the timings at S and 2*S records.  On the
+output run length, times a group of R runs merged into one on synthetic
+feeds that keep the R runs balanced, and takes the larger of the compute
+cycles and the memory cycles.  A group of more than 2*S records, S =
+max(64 R, 2048), takes the line through the timings at S and 2*S
+records.  These sample timings are taken before the loop: the samples
+of every pass of one tree shape are timed as one forest with
+:func:`~hbmsort.mergetree.run_passes_cycles`, so a dry run times two
+forests, one per phase's tree.  On the
 (8, 16) tree and its 64-leaf composition the line is exact for 1, 2, 4,
 8, 16 and 64 runs and within 0.5% of a timed group for the other counts
 (``tests/test_engine.py``).  Timing therefore depends only on the run
@@ -47,12 +50,12 @@ materialized run would.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Optional
 
 import numpy as np
@@ -65,7 +68,8 @@ from .mergetree import (
     TreeSpec,
     UnsortedFeedError,
     build_tree,
-    run_pass_cycles,
+    run_pass_cycles,  # not called here: bench/run.py traces engine.run_pass_cycles
+    run_passes_cycles,
 )
 
 PAD_VALUE = 0xFFFFFFFF
@@ -381,30 +385,48 @@ def _balanced_feeds(leaves: int, runs: int, r_out: int) -> list[np.ndarray]:
     return feeds
 
 
+def _sample_keys(tree: TreeSpec, runs: int, r_out: int) -> list[tuple[TreeSpec, int, int]]:
+    """The samples, as (tree, runs, records), that a group of ``runs``
+    balanced runs merged into one of ``r_out`` records needs.
+
+    A group of at most 2*S records, S = max(64 * runs, 2048), is its own
+    sample; a larger one needs the samples of S and 2*S records.  The run
+    count is clamped to the tree's leaves and the records.
+    """
+    runs = max(1, min(runs, tree.leaves, r_out))
+    s = max(64 * runs, 2048)
+    return [(tree, runs, r_out)] if r_out <= 2 * s else [(tree, runs, s), (tree, runs, 2 * s)]
+
+
+def _time_samples(samples: dict, keys) -> None:
+    """Time the samples among `keys` that `samples` lacks, with one
+    :func:`~hbmsort.mergetree.run_passes_cycles` forest per tree shape, and
+    memoise their cycles in `samples` by key."""
+    missing: dict[TreeSpec, dict] = {}
+    for key in keys:
+        if key not in samples:
+            missing.setdefault(key[0], {})[key] = None
+    for tree, todo in missing.items():
+        feed_sets = [_balanced_feeds(tree.leaves, runs, records) for _, runs, records in todo]
+        samples.update(zip(todo, (res.cycles for res in run_passes_cycles(tree, feed_sets))))
+
+
 def _group_cycles(tree: TreeSpec, runs: int, r_out: int, samples: Optional[dict] = None) -> int:
     """Cycles for ``tree`` to merge ``runs`` balanced runs into one of ``r_out`` records.
 
-    A group of at most 2*S records, S = max(64 * runs, 2048), is timed
-    outright with :func:`run_pass_cycles`; a larger one takes the line
-    through the timings at S and 2*S records.  ``samples`` memoises the
-    timings by (tree, runs, records).
+    A group of at most 2*S records is timed outright; a larger one takes
+    the line through the timings at S and 2*S records (:func:`_sample_keys`).
+    The timings are read from ``samples``, a memo by (tree, runs, records);
+    the ones it lacks are timed first, in one forest.
     """
     if r_out <= 0:
         return 0
-    runs = max(1, min(runs, tree.leaves, r_out))
+    keys = _sample_keys(tree, runs, r_out)
     samples = {} if samples is None else samples
-
-    def timed(records: int) -> int:
-        key = (tree, runs, records)
-        if key not in samples:
-            feeds = _balanced_feeds(tree.leaves, runs, records)
-            samples[key] = run_pass_cycles(tree, feeds).cycles
-        return samples[key]
-
-    s = max(64 * runs, 2048)
-    if r_out <= 2 * s:
-        return timed(r_out)
-    c1, c2 = timed(s), timed(2 * s)
+    _time_samples(samples, keys)
+    if len(keys) == 1:
+        return samples[keys[0]]
+    (_, _, s), c1, c2 = keys[0], samples[keys[0]], samples[keys[1]]
     return c1 + -(-(r_out - s) * (c2 - c1) // s)
 
 
@@ -436,6 +458,15 @@ class RunTiming:
     hbm_traffic_gbytes_per_s: float
 
 
+def _pass_groups(records: int, in_run: int, out_run: int) -> list[tuple[int, int, int]]:
+    """The groups of a pass from runs of `in_run` to runs of `out_run` over
+    `records` records, as (count, runs, records): the full groups of
+    `out_run` records, then the short last one, if any."""
+    full, tail = divmod(records, out_run)
+    groups = [(full, -(-out_run // in_run), out_run)]
+    return groups + [(1, -(-tail // in_run), tail)] if tail else groups
+
+
 def build_timing(
     cfg: SortConfig,
     plan: SortPlan,
@@ -453,13 +484,16 @@ def build_timing(
     takes :func:`_group_cycles`, and each group boundary one tree depth.
     The pass takes the larger of those compute cycles and the cycles the
     memory system needs to stream its records in the phase's access
-    pattern and burst size.  Sample timings are memoised in `samples`:
-    a fresh memo per call by default, or one dict that a caller shares
-    across calls that model the same config.
+    pattern and burst size.  The samples every pass of both phases needs
+    are collected first and the missing ones timed with one forest per
+    tree shape (:func:`_time_samples`), so a dry run times two forests.
+    Sample timings are memoised in `samples`: a fresh memo per call by
+    default, or one dict that a caller shares across calls that model the
+    same config.
     """
     topo = topo or HbmTopology()
     profile = profile or BandwidthProfile()
-    group_cycles = functools.partial(_group_cycles, samples={} if samples is None else samples)
+    samples = {} if samples is None else samples
     bytes_total = plan.records * RECORD_BYTES
 
     def phase(tree, run_lengths, records, pattern, burst, last_kind) -> PhaseTiming:
@@ -469,25 +503,28 @@ def build_timing(
             profile.efficiency(pattern, burst)
         memory = math.ceil(records * RECORD_BYTES / supply)
         passes = []
-        for k, (in_run, out_run) in enumerate(zip(run_lengths, run_lengths[1:])):
-            full, tail = divmod(records, out_run)
-            compute = full * group_cycles(tree, -(-out_run // in_run), out_run)
-            if tail:
-                compute += group_cycles(tree, -(-tail // in_run), tail)
-            groups = full + (tail > 0)
-            compute += tree.depth * (groups - 1)
+        for k, (in_run, out_run) in enumerate(pairwise(run_lengths)):
+            groups = _pass_groups(records, in_run, out_run)
+            compute = sum(count * _group_cycles(tree, runs, n, samples) for count, runs, n in groups)
+            n_groups = sum(count for count, _, _ in groups)
+            compute += tree.depth * (n_groups - 1)
             kind = last_kind if k == len(run_lengths) - 2 else "merge"
-            passes.append(PassTiming(k, kind, out_run, groups, compute, memory,
+            passes.append(PassTiming(k, kind, out_run, n_groups, compute, memory,
                                      max(compute, memory)))
         cycles = sum(p.cycles for p in passes)
         seconds = cycles / cfg.clock_hz
         return PhaseTiming(cycles, seconds, bytes_total / seconds / 1e9,
                            records * len(passes) / cycles, tuple(passes))
 
-    phase1 = phase(build_tree(cfg.phase1_rate, cfg.phase1_leaves), plan.run_lengths[:-1],
-                   plan.channel_records, 1, cfg.phase1_burst, "tuned")
-    phase2 = phase(build_tree(cfg.phase2_rate, cfg.phase2_leaves), plan.run_lengths[-2:],
-                   plan.padded_records, REUSE_FACTOR, cfg.phase2_burst, "final")
+    phases = ((build_tree(cfg.phase1_rate, cfg.phase1_leaves), plan.run_lengths[:-1],
+               plan.channel_records, 1, cfg.phase1_burst, "tuned"),
+              (build_tree(cfg.phase2_rate, cfg.phase2_leaves), plan.run_lengths[-2:],
+               plan.padded_records, REUSE_FACTOR, cfg.phase2_burst, "final"))
+    _time_samples(samples, [key for tree, run_lengths, records, *_ in phases
+                            for in_run, out_run in pairwise(run_lengths)
+                            for _, runs, n in _pass_groups(records, in_run, out_run)
+                            for key in _sample_keys(tree, runs, n)])
+    phase1, phase2 = (phase(*args) for args in phases)
     gbps1, gbps2 = phase1.gbytes_per_s, phase2.gbytes_per_s
     return RunTiming(phase1, phase2, perf_overall(gbps1, gbps2),
                      bandwidth_utilization(gbps1, plan.phase1_passes))

@@ -45,6 +45,12 @@ T_parent)``, and it finishes with its last firing.  A pass fed at a
 limited rate takes the larger of its compute cycles and its records over
 the supply that all leaves share, as the engine bounds a pass.
 :func:`run_pass_functional` only validates and sorts the feeds.
+
+Passes of one tree shape are timed together as a forest
+(:func:`run_passes_cycles`): with each pass's ranks and leaves numbered
+after the passes before it, each row of every tree is planned and given
+its dependency columns at once, and each root's generator then times its
+own pass.  :func:`run_pass_cycles` is the forest of one pass.
 """
 
 from __future__ import annotations
@@ -416,23 +422,73 @@ def _deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray):
     return inputs, room, close_room
 
 
+def run_passes_cycles(tree: TreeSpec, feed_sets: Sequence) -> list[PassResult]:
+    """Time one pass of `tree` over each of `feed_sets`, as one forest of
+    their trees; returns each pass's merged run, its cycles and the
+    average root emission rate in records per cycle.
+
+    Each pass's feeds are validated and stably sorted on their own.  The
+    passes with records then form one forest: the ranks of pass k follow
+    those of the passes before it, and its leaf i is leaf ``k * leaves +
+    i``, so each row of the forest, the same row of every tree side by
+    side, is grouped, planned and given its dependency columns at once
+    (:func:`_plan_level`).  The trees share no unit, so each root's
+    generator then times its own pass, in turn, as :func:`run_pass_cycles`
+    describes; a pass's cycles are its root's time at its last firing that
+    emits records, and a pass without records takes 0 cycles.  Raises
+    :class:`StuckPassError` for the first pass, in order, that is stuck,
+    with the unit numbered within its own tree.
+    """
+    merged = [_merge_feeds(tree, feeds) for feeds in feed_sets]
+    results = [PassResult(records, 0, 0.0) for records, _, _ in merged]
+    timed = [k for k, (_, order, _) in enumerate(merged) if len(order)]
+    if not timed:
+        return results
+    totals = [len(merged[k][1]) for k in timed]
+    offsets = np.cumsum([0] + totals[:-1])
+    order = np.concatenate([merged[k][1] + off for k, off in zip(timed, offsets)])
+    lengths = np.array([n for k in timed
+                        for n in merged[k][2] + [0] * (tree.leaves - len(merged[k][2]))])
+    leaf_ids = np.arange(len(lengths), dtype=np.min_scalar_type(len(lengths)))
+    leaf = leaf_ids.repeat(lengths)[order]  # leaf of each rank
+
+    ranks = np.empty_like(order)  # by input position: each feed's ranks ascend
+    ranks[order] = np.arange(len(order))
+    bounds = np.zeros(len(lengths) + 1, dtype=np.intp)
+    lengths.cumsum(out=bounds[1:])
+    below, kids = None, []
+    for j in range(tree.depth - 1, -1, -1):  # bottom level first
+        grouped = _by_node(leaf, lengths, tree.depth - j)
+        below, kids = _plan_level(tree, j, ranks, bounds, grouped[0], below, kids)
+        ranks, bounds = grouped
+
+    for k, root, lo, hi, total in zip(timed, kids, below.start, below.start[1:], totals):
+        _start(root, _ALWAYS, repeat(0, root.fires), 0)
+        next(root.run, None)  # the root never waits for room: this times all of it
+        last = int((below.out[lo:hi] == total).argmax())  # its last firing that emits records
+        cycles = root.times[last + 1]
+        results[k] = PassResult(results[k].records, cycles, total / cycles)
+    return results
+
+
 def run_pass_cycles(
     tree: TreeSpec, feeds, feed_rate_per_leaf: Optional[float] = None
 ) -> PassResult:
     """Time one pass; returns the merged run, its cycles and the average
     root emission rate in records per cycle.
 
-    Each row of units is planned from the ranks, with the dependency
-    columns between it and the row below (:func:`_plan_level`).  A firing
-    happens at the earliest cycle at which the cycle-stepped hardware
-    would fire it, ``t_f = max(t_{f-1} + 1, producer + 1, parent read)``:
-    one cycle after the producer firing that emits the last record it
-    needs (or closes the FIFO), and not before the parent firing that
-    leaves room in its FIFO.  One generator per unit (:func:`_timing`)
-    computes every firing's cycle once, in dependency order.  The root's
-    generator times the pass: it resumes a producer in place when a firing
-    needs the producer's times, and a producer hands control back when one
-    of its firings waits for room.  Units over leaf ports, which wait on no
+    This is the forest of one pass (:func:`run_passes_cycles`).  Each row
+    of units is planned from the ranks, with the dependency columns
+    between it and the row below (:func:`_plan_level`).  A firing happens
+    at the earliest cycle at which the cycle-stepped hardware would fire
+    it, ``t_f = max(t_{f-1} + 1, producer + 1, parent read)``: one cycle
+    after the producer firing that emits the last record it needs (or
+    closes the FIFO), and not before the parent firing that leaves room in
+    its FIFO.  One generator per unit (:func:`_timing`) computes every
+    firing's cycle once, in dependency order.  The root's generator times
+    the pass: it resumes a producer in place when a firing needs the
+    producer's times, and a producer hands control back when one of its
+    firings waits for room.  Units over leaf ports, which wait on no
     producer, run a loop of room waits alone (:func:`_room_timing`).
     Raises :class:`StuckPassError` if some firing can never become ready.
     With `feed_rate_per_leaf`, a supply all leaves share, the cycles are
@@ -441,42 +497,25 @@ def run_pass_cycles(
     """
     if feed_rate_per_leaf is not None and not 0 < feed_rate_per_leaf < math.inf:
         raise ValueError(f"feed_rate_per_leaf must be positive and finite, got {feed_rate_per_leaf}")
-    records, order, lengths = _merge_feeds(tree, feeds)
-    total = len(order)
-    if total == 0:
-        return PassResult(records, 0, 0.0)
-    lengths = np.array(lengths + [0] * (tree.leaves - len(lengths)))
-    leaf_ids = np.arange(tree.leaves, dtype=np.min_scalar_type(tree.leaves))
-    leaf = leaf_ids.repeat(lengths)[order]  # leaf of each rank
-
-    ranks = np.empty_like(order)  # by input position: each feed's ranks ascend
-    ranks[order] = np.arange(total)
-    bounds = np.zeros(tree.leaves + 1, dtype=np.intp)
-    lengths.cumsum(out=bounds[1:])
-    below, kids = None, []
-    for j in range(tree.depth - 1, -1, -1):  # bottom level first
-        merged = _by_node(leaf, lengths, tree.depth - j)
-        below, kids = _plan_level(j, tree.levels[j][0], ranks, bounds, merged[0], below, kids)
-        ranks, bounds = merged
-
-    root = kids[0]
-    _start(root, _ALWAYS, repeat(0, root.fires), 0)
-    next(root.run, None)  # the root never waits for room: this times all of it
-    last = int((below.out == total).argmax())  # the root's last firing that emits records
-    cycles = root.times[last + 1]
-    if feed_rate_per_leaf is not None:
-        cycles = max(cycles, math.ceil(total / (Fraction(feed_rate_per_leaf) * tree.leaves)))
-    return PassResult(records, cycles, total / cycles)
+    res, = run_passes_cycles(tree, [feeds])
+    total = len(res.records)
+    if feed_rate_per_leaf is None or total == 0:
+        return res
+    cycles = max(res.cycles, math.ceil(total / (Fraction(feed_rate_per_leaf) * tree.leaves)))
+    return PassResult(res.records, cycles, total / cycles)
 
 
-def _plan_level(level: int, rate: int, ranks: np.ndarray, bounds: np.ndarray, merged: np.ndarray,
-                below: Optional[UnitPlans], kids: list[_Unit]) -> tuple[UnitPlans, list[_Unit]]:
-    """Plan the row of units of `rate` on `level` over `kids`, the units
-    `below` plans (over leaf ports when `below` is None: no kids), with the
-    dependency columns between the two rows (:func:`_deps`).  Returns the
-    plan and the row's units; the kids are started and wait on the row for
+def _plan_level(tree: TreeSpec, level: int, ranks: np.ndarray, bounds: np.ndarray,
+                merged: np.ndarray, below: Optional[UnitPlans],
+                kids: list[_Unit]) -> tuple[UnitPlans, list[_Unit]]:
+    """Plan the row of units on `level` of a forest of `tree`s over `kids`,
+    the units `below` plans (over leaf ports when `below` is None: no
+    kids), with the dependency columns between the two rows
+    (:func:`_deps`).  Returns the plan and the row's units, each numbered
+    within its own tree; the kids are started and wait on the row for
     room."""
-    plan = plan_units(rate, ranks, bounds, merged)
+    width = len(tree.levels[level])
+    plan = plan_units(tree.levels[level][0], ranks, bounds, merged)
     fires = plan.fires.tolist()
     if below is None:  # leaf ports are always full: the units wait only for room
         return plan, [_Unit(f) for f in fires]
@@ -485,7 +524,7 @@ def _plan_level(level: int, rate: int, ranks: np.ndarray, bounds: np.ndarray, me
     row = []
     for u, (f, d0, d1, n0, n1) in enumerate(zip(fires, *deps, *plan.n.tolist())):
         closer = kids[2 * u + (n0 == 0)] if (n0 == 0) != (n1 == 0) else None  # passed through
-        row.append(_Unit(f, (kids[2 * u], kids[2 * u + 1], d0, d1, closer, level, u)))
+        row.append(_Unit(f, (kids[2 * u], kids[2 * u + 1], d0, d1, closer, level, u % width)))
     for k, (kid, r, c) in enumerate(zip(kids, _per_unit(room, below.start), close_room.tolist())):
         _start(kid, row[k // 2].times, r, c)
     return plan, row

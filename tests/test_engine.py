@@ -24,6 +24,7 @@ from hbmsort.mergetree import (
     build_tree,
     compose_wide_tree,
     run_pass_cycles,
+    run_passes_cycles,
 )
 
 from oracles import kway_heap_merge
@@ -293,33 +294,67 @@ class TestGroupCycles:
         wide = compose_wide_tree([build_tree(8, 16)] * 4)
         self._check(wide, 64, (8193, 40000, 1 << 17))
 
+    @staticmethod
+    def _forests(monkeypatch) -> list:
+        """Record each forest the engine times, as its tree and samples; a
+        sample is (feed lengths, first keys)."""
+        forests = []
+
+        def counting(tree, feed_sets):
+            forests.append((tree, [(tuple(len(f) for f in feeds),
+                                    tuple(int(f[0]) for f in feeds if len(f))) for feeds in feed_sets]))
+            return run_passes_cycles(tree, feed_sets)
+
+        monkeypatch.setattr(engine, "run_passes_cycles", counting)
+        return forests
+
     def test_samples_are_timed_once_per_call(self, monkeypatch):
-        timed = []
-
-        def counting(tree, feeds, *args, **kwargs):
-            timed.append((tree, len(feeds), sum(len(f) for f in feeds)))
-            return run_pass_cycles(tree, feeds, *args, **kwargs)
-
-        monkeypatch.setattr(engine, "run_pass_cycles", counting)
+        forests = self._forests(monkeypatch)
         cfg = SortConfig(records=1 << 22)
-        engine.build_timing(cfg, plan_sort(cfg))
-        first = list(timed)
-        assert first and len(set(first)) == len(first)
-        engine.build_timing(cfg, plan_sort(cfg))
-        assert timed[len(first):] == first
+        plan = plan_sort(cfg)
+        engine.build_timing(cfg, plan)
+        first = list(forests)
+        # one forest per tree shape, each sample in it once
+        assert [tree for tree, _ in first] == [build_tree(8, 16), build_tree(32, 64)]
+        timed = [(tree, sample) for tree, samples in first for sample in samples]
+        assert len(set(timed)) == len(timed)
+        engine.build_timing(cfg, plan)  # a fresh memo per call times them again
+        assert forests[len(first):] == first
+        memo = {}
+        engine.build_timing(cfg, plan, samples=memo)
+        assert len(memo) == len(timed)
+        del forests[:]
+        engine.build_timing(cfg, plan, samples=memo)  # the shared memo holds every sample
+        assert forests == []
+
+    def test_group_times_its_missing_samples_in_one_forest(self, monkeypatch):
+        forests, tree = self._forests(monkeypatch), build_tree(8, 16)
+        memo = {}
+        engine._group_cycles(tree, 16, 1 << 17, memo)  # the samples of 2048 and 4096 records
+        assert [(t, len(samples)) for t, samples in forests] == [(tree, 2)]
+        engine._group_cycles(tree, 16, 1 << 16, memo)
+        assert len(forests) == 1
 
     def test_sweep_times_each_sample_once(self, monkeypatch, capsys):
         # the sweep's sizes share one memo: 12 distinct samples, where a
-        # memo per size times 60
-        timed = []
+        # memo per size times 60; each size times one forest per tree shape
+        # that lacks samples, and none once the memo holds all of them
+        forests, build_timing, per_size = self._forests(monkeypatch), cli.build_timing, []
 
-        def counting(tree, feeds, *args, **kwargs):
-            timed.append((tree, tuple(len(f) for f in feeds), tuple(int(f[0]) for f in feeds if len(f))))
-            return run_pass_cycles(tree, feeds, *args, **kwargs)
+        def marking(*args, **kwargs):
+            known = len(forests)
+            timing = build_timing(*args, **kwargs)
+            per_size.append(forests[known:])
+            return timing
 
-        monkeypatch.setattr(engine, "run_pass_cycles", counting)
+        monkeypatch.setattr(cli, "build_timing", marking)
         assert cli.main(["sweep"]) == cli.EXIT_OK
+        timed = [(tree, sample) for tree, samples in forests for sample in samples]
         assert len(timed) == len(set(timed)) == 12
+        for size in per_size:
+            trees = [tree for tree, samples in size if samples]
+            assert len(trees) == len(size) == len(set(trees))
+        assert per_size[0] and not per_size[-1]
 
 
 def _array_split_feeds(leaves, runs, r_out):

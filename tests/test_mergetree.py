@@ -19,6 +19,7 @@ from hbmsort.mergetree import (
     compose_wide_tree,
     run_pass_cycles,
     run_pass_functional,
+    run_passes_cycles,
 )
 from oracles import cycle_stepped_pass, kway_heap_merge
 
@@ -197,6 +198,26 @@ class TestFunctionalPass:
         assert list(out[:, 0]) == [3, 4, 9]
 
 
+#: Ragged passes that deadlock after units have fired at `UNIT_FIFO_BLOCKS = 1`,
+#: with the (level, unit, firing) their `StuckPassError` names.
+MID_PASS_DEADLOCKS = [
+    ((8, 16), [[0, 0, 1, 1, 1], [], [], [], [0, 1, 1, 2, 2, 2, 2, 2, 3, 3]], (0, 0, 1)),
+    ((16, 16), [[0, 0, 2, 2], [1], [0]], (1, 0, 0)),
+    ((16, 16), [[1, 1]] + [[]] * 8 + [[2], [0, 1, 1, 3, 3]], (1, 1, 0)),
+    ((16, 16), [[24], [1, 2, 4, 11, 11, 20, 21, 23, 24, 26, 30, 30, 34, 34, 34, 39],
+                [8, 20, 25, 33, 37]], (1, 0, 2)),
+    ((16, 16), [[]] * 9 + [[0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3],
+                           [0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3],
+                           [0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3]], (1, 1, 4)),
+    ((32, 64), [[1], [1, 3], [0, 0, 0, 1], [1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3],
+                [0, 0, 0, 0, 1, 2, 2, 2, 3, 3], [0, 1, 1, 1, 2, 2, 3, 3, 3], [1, 1]], (2, 0, 4)),
+    # stuck waiting on its second producer, the others on their first
+    ((16, 16), [[0, 3, 7, 12, 15, 20, 22, 25, 27, 29, 30, 34, 39, 39, 40], [], [],
+                [8, 11, 11, 16, 21, 32], [], [0, 5, 6, 10, 12, 23],
+                [7, 8, 9, 13, 15, 16, 20, 21, 21, 23, 25, 31, 32, 35, 39, 39, 40]], (1, 0, 3)),
+]
+
+
 class TestCyclePass:
     def test_fully_fed_tree_approaches_root_rate(self):
         t = build_tree(8, 16)
@@ -332,22 +353,7 @@ class TestCyclePass:
                 run_pass_cycles(tree, feeds)
             assert (err.value.level, err.value.unit, err.value.firing) == (0, 0, 0)
 
-    @pytest.mark.parametrize("shape,feeds,stuck", [
-        ((8, 16), [[0, 0, 1, 1, 1], [], [], [], [0, 1, 1, 2, 2, 2, 2, 2, 3, 3]], (0, 0, 1)),
-        ((16, 16), [[0, 0, 2, 2], [1], [0]], (1, 0, 0)),
-        ((16, 16), [[1, 1]] + [[]] * 8 + [[2], [0, 1, 1, 3, 3]], (1, 1, 0)),
-        ((16, 16), [[24], [1, 2, 4, 11, 11, 20, 21, 23, 24, 26, 30, 30, 34, 34, 34, 39],
-                    [8, 20, 25, 33, 37]], (1, 0, 2)),
-        ((16, 16), [[]] * 9 + [[0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3],
-                               [0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 3, 3],
-                               [0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3]], (1, 1, 4)),
-        ((32, 64), [[1], [1, 3], [0, 0, 0, 1], [1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3],
-                    [0, 0, 0, 0, 1, 2, 2, 2, 3, 3], [0, 1, 1, 1, 2, 2, 3, 3, 3], [1, 1]], (2, 0, 4)),
-        # stuck waiting on its second producer, the others on their first
-        ((16, 16), [[0, 3, 7, 12, 15, 20, 22, 25, 27, 29, 30, 34, 39, 39, 40], [], [],
-                    [8, 11, 11, 16, 21, 32], [], [0, 5, 6, 10, 12, 23],
-                    [7, 8, 9, 13, 15, 16, 20, 21, 21, 23, 25, 31, 32, 35, 39, 39, 40]], (1, 0, 3)),
-    ])
+    @pytest.mark.parametrize("shape,feeds,stuck", MID_PASS_DEADLOCKS)
     def test_mid_pass_deadlock_names_its_firing(self, monkeypatch, shape, feeds, stuck):
         # with one-block FIFOs a ragged pass can deadlock after units have
         # fired, on any level; the error names the first firing found that
@@ -445,3 +451,77 @@ class TestCrossCheck:
                     stuck = want > fires
                     np.testing.assert_array_equal(got[~stuck], want[~stuck])
                     assert (got[stuck] > fires[stuck]).all()
+
+
+def dealt_feeds(tree, per_leaf=8):
+    """`per_leaf` records on every leaf of `tree`, keys dealt round-robin."""
+    return [np.arange(i, per_leaf * tree.leaves, tree.leaves, dtype=np.uint32)
+            for i in range(tree.leaves)]
+
+
+class TestForest:
+    """Passes timed as one forest against each pass timed alone."""
+
+    @settings(deadline=None)  # example count from the profile (tests/conftest.py)
+    @given(st.sampled_from(sorted(CROSS_TREES)), st.sampled_from([1, 2, 3, 8]), st.integers(1, 4),
+           st.data())
+    def test_members_match_their_lone_passes(self, name, depth, passes, data):
+        # ragged feeds with runs of empty leaves, and one pass without any
+        # record; one-block FIFOs can deadlock a member, and then the forest
+        # raises the first stuck member's error
+        tree = CROSS_TREES[name]
+        feed_sets = [draw_ragged_feeds(data, tree) for _ in range(passes)]
+        empty = data.draw(st.integers(0, passes - 1))
+        feed_sets[empty] = [[]] * data.draw(st.integers(0, tree.leaves))
+        with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the fixture
+            patch.setattr(mergetree, "UNIT_FIFO_BLOCKS", depth)
+            lone = []
+            for feeds in feed_sets:
+                try:
+                    lone.append(run_pass_cycles(tree, feeds))
+                except StuckPassError as err:
+                    lone.append(err)
+            stuck = [err for err in lone if isinstance(err, StuckPassError)]
+            if stuck:
+                with pytest.raises(StuckPassError) as err:
+                    run_passes_cycles(tree, feed_sets)
+                assert err.value.args == stuck[0].args
+                return
+            forest = run_passes_cycles(tree, feed_sets)
+        assert len(forest) == passes
+        for got, want in zip(forest, lone):
+            np.testing.assert_array_equal(got.records, want.records)
+            assert (got.cycles, got.root_active_rate) == (want.cycles, want.root_active_rate)
+        assert (forest[empty].cycles, forest[empty].root_active_rate) == (0, 0.0)
+
+    def test_no_pass_and_passes_without_records(self):
+        tree = build_tree(8, 16)
+        assert run_passes_cycles(tree, []) == []
+        for res in run_passes_cycles(tree, [[], [[], []]]):
+            assert (len(res.records), res.cycles, res.root_active_rate) == (0, 0, 0.0)
+
+    def test_feed_errors_name_their_leaf_within_the_pass(self):
+        with pytest.raises(UnsortedFeedError) as err:
+            run_passes_cycles(build_tree(2, 4), [[[1, 2]], [[1], [3, 2]]])
+        assert err.value.leaf == 1
+
+    @pytest.mark.parametrize("shape,feeds,stuck", MID_PASS_DEADLOCKS)
+    def test_stuck_member_names_its_firing_in_its_own_tree(self, monkeypatch, shape, feeds, stuck):
+        # second behind a pass that completes, the stuck pass's units follow
+        # a whole tree's in each row, yet the error numbers them as alone
+        monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 1)
+        tree = build_tree(*shape)
+        with pytest.raises(StuckPassError) as err:
+            run_passes_cycles(tree, [dealt_feeds(tree), feeds])
+        assert (err.value.level, err.value.unit, err.value.firing) == stuck
+
+    def test_stuck_member_raises_at_once(self, monkeypatch):
+        # without FIFO room every pass with records is stuck at (0, 0, 0),
+        # so the first such member names it; an empty pass ahead takes no
+        # unit in any row
+        monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 0)
+        for tree in (build_tree(8, 16), build_tree(4, 4), build_tree(32, 64), build_tree(2, 4)):
+            for first in ([], dealt_feeds(tree)):
+                with pytest.raises(StuckPassError) as err:
+                    run_passes_cycles(tree, [first, dealt_feeds(tree, 16)])
+                assert (err.value.level, err.value.unit, err.value.firing) == (0, 0, 0)
