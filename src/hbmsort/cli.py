@@ -71,7 +71,7 @@ def _timing_dict(t: engine.RunTiming) -> dict:
             "seconds": p.seconds,
             "gbytes_per_s": round(p.gbytes_per_s, 4),
             "root_rate": round(p.root_rate, 4),
-            "passes": [asdict(x) for x in p.passes],
+            "passes": [{"index": k, **asdict(x)} for k, x in enumerate(p.passes)],
         }
 
     return {
@@ -83,16 +83,16 @@ def _timing_dict(t: engine.RunTiming) -> dict:
     }
 
 
-def _plan_dict(plan: engine.SortPlan, cfg: engine.SortConfig) -> dict:
+def _plan_dict(plan: engine.SortPlan) -> dict:
     return {
         "phase1_passes": plan.phase1_passes,
         "untuned_passes": plan.phase1_passes - 1,
-        "run_length_after": list(plan.run_lengths[1:-2]),
-        "tuned_feed_quantum": plan.subrun_records // cfg.phase1_leaves,
+        "run_length_after": [row.out_run for row in plan.passes[:-2]],
+        "tuned_feed_quantum": plan.subrun_records // plan.passes[0].tree.leaves,
         "channel_records": plan.channel_records,
         "subrun_records": plan.subrun_records,
         "padded_records": plan.padded_records,
-        "phase2_feeds": cfg.phase2_leaves,
+        "phase2_feeds": plan.passes[-1].tree.leaves,
     }
 
 
@@ -167,7 +167,7 @@ def cmd_sort(args) -> int:
         "mode": mode,
         "dry_run": args.dry_run,
         "config": asdict(cfg),
-        "plan": _plan_dict(plan, cfg),
+        "plan": _plan_dict(plan),
     }
     if args.dry_run:
         passed, message = True, "dry run, no data"
@@ -261,7 +261,7 @@ def cmd_model(args) -> int:
                           burst_bytes=cfg.phase1_burst)
     tree_reused = resource_tree(cfg.phase1_rate, cfg.phase1_leaves, app.resource,
                                 burst_bytes=cfg.phase2_burst)
-    extra_comparators = (build_tree(cfg.phase2_rate, cfg.phase2_leaves).comparator_total()
+    extra_comparators = (plan.passes[-1].tree.comparator_total()
                          - REUSE_FACTOR * tree1.comparators)
     recurrence = {str(p): build_tree(p, p).comparator_total() for p in (2, 4, 8, 16, 32)}
     plan_sol = floorplan_solve(app.floorplan, tree1.luts, cfg.parallel_trees)

@@ -48,6 +48,8 @@ class DatasetSpec:
             raise ValueError(f"records must be positive, got {self.records}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.distribution in ("permutation", "sorted", "reverse") and self.records > MAX_KEY:
             raise ValueError(f"{self.distribution} keys 1..{self.records} exceed "
                              f"the largest key {MAX_KEY}")

@@ -30,22 +30,11 @@ The output is the same for every thread count.
 ``tests/test_engine.py`` checks the result against a heap merge and
 phase two against a timed pass of the wide tree.
 
-Timing is modelled from the plan alone (:func:`build_timing`).  The
-plan's ``run_lengths`` are the pass schedule of both phases, and one
-loop times every pass: it cuts the pass's records into groups of the
-output run length, times a group of R runs merged into one on synthetic
-feeds that keep the R runs balanced, and takes the larger of the compute
-cycles and the memory cycles.  A group of more than 2*S records, S =
-max(64 R, 2048), takes the line through the timings at S and 2*S
-records.  These sample timings are taken before the loop: the samples
-of every pass of one tree shape are timed as one forest with
-:func:`~hbmsort.mergetree.run_passes_cycles`, so a dry run times two
-forests, one per phase's tree.  On the
-(8, 16) tree and its 64-leaf composition the line is exact for 1, 2, 4,
-8, 16 and 64 runs and within 0.5% of a timed group for the other counts
-(``tests/test_engine.py``).  Timing therefore depends only on the run
-lengths, never on key values, and a dry run reports exactly what a
-materialized run would.
+Timing is modelled from the plan's rows alone, one :class:`PassRow` per
+pass: :func:`pass_timing` costs a row from groups timed on balanced
+synthetic feeds, and :func:`build_timing` sums each phase's rows.  Timing
+therefore depends only on the plan, never on key values, and a dry run
+reports exactly what a materialized run would.
 """
 
 from __future__ import annotations
@@ -122,42 +111,60 @@ class SortConfig:
 
 
 @dataclass(frozen=True)
-class SortPlan:
-    """The two-phase geometry and the pass schedule.
+class PassRow:
+    """One pass: each ``tree`` merges its ``records`` from runs of ``in_run``
+    into runs of ``out_run``, in the ``pattern`` x ``pattern`` access
+    pattern at ``burst``-byte bursts; ``kind`` is merge, tuned or final."""
 
-    ``run_lengths`` = (1, l, l**2, ..., l**j, subrun_records,
-    padded_records), l the phase-one leaf count: pass k merges runs of
-    ``run_lengths[k]`` records into runs of ``run_lengths[k + 1]``.  The
-    passes up to ``subrun_records`` are phase one, inside each channel;
-    the last is phase two.
-    """
+    kind: str
+    tree: TreeSpec
+    in_run: int
+    out_run: int
+    records: int
+    pattern: int
+    burst: int
+
+
+@dataclass(frozen=True)
+class SortPlan:
+    """The pass schedule: phase one's rows, each over one channel, then
+    phase two's, over every record; the counts below are read from them.
+    ``run_lengths`` = (1, l, ..., l**j, subrun_records, padded_records)."""
 
     records: int
-    run_lengths: tuple[int, ...]
-    channel_records: int
+    passes: tuple[PassRow, ...]
+
+    @property
+    def run_lengths(self) -> tuple[int, ...]:
+        return tuple(row.in_run for row in self.passes) + (self.passes[-1].out_run,)
+
+    @property
+    def channel_records(self) -> int:
+        return self.passes[0].records
 
     @property
     def padded_records(self) -> int:
-        return self.run_lengths[-1]
+        return self.passes[-1].records
 
     @property
     def subrun_records(self) -> int:
-        return self.run_lengths[-2]
+        return self.passes[-1].in_run
 
     @property
     def phase1_passes(self) -> int:
-        return len(self.run_lengths) - 2
+        return len(self.passes) - 1
 
 
 def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
-    """Derive the two-phase geometry and the pass schedule.
+    """Derive the pass schedule, one :class:`PassRow` per pass.
 
     Each channel leaves ``phase2_leaves / parallel_trees`` sub-runs, so
     the wide tree has one feed per leaf; the input is padded to a
     multiple of trees x leaves x sub-runs.  Untuned passes grow runs by
     the leaf count until one more pass would sort each channel
-    completely; the final pass instead merges into the sub-runs.  The
-    pass count is therefore (smallest j with leaves**j >= N/align) + 1.
+    completely; the tuned pass instead merges into the sub-runs, so there
+    are (smallest j with leaves**j >= N/align) + 1.  Phase one streams the
+    1x1 access pattern, phase two the ``REUSE_FACTOR`` x ``REUSE_FACTOR`` one.
     """
     topo = topo or HbmTopology()
     align = cfg.phase2_leaves * cfg.phase1_leaves
@@ -170,9 +177,14 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
             f"{topo.channel_capacity // RECORD_BYTES * cfg.parallel_trees} records)"
         )
     l = cfg.phase1_leaves
-    untuned = tuple(l**i for i in range(ceil_log(l, n_pad // align) + 1))
-    subrun = n_pad // cfg.phase2_leaves
-    return SortPlan(cfg.records, untuned + (subrun, n_pad), n_pad // cfg.parallel_trees)
+    ladder = tuple(l**i for i in range(ceil_log(l, n_pad // align) + 1)) + (n_pad // cfg.phase2_leaves,)
+    tree, channel = build_tree(cfg.phase1_rate, l), n_pad // cfg.parallel_trees
+    kinds = ("merge",) * (len(ladder) - 2) + ("tuned",)
+    phase1 = tuple(PassRow(kind, tree, a, b, channel, 1, cfg.phase1_burst)
+                   for kind, (a, b) in zip(kinds, pairwise(ladder)))
+    final = PassRow("final", build_tree(cfg.phase2_rate, cfg.phase2_leaves), ladder[-1], n_pad,
+                    n_pad, REUSE_FACTOR, cfg.phase2_burst)
+    return SortPlan(cfg.records, phase1 + (final,))
 
 
 # ----------------------------------------------------------------------
@@ -414,13 +426,13 @@ def _time_samples(samples: dict, keys) -> None:
 def _group_cycles(tree: TreeSpec, runs: int, r_out: int, samples: Optional[dict] = None) -> int:
     """Cycles for ``tree`` to merge ``runs`` balanced runs into one of ``r_out`` records.
 
-    A group of at most 2*S records is timed outright; a larger one takes
-    the line through the timings at S and 2*S records (:func:`_sample_keys`).
-    The timings are read from ``samples``, a memo by (tree, runs, records);
+    A group of more than 2*S records takes the line through the timings at
+    S and 2*S records (:func:`_sample_keys`).  On the (8, 16) tree and
+    its 64-leaf composition the line is exact for 1, 2, 4, 8, 16 and 64
+    runs and within 0.5% of a timed group for the other counts.  The
+    timings are read from ``samples``, a memo by (tree, runs, records);
     the ones it lacks are timed first, in one forest.
     """
-    if r_out <= 0:
-        return 0
     keys = _sample_keys(tree, runs, r_out)
     samples = {} if samples is None else samples
     _time_samples(samples, keys)
@@ -432,7 +444,6 @@ def _group_cycles(tree: TreeSpec, runs: int, r_out: int, samples: Optional[dict]
 
 @dataclass(frozen=True)
 class PassTiming:
-    index: int
     kind: str
     out_run: int
     groups: int
@@ -458,13 +469,37 @@ class RunTiming:
     hbm_traffic_gbytes_per_s: float
 
 
-def _pass_groups(records: int, in_run: int, out_run: int) -> list[tuple[int, int, int]]:
-    """The groups of a pass from runs of `in_run` to runs of `out_run` over
-    `records` records, as (count, runs, records): the full groups of
+def _pass_groups(row: PassRow) -> list[tuple[int, int, int]]:
+    """The groups of a pass, as (count, runs, records): the full groups of
     `out_run` records, then the short last one, if any."""
-    full, tail = divmod(records, out_run)
-    groups = [(full, -(-out_run // in_run), out_run)]
-    return groups + [(1, -(-tail // in_run), tail)] if tail else groups
+    full, tail = divmod(row.records, row.out_run)
+    groups = [(full, -(-row.out_run // row.in_run), row.out_run)]
+    return groups + [(1, -(-tail // row.in_run), tail)] if tail else groups
+
+
+def _pass_samples(row: PassRow) -> list[tuple[TreeSpec, int, int]]:
+    """The samples every group of a pass needs (:func:`_sample_keys`)."""
+    return [key for _, runs, n in _pass_groups(row) for key in _sample_keys(row.tree, runs, n)]
+
+
+def pass_timing(
+    row: PassRow, clock_hz: float, topo: HbmTopology, profile: BandwidthProfile, samples: dict
+) -> PassTiming:
+    """The larger of a pass's compute and memory cycles.  Each tree merges
+    every group of ``out_run`` records (the last may be short) in
+    :func:`_group_cycles`, plus one tree depth per group boundary; the
+    memory streams the records in the row's access pattern and burst.  The
+    samples that the memo `samples` lacks are timed first, in one forest.
+    """
+    _time_samples(samples, _pass_samples(row))
+    groups = _pass_groups(row)
+    compute = sum(count * _group_cycles(row.tree, runs, n, samples) for count, runs, n in groups)
+    n_groups = sum(count for count, _, _ in groups)
+    compute += row.tree.depth * (n_groups - 1)
+    supply = row.pattern * (topo.channel_bandwidth / clock_hz) * \
+        profile.efficiency(row.pattern, row.burst)
+    memory = math.ceil(row.records * RECORD_BYTES / supply)
+    return PassTiming(row.kind, row.out_run, n_groups, compute, memory, max(compute, memory))
 
 
 def build_timing(
@@ -474,57 +509,26 @@ def build_timing(
     profile: Optional[BandwidthProfile] = None,
     samples: Optional[dict] = None,
 ) -> RunTiming:
-    """Model both phases from the plan's run lengths alone.
-
-    Phase one is the passes up to ``subrun_records`` on one (rate,
-    leaves) tree over one channel's records; phase two is the last pass,
-    on the wide tree over all records.  A pass from runs of ``a`` to runs
-    of ``b`` records cuts its records into groups of ``b`` (the last may
-    be short) and merges the ceil(group / a) runs of each group; a group
-    takes :func:`_group_cycles`, and each group boundary one tree depth.
-    The pass takes the larger of those compute cycles and the cycles the
-    memory system needs to stream its records in the phase's access
-    pattern and burst size.  The samples every pass of both phases needs
-    are collected first and the missing ones timed with one forest per
-    tree shape (:func:`_time_samples`), so a dry run times two forests.
-    Sample timings are memoised in `samples`: a fresh memo per call by
-    default, or one dict that a caller shares across calls that model the
-    same config.
+    """Model both phases: :func:`pass_timing` of every row of the plan,
+    summed over phase one's rows and over phase two's.  The samples of
+    every row are timed first, in one forest per tree shape, into
+    `samples`: a fresh memo per call by default, or one dict that a
+    caller shares across calls that model the same config.
     """
     topo = topo or HbmTopology()
     profile = profile or BandwidthProfile()
     samples = {} if samples is None else samples
     bytes_total = plan.records * RECORD_BYTES
 
-    def phase(tree, run_lengths, records, pattern, burst, last_kind) -> PhaseTiming:
-        """The passes between consecutive ``run_lengths`` over ``records``
-        records, streamed in the ``pattern`` x ``pattern`` access pattern."""
-        supply = pattern * (topo.channel_bandwidth / cfg.clock_hz) * \
-            profile.efficiency(pattern, burst)
-        memory = math.ceil(records * RECORD_BYTES / supply)
-        passes = []
-        for k, (in_run, out_run) in enumerate(pairwise(run_lengths)):
-            groups = _pass_groups(records, in_run, out_run)
-            compute = sum(count * _group_cycles(tree, runs, n, samples) for count, runs, n in groups)
-            n_groups = sum(count for count, _, _ in groups)
-            compute += tree.depth * (n_groups - 1)
-            kind = last_kind if k == len(run_lengths) - 2 else "merge"
-            passes.append(PassTiming(k, kind, out_run, n_groups, compute, memory,
-                                     max(compute, memory)))
+    def phase(rows) -> PhaseTiming:
+        passes = tuple(pass_timing(row, cfg.clock_hz, topo, profile, samples) for row in rows)
         cycles = sum(p.cycles for p in passes)
         seconds = cycles / cfg.clock_hz
         return PhaseTiming(cycles, seconds, bytes_total / seconds / 1e9,
-                           records * len(passes) / cycles, tuple(passes))
+                           sum(row.records for row in rows) / cycles, passes)
 
-    phases = ((build_tree(cfg.phase1_rate, cfg.phase1_leaves), plan.run_lengths[:-1],
-               plan.channel_records, 1, cfg.phase1_burst, "tuned"),
-              (build_tree(cfg.phase2_rate, cfg.phase2_leaves), plan.run_lengths[-2:],
-               plan.padded_records, REUSE_FACTOR, cfg.phase2_burst, "final"))
-    _time_samples(samples, [key for tree, run_lengths, records, *_ in phases
-                            for in_run, out_run in pairwise(run_lengths)
-                            for _, runs, n in _pass_groups(records, in_run, out_run)
-                            for key in _sample_keys(tree, runs, n)])
-    phase1, phase2 = (phase(*args) for args in phases)
+    _time_samples(samples, [key for row in plan.passes for key in _pass_samples(row)])
+    phase1, phase2 = phase(plan.passes[:-1]), phase(plan.passes[-1:])
     gbps1, gbps2 = phase1.gbytes_per_s, phase2.gbytes_per_s
     return RunTiming(phase1, phase2, perf_overall(gbps1, gbps2),
                      bandwidth_utilization(gbps1, plan.phase1_passes))

@@ -4,10 +4,10 @@ Each pseudo-channel has a fixed peak bandwidth and capacity.  The
 crossbar that joins the channels is not routed: its effect enters only
 as the measured efficiency of an access pattern ("m x m": reading m
 channels while writing the m nearby ones) at a given AXI burst size.
-Phase one drives the 1x1 pattern, every tree on its own channel pair;
-phase two the wider pattern of the reused trees (``REUSE_FACTOR`` in
-``mergetree``).  Those efficiencies ship as configuration, not code
-constants.
+:func:`~hbmsort.engine.plan_sort` sets each phase's pattern: 1x1 in
+phase one, every tree on its own channel pair, and the wider pattern of
+the reused trees (``REUSE_FACTOR`` in ``mergetree``) in phase two.  Those
+efficiencies ship as configuration, not code constants.
 """
 
 from __future__ import annotations

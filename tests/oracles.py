@@ -66,6 +66,21 @@ def random_sorted_records(rng, n, key_range=None):
     return [Record(int(k), int(rng.integers(0, 1 << 32))) for k in keys]
 
 
+def pass_ladder(records, leaves, wide_leaves):
+    """The run lengths of the two-phase schedule in closed form: (1, l,
+    ..., l**j, subrun, n_pad).  The records are padded to a multiple of l
+    * wide_leaves; phase one ends in n_pad / wide_leaves-record sub-runs,
+    and its untuned passes grow runs by l while one more of them would
+    stay short of a sub-run."""
+    align = leaves * wide_leaves
+    n_pad = -(-records // align) * align
+    subrun = n_pad // wide_leaves
+    ladder = [1]
+    while ladder[-1] * leaves < subrun:
+        ladder.append(ladder[-1] * leaves)
+    return tuple(ladder) + (subrun, n_pad)
+
+
 def brute_force_floorplan(prob: FloorplanProblem, tree_luts: int, trees: int):
     """Full-grid enumeration of the placement of at most `trees` trees,
     max (sum, u1)."""

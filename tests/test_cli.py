@@ -253,11 +253,12 @@ def dataset_100003(tmp_path):
     (["sort", "--dry-run", "--records", "0"], "--records must be at least 1, got 0"),
     (["sort", "--dry-run", "--records=-5"], "--records must be at least 1, got -5"),
     (["gen", "{out}", "--records", "4294967296"], "keys 1..4294967296 exceed"),
+    (["gen", "{out}", "--records", "10", "--seed", "-1"], "error: seed must be non-negative, got -1"),
 ], ids=["sort-records-mismatch", "sweep-empty-size", "sweep-non-numeric-size",
         "sweep-infinite-size", "gen-zero-records", "sort-zero-threads",
         "sort-negative-threads", "sweep-size-not-whole-records", "sweep-zero-size",
         "sweep-negative-size", "sort-zero-records", "sort-negative-records",
-        "gen-records-over-key-range"])
+        "gen-records-over-key-range", "gen-negative-seed"])
 def test_usage_error_exits_with_usage_status(argv, bad, dataset_100003, tmp_path, capsys):
     argv = [a.format(data=dataset_100003, out=tmp_path / "out.bin") for a in argv]
     assert _status(argv) == cli.EXIT_USAGE

@@ -95,6 +95,12 @@ def test_unknown_distribution_rejected():
         DatasetSpec(10, "normal")
 
 
+def test_negative_seed_rejected():
+    DatasetSpec(10, seed=0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        DatasetSpec(10, seed=-1)
+
+
 @pytest.mark.parametrize("distribution", ["permutation", "sorted", "reverse"])
 def test_keys_one_to_n_must_fit_the_key_range(distribution):
     DatasetSpec(MAX_KEY, distribution)  # keys 1..MAX_KEY still fit

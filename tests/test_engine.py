@@ -18,8 +18,10 @@ from hbmsort.engine import (
     sort_records,
     split_channels,
 )
+from hbmsort.hbm import BandwidthProfile, HbmTopology
 from hbmsort.mergenet import MAX_KEY
 from hbmsort.mergetree import (
+    REUSE_FACTOR,
     UnsortedFeedError,
     build_tree,
     compose_wide_tree,
@@ -27,7 +29,7 @@ from hbmsort.mergetree import (
     run_passes_cycles,
 )
 
-from oracles import kway_heap_merge
+from oracles import kway_heap_merge, pass_ladder
 
 
 def _records(keys):
@@ -99,6 +101,36 @@ class TestSortRecordsOracle:
         one = sort_records(recs, threads=1).output
         two = sort_records(recs, threads=2).output
         np.testing.assert_array_equal(one, two)
+
+
+class TestPlanRows:
+    """The plan's rows against the closed-form ladder of ``oracles``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 1 << 30), st.integers(1, 6), st.data())
+    def test_rows_chain_and_match_the_closed_form_ladder(self, records, log_leaves, data):
+        leaves = 1 << log_leaves
+        rate = 1 << data.draw(st.integers(0, log_leaves), label="log_rate")
+        trees = data.draw(st.sampled_from([t for t in range(1, 17) if 4 * leaves % t == 0]),
+                          label="trees")
+        burst1, burst2 = data.draw(st.lists(st.sampled_from([512, 1024, 2048, 4096]),
+                                            min_size=2, max_size=2), label="bursts")
+        cfg = SortConfig(records=records, parallel_trees=trees, phase1_leaves=leaves,
+                         phase1_rate=rate, phase2_leaves=4 * leaves, phase2_rate=4 * rate,
+                         phase1_burst=burst1, phase2_burst=burst2)
+        plan = plan_sort(cfg, HbmTopology(channel_capacity=1 << 40))
+        ladder = pass_ladder(records, leaves, 4 * leaves)
+        assert plan.run_lengths == ladder
+        *phase1, final = plan.passes
+        for row, after in zip(plan.passes, plan.passes[1:]):
+            assert row.out_run == after.in_run
+        assert [row.kind for row in phase1] == ["merge"] * (len(phase1) - 1) + ["tuned"]
+        for row in phase1:
+            assert row.tree == build_tree(rate, leaves)
+            assert (row.records, row.pattern, row.burst) == (ladder[-1] // trees, 1, burst1)
+        assert final.kind == "final" and final.tree == build_tree(4 * rate, 4 * leaves)
+        assert (final.records, final.pattern, final.burst) == (ladder[-1], REUSE_FACTOR, burst2)
+        assert plan.channel_records == ladder[-1] // trees
 
 
 class TestPhases:
@@ -269,6 +301,23 @@ class TestKeyRangeSplit:
         assert sizes.min() > 0.15 * plan.padded_records
 
 
+#: (phase-one cycles, phase-two cycles) at 100,003 and 4,194,304 records
+#: for the shapes the goldens do not cover.
+GEOMETRY_CYCLES = {
+    "leaves8": ({"phase1_leaves": 8, "phase2_leaves": 32}, (9723, 3265), (471725, 136775)),
+    "rate16": ({"phase1_rate": 16, "phase2_rate": 64}, (5946, 3273), (282802, 136775)),
+    "trees8": ({"parallel_trees": 8}, (13489, 3273), (622144, 136775)),
+}
+
+
+@pytest.mark.parametrize("records,at", [(100003, 1), (4194304, 2)], ids=["100003", "4194304"])
+@pytest.mark.parametrize("name", GEOMETRY_CYCLES)
+def test_non_default_geometries_keep_their_cycles(name, records, at):
+    cfg = SortConfig(records=records, **GEOMETRY_CYCLES[name][0])
+    timing = engine.build_timing(cfg, plan_sort(cfg))
+    assert (timing.phase1.cycles, timing.phase2.cycles) == GEOMETRY_CYCLES[name][at]
+
+
 class TestGroupCycles:
     """The group timing of the model against a timed pass of the whole group."""
 
@@ -334,6 +383,25 @@ class TestGroupCycles:
         assert [(t, len(samples)) for t, samples in forests] == [(tree, 2)]
         engine._group_cycles(tree, 16, 1 << 16, memo)
         assert len(forests) == 1
+
+    @pytest.mark.parametrize("records", [100003, 1 << 22])
+    @pytest.mark.parametrize("geometry", [{}, *(g for g, _, _ in GEOMETRY_CYCLES.values())],
+                             ids=["default", *GEOMETRY_CYCLES])
+    def test_pass_timing_is_the_row_that_build_timing_reports(self, geometry, records, monkeypatch):
+        cfg = SortConfig(records=records, **geometry)
+        plan = plan_sort(cfg)
+        timing = engine.build_timing(cfg, plan)
+        forests = self._forests(monkeypatch)
+        topo, profile = HbmTopology(), BandwidthProfile()
+        for row, reported in zip(plan.passes, timing.phase1.passes + timing.phase2.passes,
+                                 strict=True):
+            del forests[:]
+            memo = {}
+            assert engine.pass_timing(row, cfg.clock_hz, topo, profile, memo) == reported
+            # a fresh memo: the row's samples are timed in one forest, and only once
+            assert [tree for tree, _ in forests] == [row.tree]
+            engine.pass_timing(row, cfg.clock_hz, topo, profile, memo)
+            assert len(forests) == 1
 
     def test_sweep_times_each_sample_once(self, monkeypatch, capsys):
         # the sweep's sizes share one memo: 12 distinct samples, where a
