@@ -24,7 +24,10 @@ sub-run on its own.  Phase two cuts the key space into at least
 ranges of ``RANGE_RECORDS``, at splitters drawn from a regular sample of
 the sub-runs; each range is one slice of every sub-run and one sort of
 composites that carry global positions, merged into its slice of the
-output.  Each phase's pool has at most one thread per CPU, whatever
+output.  The ranges are dealt out in ``threads`` shares, each with one
+composite buffer sized to its widest range, so phase two's scratch
+beside the phase-one array and the output is at most one composite per
+record, and one range's worth per share when keys spread.  Each phase's pool has at most one thread per CPU, whatever
 ``threads`` is.
 The output is the same for every thread count.
 ``tests/test_engine.py`` checks the result against a heap merge and
@@ -290,27 +293,33 @@ def _key_ranges(subruns: np.ndarray, ranges: int) -> np.ndarray:
 def _merge_subruns(feeds: np.ndarray, per: int, threads: int) -> np.ndarray:
     """Stable merge of the sorted sub-runs of ``per`` records that ``feeds``
     holds back to back, in key ranges of about ``RANGE_RECORDS`` records,
-    at least ``threads`` of them (see :func:`run_phase2`)."""
+    at least ``threads`` of them (see :func:`run_phase2`).  The ranges are
+    dealt out in ``threads`` shares, each with one composite buffer sized
+    to its widest range and reused across its ranges."""
     if len(feeds) > 1 << 32:
         raise ValueError(f"{len(feeds)} records overflow the 32-bit merge positions")
     ranges = max(threads, -(-len(feeds) // RANGE_RECORDS))
     subruns = feeds[:, 0].reshape(-1, per)
     cuts = _key_ranges(subruns, ranges)
-    starts = np.concatenate(([0], np.cumsum(np.diff(cuts, axis=1).sum(axis=0))))
+    sizes = np.diff(cuts, axis=1).sum(axis=0)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
     positions = np.arange(per, dtype=np.uint64)
-    comp = np.empty(len(feeds), dtype=np.uint64)
     merged = np.empty_like(feeds)
+    shares = np.array_split(np.arange(ranges), threads)  # ranges >= threads
+    # Allocated here, not in the workers, whose allocations the heap retains.
+    buffers = [np.empty(sizes[share].max(), dtype=np.uint64) for share in shares]
 
-    def merge_range(r: int):
-        at = starts[r]
-        for j, (lo, hi) in enumerate(cuts[:, r : r + 2]):
-            piece = composite_keys(subruns[j, lo:hi], positions[lo:hi], comp[at : at + hi - lo])
-            piece += np.uint64(j * per)  # sub-run j starts at global position j * per
-            at += hi - lo
-        _sort_gather(comp[starts[r] : at], feeds, merged[starts[r] : at])
+    def merge_ranges(share: np.ndarray, comp: np.ndarray):
+        for r in share:
+            at = 0
+            for j, (lo, hi) in enumerate(cuts[:, r : r + 2]):
+                piece = composite_keys(subruns[j, lo:hi], positions[lo:hi], comp[at : at + hi - lo])
+                piece += np.uint64(j * per)  # sub-run j starts at global position j * per
+                at += hi - lo
+            _sort_gather(comp[:at], feeds, merged[starts[r] : starts[r] + at])
 
-    with _pool(threads) as pool:
-        list(pool.map(merge_range, range(ranges)))
+    with _pool(len(shares)) as pool:
+        list(pool.map(merge_ranges, shares, buffers))
     return merged
 
 
@@ -323,11 +332,15 @@ def run_phase2(
     The merge is cut into key ranges (:func:`_key_ranges`), which follow
     each other in the output: ``ceil(padded_records / RANGE_RECORDS)`` of
     them, so that one range's composites stay cache-sized, or ``threads``
-    if that is more.  Each range is merged, by a pool of at most one
-    thread per CPU, into its slice of the output, as one sort of the
-    composites (key, global position) of its slice of every sub-run, so
-    equal keys keep sub-run order and the output does not depend on
-    ``threads`` or on the range count.
+    if that is more.  Each range is merged into its slice of the output,
+    as one sort of the composites (key, global position) of its slice of
+    every sub-run, so equal keys keep sub-run order and the output does
+    not depend on ``threads`` or on the range count.  The ranges are
+    dealt out in ``threads`` shares, run by a pool of at most one thread
+    per CPU; each share has one composite buffer, sized by its widest
+    range and reused across its ranges.  Together the buffers hold at
+    most one composite per record, and one range's worth per share when
+    keys spread.
     """
     _check_phase(channels, cfg, plan, threads)
     feeds = channels.reshape(-1, 2)

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -597,12 +598,21 @@ def _check_inputs(draw):
     return data, data[np.argsort(data[:, 0], kind="stable")]
 
 
+#: Slice lengths of the check's output side, so that outputs span many slices.
+SLICE_RECORDS = [1, 3, 64]
+
+
 class TestCheckOutput:
-    """``cli._check_output`` gives a plain full sort's verdict."""
+    """``cli._check_output`` gives a plain full sort's verdict, whole and in
+    slices of ``SLICE_RECORDS`` records."""
 
     def _verdict(self, out, data, threads):
         got = cli._check_output(out, data, threads)
         assert got == _check_reference(out, data)
+        with pytest.MonkeyPatch.context() as mp:
+            for records in SLICE_RECORDS:
+                mp.setattr(engine, "RANGE_RECORDS", records)
+                assert cli._check_output(out, data, threads) == got
         return got
 
     @given(_check_inputs(), st.sampled_from([1, 2]))
@@ -644,3 +654,85 @@ class TestCheckOutput:
         out[[i, j]] = out[[j, i]]
         verdict = self._verdict(out, data, threads)
         assert verdict == ("ok" if out[i, 0] == out[j, 0] else "output not sorted")
+
+    @pytest.mark.parametrize("records", SLICE_RECORDS)
+    @pytest.mark.parametrize("at", [0, 500, 999], ids=["first", "middle", "last"])
+    def test_a_changed_payload_in_one_slice(self, at, records, monkeypatch):
+        monkeypatch.setattr(engine, "RANGE_RECORDS", records)
+        data = _records(np.arange(1000)[::-1])
+        out = data[::-1].copy()
+        out[at, 1] ^= 1
+        assert cli._check_output(out, data, 2) == "record multiset changed"
+        assert _check_reference(out, data) == "record multiset changed"
+
+    @pytest.mark.parametrize("records", SLICE_RECORDS)
+    @pytest.mark.parametrize("order,packs", [(1, 1), (-1, 2)], ids=["ascending", "descending"])
+    def test_tied_payloads_across_a_slice_boundary(self, order, packs, records, monkeypatch):
+        # keys 0..999 with the two records at each side of a slice boundary
+        # tied; descending payloads there fail the sliced comparison, and
+        # the whole output is packed and sorted as well
+        n = 1000
+        boundary = 5 * records
+        keys = np.arange(n)
+        keys[boundary] = keys[boundary - 1]
+        data = _records(keys)
+        out = data.copy()
+        out[[boundary - 1, boundary], 1] = data[[boundary - 1, boundary], 1][::order]
+        lengths = []
+        pack = engine.composite_keys
+        monkeypatch.setattr(engine, "RANGE_RECORDS", records)
+        monkeypatch.setattr(engine, "composite_keys",
+                            lambda high, low, buf: lengths.append(len(buf)) or pack(high, low, buf))
+        assert cli._check_output(out, data, 2) == _check_reference(out, data) == "ok"
+        assert lengths.count(n) == packs  # the input; for descending payloads the output too
+
+    @pytest.mark.parametrize("records", SLICE_RECORDS)
+    @pytest.mark.parametrize("cut", [slice(0, 0), slice(1, None), slice(0, -1), slice(0, 1)])
+    def test_an_output_of_another_length(self, cut, records, monkeypatch):
+        monkeypatch.setattr(engine, "RANGE_RECORDS", records)
+        data = _records(np.arange(300)[::-1])
+        for out in (data[::-1][cut], np.concatenate([data[::-1], data[:1]])):
+            assert cli._check_output(out, data, 2) == _check_reference(out, data)
+            assert _check_reference(out, data) == "record multiset changed"
+
+
+#: Inputs of the scratch-memory bound: spread, skewed and all-equal keys.
+SCRATCH_INPUTS = {
+    "permutation": lambda n: dataset.generate(dataset.DatasetSpec(n, "permutation", 1)),
+    "zipf": lambda n: dataset.generate(dataset.DatasetSpec(n, "zipf", 1)),
+    "all-equal": lambda n: _records(np.full(n, 7)),
+}
+
+
+@pytest.mark.parametrize("name", SCRATCH_INPUTS)
+def test_scratch_memory_is_bounded(name, monkeypatch):
+    # 13 key ranges of 8192 records over 2 shares; numpy reports its buffers
+    # to tracemalloc.  Phase two holds the phase-one array, the merged array
+    # and one composite buffer per share, sized by the share's widest range;
+    # the check holds the packed input and one slice of the output.
+    n, threads = 100003, 2
+    monkeypatch.setattr(engine, "RANGE_RECORDS", 1 << 13)
+    records = SCRATCH_INPUTS[name](n)
+    _cfg, plan, _padded, channels = _phase1(records)
+    array = plan.padded_records * 8
+    ranges = -(-plan.padded_records // engine.RANGE_RECORDS)
+    subruns = channels[:, :, 0].reshape(-1, plan.subrun_records)
+    sizes = np.diff(engine._key_ranges(subruns, ranges), axis=1).sum(axis=0)
+    buffers = 8 * sum(int(sizes[share].max())
+                      for share in np.array_split(np.arange(ranges), threads))
+    assert ranges > 2 * threads and buffers <= array
+    slice_bytes = 8 * engine.RANGE_RECORDS
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = sort_records(records, threads=threads).output
+        sort_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        verdict = cli._check_output(out, records, threads)
+        check_peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert verdict == "ok"
+    assert sort_peak < 2 * array + buffers + array // 8  # sample, cuts and positions
+    assert check_peak < array + 2 * slice_bytes  # a slice's buffer and its comparison
