@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
@@ -193,14 +194,15 @@ def _check_output(out: np.ndarray, data: np.ndarray, threads: int) -> str:
     64 bits key-major, the key in the high word.  Once ``out``'s keys are
     found non-decreasing, the input is packed and sorted in two halves: an
     in-place partition at its own median puts every smaller packing below
-    the middle and every larger one above, and a pool of ``min(threads,
-    2)`` threads sorts the two halves in place.  When the sorter's keys
-    are unique, or the payloads of equal keys ascend, ``out``'s packing is
-    that sorted input.  It is packed one ``engine.RANGE_RECORDS`` slice at
-    a time into one reused buffer, and compared with the matching slice,
-    so the scratch is the packed input plus one slice.  From the first
-    unequal slice on, the whole output is packed and sorted the same way
-    and compared, so the check is exact for any output.
+    the middle and every larger one above, and a pool of
+    ``engine._workers(threads, 2)`` threads sorts the two halves in place.
+    When the sorter's keys are unique, or the payloads of equal keys
+    ascend, ``out``'s packing is that sorted input.  It is packed one
+    ``engine.RANGE_RECORDS`` slice at a time into one reused buffer, and
+    compared with the matching slice, so the scratch is the packed input
+    plus one slice.  From the first unequal slice on, the whole output is
+    packed and sorted the same way and compared, so the check is exact for
+    any output.
     """
     def packed(x):
         return engine.composite_keys(x[:, 0], x[:, 1], np.empty(len(x), dtype=np.uint64))
@@ -208,7 +210,7 @@ def _check_output(out: np.ndarray, data: np.ndarray, threads: int) -> str:
     def sort_halves(x):
         half = len(x) // 2
         x.partition(half)
-        with engine._pool(min(threads, 2)) as pool:
+        with ThreadPoolExecutor(engine._workers(threads, 2)) as pool:
             list(pool.map(np.ndarray.sort, (x[:half], x[half:])))
 
     keys = out[:, 0]
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model timing from the plan only; no data is touched")
     p.add_argument("--records", type=int, help="record count for --dry-run")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="shares of each sort phase's work (at least 1), on at most one thread per CPU")
+                   help="threads of each sort phase (at least 1); more than the CPU count run as the CPU count")
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_sort)
 

@@ -16,19 +16,16 @@ whose row c is the channel tree c sorts; phase one sorts every row into
 one array of the same shape, and phase two reads that array in place as
 its ``phase2_leaves`` sub-runs.  A merge tree resolves equal keys in leaf
 order, so the sub-runs of phase one are stable sorts of their input
-ranges and phase two is a stable merge of the sub-runs.  Both phases
-sort unique 64-bit composites (key, position) with an unstable sort and
-gather the records at the sorted positions.  Phase one sorts each
-sub-run on its own.  Phase two cuts the key space into at least
-``threads`` ranges, and into more when the records exceed ``threads``
-ranges of ``RANGE_RECORDS``, at splitters drawn from a regular sample of
-the sub-runs; each range is one slice of every sub-run and one sort of
-composites that carry global positions, merged into its slice of the
-output.  The ranges are dealt out in ``threads`` shares, each with one
-composite buffer sized to its widest range, so phase two's scratch
-beside the phase-one array and the output is at most one composite per
-record, and one range's worth per share when keys spread.  Each phase's pool has at most one thread per CPU, whatever
-``threads`` is.
+ranges and phase two is a stable merge of the sub-runs.  Both phases are
+one segment sort, :func:`_sort_segments`, and differ only in their
+segments.  Phase one's segment is one sub-run.  Phase two cuts the key
+space into ranges at splitters drawn from a regular sample of the
+sub-runs, and its segment is one range: a slice of every sub-run.
+A segment is sorted as unique 64-bit composites (key, position) and its
+records are gathered at the sorted positions.  Each phase deals its
+segments over a pool of at most one thread per CPU, whatever
+``threads`` is, and each worker has one composite buffer, reused across
+its segments.
 The output is the same for every thread count.
 ``tests/test_engine.py`` checks the result against a heap merge and
 phase two against a timed pass of the wide tree.
@@ -222,19 +219,51 @@ def composite_keys(high: np.ndarray, low: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
-def _sort_gather(comp: np.ndarray, src: np.ndarray, out: np.ndarray):
-    """Sort the composites (key, position in ``src``), then gather the rows
-    of ``src`` at their low words into ``out``.  The composites are unique,
-    so the unstable sort is a stable sort by key."""
-    comp.sort()
-    comp &= _LOW_WORD
-    # The indices are in range; "clip" skips the copy "raise" buffers through.
-    np.take(src, comp.view(np.int64), axis=0, out=out, mode="clip")
+def _workers(threads: int, tasks: int) -> int:
+    """The pool size for ``tasks`` tasks: at most ``threads``, one per task
+    and one per CPU."""
+    return min(threads, tasks, os.cpu_count() or 1)
 
 
-def _pool(tasks: int) -> ThreadPoolExecutor:
-    """A pool for `tasks` tasks: one thread per task, at most one per CPU."""
-    return ThreadPoolExecutor(max_workers=min(tasks, os.cpu_count() or 1))
+def _sort_segments(src: np.ndarray, cuts: np.ndarray, threads: int) -> np.ndarray:
+    """Sort ``src``'s records by key, segment by segment, into one array.
+
+    Segment s is rows ``cuts[j, s]`` to ``cuts[j, s + 1]`` of ``src`` for
+    every row j of ``cuts``; its records are sorted as one set of unique
+    64-bit composites (key, row in ``src``) by an unstable sort, so equal
+    keys keep their order in ``src``, and gathered into the segment's
+    slice of the output, which follows the slices of the segments before
+    it.  The segments are dealt out in contiguous shares over a pool of
+    :func:`_workers` threads, and each share has one composite buffer,
+    sized by its widest segment and reused across its segments.
+    """
+    if len(src) > 1 << 32:
+        raise ValueError(f"{len(src)} records overflow the 32-bit sort positions")
+    pieces = np.diff(cuts, axis=1)
+    sizes = pieces.sum(axis=0)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    positions = np.arange(pieces.max(), dtype=np.uint64)
+    out = np.empty_like(src)
+    shares = np.array_split(np.arange(len(sizes)), _workers(threads, len(sizes)))
+    # Allocated here, not in the workers, whose allocations the heap retains.
+    buffers = [np.empty(sizes[share].max(), dtype=np.uint64) for share in shares]
+
+    def sort_share(share: np.ndarray, comp: np.ndarray):
+        for s in share:
+            at = 0
+            for lo, hi in cuts[:, s : s + 2]:
+                piece = composite_keys(src[lo:hi, 0], positions[: hi - lo], comp[at : at + hi - lo])
+                piece += np.uint64(lo)
+                at += hi - lo
+            rows = comp[:at]
+            rows.sort()
+            rows &= _LOW_WORD
+            # The rows are in range; "clip" skips the copy "raise" buffers through.
+            np.take(src, rows.view(np.int64), axis=0, out=out[starts[s] : starts[s] + at], mode="clip")
+
+    with ThreadPoolExecutor(len(shares)) as pool:
+        list(pool.map(sort_share, shares, buffers))
+    return out
 
 
 def _check_phase(channels: np.ndarray, cfg: SortConfig, plan: SortPlan, threads: int):
@@ -252,26 +281,13 @@ def run_phase1(
 
     The untuned passes only lengthen runs inside a channel, so the final
     sub-runs are stable sorts of their input ranges whatever the pass
-    count.  The channels are dealt out in ``threads`` shares (at most one
-    per channel), each with one composite buffer reused across its
-    sub-runs, and sorted into one array of the input's shape.
+    count.  Each sub-run is one segment of :func:`_sort_segments`, sorted
+    into one array of the input's shape.
     """
     _check_phase(channels, cfg, plan, threads)
-    per = plan.subrun_records
-    out = np.empty_like(channels)
-    positions = np.arange(per, dtype=np.uint64)
-
-    def sort_channels(rows: np.ndarray):
-        comp = np.empty(per, dtype=np.uint64)
-        for c in rows:
-            for s in range(0, plan.channel_records, per):
-                sub = channels[c, s : s + per]
-                _sort_gather(composite_keys(sub[:, 0], positions, comp), sub, out[c, s : s + per])
-
-    shares = min(threads, len(channels))
-    with _pool(shares) as pool:
-        list(pool.map(sort_channels, np.array_split(np.arange(len(channels)), shares)))
-    return out
+    feeds = channels.reshape(-1, 2)
+    cuts = np.arange(0, len(feeds) + 1, plan.subrun_records)[None, :]
+    return _sort_segments(feeds, cuts, threads).reshape(channels.shape)
 
 
 def _key_ranges(subruns: np.ndarray, ranges: int) -> np.ndarray:
@@ -290,39 +306,6 @@ def _key_ranges(subruns: np.ndarray, ranges: int) -> np.ndarray:
     return cuts
 
 
-def _merge_subruns(feeds: np.ndarray, per: int, threads: int) -> np.ndarray:
-    """Stable merge of the sorted sub-runs of ``per`` records that ``feeds``
-    holds back to back, in key ranges of about ``RANGE_RECORDS`` records,
-    at least ``threads`` of them (see :func:`run_phase2`).  The ranges are
-    dealt out in ``threads`` shares, each with one composite buffer sized
-    to its widest range and reused across its ranges."""
-    if len(feeds) > 1 << 32:
-        raise ValueError(f"{len(feeds)} records overflow the 32-bit merge positions")
-    ranges = max(threads, -(-len(feeds) // RANGE_RECORDS))
-    subruns = feeds[:, 0].reshape(-1, per)
-    cuts = _key_ranges(subruns, ranges)
-    sizes = np.diff(cuts, axis=1).sum(axis=0)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    positions = np.arange(per, dtype=np.uint64)
-    merged = np.empty_like(feeds)
-    shares = np.array_split(np.arange(ranges), threads)  # ranges >= threads
-    # Allocated here, not in the workers, whose allocations the heap retains.
-    buffers = [np.empty(sizes[share].max(), dtype=np.uint64) for share in shares]
-
-    def merge_ranges(share: np.ndarray, comp: np.ndarray):
-        for r in share:
-            at = 0
-            for j, (lo, hi) in enumerate(cuts[:, r : r + 2]):
-                piece = composite_keys(subruns[j, lo:hi], positions[lo:hi], comp[at : at + hi - lo])
-                piece += np.uint64(j * per)  # sub-run j starts at global position j * per
-                at += hi - lo
-            _sort_gather(comp[:at], feeds, merged[starts[r] : starts[r] + at])
-
-    with _pool(len(shares)) as pool:
-        list(pool.map(merge_ranges, shares, buffers))
-    return merged
-
-
 def run_phase2(
     channels: np.ndarray, cfg: SortConfig, plan: SortPlan, threads: int = 1
 ) -> np.ndarray:
@@ -331,25 +314,24 @@ def run_phase2(
 
     The merge is cut into key ranges (:func:`_key_ranges`), which follow
     each other in the output: ``ceil(padded_records / RANGE_RECORDS)`` of
-    them, so that one range's composites stay cache-sized, or ``threads``
-    if that is more.  Each range is merged into its slice of the output,
-    as one sort of the composites (key, global position) of its slice of
-    every sub-run, so equal keys keep sub-run order and the output does
-    not depend on ``threads`` or on the range count.  The ranges are
-    dealt out in ``threads`` shares, run by a pool of at most one thread
-    per CPU; each share has one composite buffer, sized by its widest
-    range and reused across its ranges.  Together the buffers hold at
-    most one composite per record, and one range's worth per share when
-    keys spread.
+    them, so that one range's composites stay cache-sized, or as many as
+    the pool's workers if that is more.  Each range is one segment of
+    :func:`_sort_segments`, its slice of every sub-run, so equal keys keep
+    sub-run order and the output does not depend on ``threads`` or on the
+    range count.  The composite buffers hold at most one composite per
+    record, and one range's worth per worker when keys spread.
     """
     _check_phase(channels, cfg, plan, threads)
     feeds = channels.reshape(-1, 2)
     keys = feeds[:, 0]
+    per = plan.subrun_records
     drops = np.flatnonzero(keys[1:] < keys[:-1]) + 1
-    drops = drops[drops % plan.subrun_records != 0]  # a new sub-run may start lower
+    drops = drops[drops % per != 0]  # a new sub-run may start lower
     if len(drops):
-        raise UnsortedFeedError(int(drops[0]) // plan.subrun_records)
-    return _merge_subruns(feeds, plan.subrun_records, threads)
+        raise UnsortedFeedError(int(drops[0]) // per)
+    ranges = max(_workers(threads, len(feeds)), -(-len(feeds) // RANGE_RECORDS))
+    cuts = _key_ranges(keys.reshape(-1, per), ranges) + np.arange(0, len(feeds), per)[:, None]
+    return _sort_segments(feeds, cuts, threads)
 
 
 def reconstruct_output(merged: np.ndarray, plan: SortPlan) -> np.ndarray:
@@ -581,11 +563,8 @@ def sort_records(
     Keys and payloads must be integers in 0..MAX_KEY; any integer dtype is
     accepted, others raise :class:`RecordFormatError`.  ``topo`` bounds
     the plan's channel capacity.  ``threads`` (at least 1, else
-    ``ValueError``) sets the shares of each phase's work: phase one deals
-    out the channels in ``threads`` shares, and phase two cuts at least
-    ``threads`` key ranges, more when the records exceed ``threads``
-    ranges of ``RANGE_RECORDS``.  A pool of at most one thread per CPU
-    runs the shares.  The input is padded with sentinels
+    ``ValueError``) caps each phase's pool, which also has at most one
+    thread per CPU (:func:`_workers`).  The input is padded with sentinels
     (:func:`pad_input`), sorted by both phases into one run, and the
     sentinels are cut from its tail (:func:`reconstruct_output`).  The
     output is the same for every thread count.  The sort is functional

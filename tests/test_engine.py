@@ -232,10 +232,17 @@ def _split_case(name):
 
 
 class TestKeyRangeSplit:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("threads", [1, 2, 3, 4, 7])
     @pytest.mark.parametrize("name", SPLIT_INPUTS)
-    def test_output_is_the_heap_merge_for_every_thread_count(self, name, threads):
+    def test_output_is_the_heap_merge_for_every_thread_count(self, name, threads, cpus,
+                                                             monkeypatch):
+        # the pool's workers, min(threads, segments, cpus), set the shares
         recs, cfg, plan, channels, want_sort, want_phase2 = _split_case(name)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+        padded = pad_input(recs, plan)
+        phase1 = run_phase1(split_channels(padded, cfg), cfg, plan, threads)
+        assert phase1.tobytes() == channels.tobytes()
         phase2 = run_phase2(channels, cfg, plan, threads)
         assert phase2.tobytes() == want_phase2.tobytes()
         assert sort_records(recs, threads=threads).output.tobytes() == want_sort.tobytes()
@@ -252,8 +259,8 @@ class TestKeyRangeSplit:
         assert sizes.sum() == plan.padded_records
 
     def test_pools_are_bounded_by_the_cpus(self, monkeypatch):
-        # on 2 CPUs, 64 shares still cut phase two into 64 key ranges, but
-        # each phase's pool has 2 threads
+        # on 2 CPUs, threads=64 runs each phase's pool on 2 workers, and
+        # phase two cuts as many key ranges as workers
         recs, _cfg, _plan, _channels, want_sort, _p = _split_case("few-100003")
         workers, ranges = [], []
 
@@ -267,7 +274,7 @@ class TestKeyRangeSplit:
         monkeypatch.setattr(engine, "_key_ranges", lambda sub, n: ranges.append(n) or key_ranges(sub, n))
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         assert sort_records(recs, threads=64).output.tobytes() == want_sort.tobytes()
-        assert (workers, ranges) == ([2, 2], [64])
+        assert (workers, ranges) == ([2, 2], [2])
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("name,tied", [
@@ -704,23 +711,27 @@ SCRATCH_INPUTS = {
 }
 
 
+@pytest.mark.parametrize("threads", [2, 8, 64])
 @pytest.mark.parametrize("name", SCRATCH_INPUTS)
-def test_scratch_memory_is_bounded(name, monkeypatch):
-    # 13 key ranges of 8192 records over 2 shares; numpy reports its buffers
-    # to tracemalloc.  Phase two holds the phase-one array, the merged array
-    # and one composite buffer per share, sized by the share's widest range;
-    # the check holds the packed input and one slice of the output.
-    n, threads = 100003, 2
+def test_scratch_memory_is_bounded(name, threads, monkeypatch):
+    # On 2 CPUs the pool has min(threads, 2) workers, whatever threads is:
+    # 13 key ranges of 8192 records over 2 workers; numpy reports its
+    # buffers to tracemalloc.  Phase two holds the phase-one array, the
+    # merged array and one composite buffer per worker, sized by the widest
+    # range the worker sorts; the check holds the packed input and one
+    # slice of the output.
+    n, workers = 100003, min(threads, 2)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(engine, "RANGE_RECORDS", 1 << 13)
     records = SCRATCH_INPUTS[name](n)
     _cfg, plan, _padded, channels = _phase1(records)
     array = plan.padded_records * 8
-    ranges = -(-plan.padded_records // engine.RANGE_RECORDS)
+    ranges = max(workers, -(-plan.padded_records // engine.RANGE_RECORDS))
     subruns = channels[:, :, 0].reshape(-1, plan.subrun_records)
     sizes = np.diff(engine._key_ranges(subruns, ranges), axis=1).sum(axis=0)
     buffers = 8 * sum(int(sizes[share].max())
-                      for share in np.array_split(np.arange(ranges), threads))
-    assert ranges > 2 * threads and buffers <= array
+                      for share in np.array_split(np.arange(ranges), workers))
+    assert ranges > 2 * workers and buffers <= array
     slice_bytes = 8 * engine.RANGE_RECORDS
     tracemalloc.start()
     try:
