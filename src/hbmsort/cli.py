@@ -10,8 +10,14 @@ model     print the analytic report: performance equations, resources,
 sweep     model a range of data sizes and tabulate pass counts/throughput
 validate  check that a dataset is the sorted permutation 1..N
 
-Reports are deterministic JSON (schema_version 1, fixed key order); exit
-status is 0 only when validation passed and no errors occurred.
+Reports are deterministic JSON (schema_version 1, fixed key order).
+
+Exit status
+-----------
+0  ok
+1  validation failed
+2  usage or config error
+3  data, capacity or write error
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-class _WriteError(Exception):
-    """A file could not be written; :func:`main` exits with ``EXIT_DATA``."""
+class _UsageError(Exception):
+    """Bad or conflicting command-line arguments; :func:`main` exits with ``EXIT_USAGE``."""
 
 
 def _write(save, data, path: str):
@@ -51,7 +57,7 @@ def _write(save, data, path: str):
     try:
         save(data, path)
     except OSError as exc:
-        raise _WriteError(f"cannot write {path}: {exc}") from None
+        raise OSError(f"cannot write {path}: {exc}") from None
 
 
 def _save_json(report: dict, path: str):
@@ -115,8 +121,7 @@ def cmd_gen(args) -> int:
     try:
         spec = dataset.DatasetSpec(args.records, args.distribution, args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(exc) from None
     _write(dataset.save, dataset.generate(spec), args.out)
     print(f"wrote {args.records} records ({args.records * engine.RECORD_BYTES} bytes) "
           f"to {args.out}")
@@ -125,42 +130,36 @@ def cmd_gen(args) -> int:
 
 def cmd_sort(args) -> int:
     if args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--threads must be at least 1, got {args.threads}")
     if args.records is not None and args.records < 1:
-        print(f"error: --records must be at least 1, got {args.records}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--records must be at least 1, got {args.records}")
+    if args.dry_run and args.mode == "functional":
+        raise _UsageError("--dry-run models timing only; it cannot run --mode functional")
     app = load_config(args.config)
-    mode = "cycles" if args.dry_run else args.mode
     if args.dry_run:
         if args.records is None and "records" not in app.sort_overrides:
-            print("error: --dry-run needs --records or [sort] records", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError("--dry-run needs --records or [sort] records")
         cfg = app.sort_config(args.records)
+        plan = plan_sort(cfg, app.topo)
+        mode, observed = "cycles", {}
+        validation = {"passed": True, "message": "dry run, no data"}
     else:
         if args.input is None:
-            print("error: input dataset required unless --dry-run", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            data = dataset.load(args.input)
-        except (OSError, dataset.DatasetFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            raise _UsageError("input dataset required unless --dry-run")
+        data = dataset.load(args.input)
         if args.records not in (None, len(data)):
-            print(f"error: --records {args.records} does not match the {len(data)} "
-                  f"records in {args.input}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"--records {args.records} does not match the {len(data)} "
+                              f"records in {args.input}")
         cfg = app.sort_config(len(data))
-    try:
-        if args.dry_run:
-            plan = plan_sort(cfg, app.topo)
-        else:
-            result = engine.sort_records(np.asarray(data), cfg, args.threads, app.topo)
-            plan = result.plan
-        timing = build_timing(cfg, plan, app.topo, app.profile) if mode == "cycles" else None
-    except (CapacityError, engine.IntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        result = engine.sort_records(np.asarray(data), cfg, args.threads, app.topo)
+        plan = result.plan
+        mode = args.mode or "functional"
+        observed = {"observed_passes": plan.phase1_passes}
+        message = _check_output(result.output, data, args.threads)
+        validation = {"passed": message == "ok", "message": message}
+        if args.out:
+            _write(dataset.save, result.output, args.out)
+    timing = build_timing(cfg, plan, app.topo, app.profile) if mode == "cycles" else None
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -169,22 +168,14 @@ def cmd_sort(args) -> int:
         "dry_run": args.dry_run,
         "config": asdict(cfg),
         "plan": _plan_dict(plan),
+        **observed,
+        "timing": _timing_dict(timing) if timing else None,
+        "reference": _reference_dict(app.reference),
+        "validation": validation,
     }
-    if args.dry_run:
-        passed, message = True, "dry run, no data"
-    else:
-        out = result.output
-        message = _check_output(out, data, args.threads)
-        passed = message == "ok"
-        if args.out:
-            _write(dataset.save, out, args.out)
-        report["observed_passes"] = plan.phase1_passes
-    report["timing"] = _timing_dict(timing) if timing else None
-    report["reference"] = _reference_dict(app.reference)
-    report["validation"] = {"passed": passed, "message": message}
     _write_report(report, args.report)
     _print_sort_summary(report)
-    return EXIT_OK if passed else EXIT_VALIDATION
+    return EXIT_OK if validation["passed"] else EXIT_VALIDATION
 
 
 def _check_output(out: np.ndarray, data: np.ndarray, threads: int) -> str:
@@ -251,17 +242,12 @@ def cmd_model(args) -> int:
     app = load_config(args.config)
     ref = app.reference
     n = app.sort_overrides.get("records", 1 << 29)
+    cfg = app.sort_config(n)
+    plan = plan_sort(cfg, app.topo)
 
     single_gbps = analytics.perf_single_tree(
         n, ref.single_tree_leaves, ref.phase2_gbps * 1e9) / 1e9
     single_passes = analytics.tree_passes(ref.single_tree_leaves, n)
-
-    cfg = app.sort_config(n)
-    try:
-        plan = plan_sort(cfg, app.topo)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     eq_passes = analytics.tree_passes(cfg.phase1_leaves, -(-n // cfg.parallel_trees))
     eq_phase1 = analytics.perf_phase1(
         cfg.parallel_trees, app.topo.channel_bandwidth, eq_passes) / 1e9
@@ -352,8 +338,7 @@ def cmd_sweep(args) -> int:
             plan = plan_sort(cfg, app.topo)
             timing = build_timing(cfg, plan, app.topo, app.profile, samples)
         except CapacityError as exc:
-            print(f"error: {size} B: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            raise CapacityError(f"{size} B: {exc}") from None
         rows.append({
             "bytes": size,
             "records": records,
@@ -372,11 +357,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    try:
-        data = dataset.load(args.input)
-    except (OSError, dataset.DatasetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    data = dataset.load(args.input)
     result = verify_permutation(np.asarray(data), len(data))
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -411,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="input dataset path")
     p.add_argument("--out", help="write the sorted dataset here")
     p.add_argument("--config", help="config file path")
-    p.add_argument("--mode", choices=("functional", "cycles"), default="functional")
+    p.add_argument("--mode", choices=("functional", "cycles"),
+                   help="functional (default) or cycles; --dry-run runs cycles only")
     p.add_argument("--dry-run", action="store_true",
                    help="model timing from the plan only; no data is touched")
     p.add_argument("--records", type=int, help="record count for --dry-run")
@@ -440,14 +422,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place that prints an error and picks the
+    exit status (table in the module docstring)."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _WriteError as exc:
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, dataset.DatasetFormatError, CapacityError, engine.IntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import pairwise
 from operator import index
 from typing import NamedTuple, Sequence
 
@@ -122,6 +121,14 @@ def _check_rate(rate, cap=max(BLOCK_RATES)):
         raise RateError(f"rate {rate} exceeds supported maximum {cap}")
 
 
+def _check_sorted(*runs):
+    """Raise :class:`UnsortedFeedError` naming the first run not sorted by key."""
+    for i, run in enumerate(runs):
+        keys = [r.key for r in run]
+        if keys != sorted(keys):
+            raise UnsortedFeedError(i)
+
+
 def _merge_tagged(a, b):
     """Merge two ascending tagged runs of equal length via the network.
 
@@ -155,10 +162,12 @@ def bitonic_merge_blocks(a: Sequence[Record], b: Sequence[Record]) -> tuple[Reco
 
     Both blocks must share the same power-of-two rate E <= 32 and be sorted
     by key.  Equal keys come out in port order: all of `a` before `b`.
+    Raises :class:`UnsortedFeedError` naming block 0 or 1.
     """
     if len(a) != len(b):
         raise RateError(f"mismatched block rates: {len(a)} vs {len(b)}")
     _check_rate(len(a))
+    _check_sorted(a, b)
     merged = _merge_tagged(_tag_block(a, 0), _tag_block(b, 1))
     return _untag(merged)
 
@@ -287,9 +296,7 @@ def mms_merge_runs(
     final flush.  Raises :class:`UnsortedFeedError` naming run 0 or 1.
     """
     _check_rate(rate)
-    for i, run in enumerate((run_a, run_b)):
-        if any(x.key > y.key for x, y in pairwise(run)):
-            raise UnsortedFeedError(i)
+    _check_sorted(run_a, run_b)
     records = [*run_a, *run_b]
     order = sorted(range(len(records)), key=lambda i: records[i].key)
     ranks = np.empty(len(order), dtype=np.int64)

@@ -112,14 +112,25 @@ def test_burst_missing_from_profile_is_named(key, pattern, tmp_path, capsys):
     assert f"[sort] {key} = 3000: no efficiency entry for pattern {pattern} at 3000 B" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv,text", [
-    (["model"], "[sort]\nparallel_trees = 8\n"),
-    (["sort", "--dry-run", "--records", "2000000000"], None),
-], ids=["model-8-trees", "sort-dry-run-2g-records"])
-def test_over_capacity_exits_with_data_status(argv, text, tmp_path, capsys):
+@pytest.mark.parametrize("argv,text,prefix", [
+    (["model"], "[sort]\nparallel_trees = 8\n", "error: "),
+    (["sort", "--dry-run", "--records", "2000000000"], None, "error: "),
+    (["sweep", "--sizes", "64G"], None, "error: 68719476736 B: "),
+], ids=["model-8-trees", "sort-dry-run-2g-records", "sweep-64g"])
+def test_over_capacity_exits_with_data_status(argv, text, prefix, tmp_path, capsys):
     config = ["--config", _write(tmp_path, text)] if text else []
     assert cli.main(argv + config) == cli.EXIT_DATA
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("records", [0, -3])
+def test_model_of_no_records_exits_with_usage_status(records, tmp_path, capsys):
+    """The sorter's config is checked before the closed forms use the count
+    (``[sort] records`` cannot join BAD_CONFIGS: ``--records 1000`` would
+    override it in the sort variant)."""
+    argv = ["model", "--config", _write(tmp_path, f"[sort]\nrecords = {records}\n")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "config error: [sort] records must be positive\n"
 
 
 def test_floorplan_places_trees_of_the_resource_model_cost(tmp_path, capsys):
@@ -254,11 +265,14 @@ def dataset_100003(tmp_path):
     (["sort", "--dry-run", "--records=-5"], "--records must be at least 1, got -5"),
     (["gen", "{out}", "--records", "4294967296"], "keys 1..4294967296 exceed"),
     (["gen", "{out}", "--records", "10", "--seed", "-1"], "error: seed must be non-negative, got -1"),
+    (["sort", "--dry-run", "--mode", "functional", "--records", "1000"],
+     "--dry-run models timing only; it cannot run --mode functional"),
 ], ids=["sort-records-mismatch", "sweep-empty-size", "sweep-non-numeric-size",
         "sweep-infinite-size", "gen-zero-records", "sort-zero-threads",
         "sort-negative-threads", "sweep-size-not-whole-records", "sweep-zero-size",
         "sweep-negative-size", "sort-zero-records", "sort-negative-records",
-        "gen-records-over-key-range", "gen-negative-seed"])
+        "gen-records-over-key-range", "gen-negative-seed",
+        "sort-dry-run-functional"])
 def test_usage_error_exits_with_usage_status(argv, bad, dataset_100003, tmp_path, capsys):
     argv = [a.format(data=dataset_100003, out=tmp_path / "out.bin") for a in argv]
     assert _status(argv) == cli.EXIT_USAGE
@@ -266,12 +280,14 @@ def test_usage_error_exits_with_usage_status(argv, bad, dataset_100003, tmp_path
     assert "error:" in err and bad in err
 
 
+@pytest.mark.parametrize("name,prefix", [
+    ("empty.bin", "error: "), ("missing.bin", "error: [Errno "), (".", "error: [Errno "),
+], ids=["empty", "missing", "directory"])
 @pytest.mark.parametrize("command", ["sort", "validate"])
-def test_empty_dataset_exits_with_data_status(command, tmp_path, capsys):
-    path = tmp_path / "empty.bin"
-    path.write_bytes(b"")
-    assert cli.main([command, str(path)]) == cli.EXIT_DATA
-    assert "error:" in capsys.readouterr().err
+def test_empty_dataset_exits_with_data_status(command, name, prefix, tmp_path, capsys):
+    (tmp_path / "empty.bin").write_bytes(b"")
+    assert cli.main([command, str(tmp_path / name)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_sort_cycles_reports_the_dry_run_timing(dataset_100003, tmp_path, capsys):

@@ -115,6 +115,16 @@ class TestBitonicMergeBlocks:
         with pytest.raises(RateError):
             bitonic_merge_blocks(recs(1, 2, 3), recs(4, 5, 6))
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_unsorted_block_rejected(self, side):
+        """An unsorted block is named, not merged: ([2, 1], [1, 3]) would
+        otherwise come out as keys 1, 2, 1, 3."""
+        blocks = [recs(1, 3), recs(2, 4)]
+        blocks[side] = recs(2, 1)
+        with pytest.raises(UnsortedFeedError) as err:
+            bitonic_merge_blocks(*blocks)
+        assert err.value.leaf == side
+
     @pytest.mark.parametrize("rate", BLOCK_RATES)
     def test_matches_two_pointer_oracle(self, rate):
         rng = np.random.default_rng(rate)
