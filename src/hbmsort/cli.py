@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analytics, dataset, engine
+from . import analytics, dataset, engine, mergenet
 from .analytics import floorplan_solve, resource_tree, select_burst_sizes
 from .config import AppConfig, ConfigError, load_config
 from .engine import build_timing, plan_sort, verify_permutation
@@ -196,7 +196,7 @@ def _check_output(out: np.ndarray, data: np.ndarray, threads: int) -> str:
     any output.
     """
     def packed(x):
-        return engine.composite_keys(x[:, 0], x[:, 1], np.empty(len(x), dtype=np.uint64))
+        return mergenet.composite_keys(x[:, 0], x[:, 1], np.empty(len(x), dtype=np.uint64))
 
     def sort_halves(x):
         half = len(x) // 2
@@ -214,7 +214,7 @@ def _check_output(out: np.ndarray, data: np.ndarray, threads: int) -> str:
         buffer = np.empty(min(step, len(out)), dtype=np.uint64)
         for s in range(0, len(out), step):
             piece = out[s : s + step]
-            a = engine.composite_keys(piece[:, 0], piece[:, 1], buffer[: len(piece)])
+            a = mergenet.composite_keys(piece[:, 0], piece[:, 1], buffer[: len(piece)])
             if not np.array_equal(a, b[s : s + step]):
                 break
         else:

@@ -25,7 +25,7 @@ A segment is sorted as unique 64-bit composites (key, position) and its
 records are gathered at the sorted positions.  Each phase deals its
 segments over a pool of at most one thread per CPU, whatever
 ``threads`` is, and each worker has one composite buffer, reused across
-its segments.
+its segments.  The record format is :mod:`hbmsort.mergenet`'s.
 The output is the same for every thread count.
 ``tests/test_engine.py`` checks the result against a heap merge and
 phase two against a timed pass of the wide tree.
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import pairwise
@@ -49,13 +48,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import mergenet
 from .analytics import bandwidth_utilization, ceil_log, perf_overall
 from .hbm import BandwidthProfile, CapacityError, HbmTopology
 from .mergenet import MAX_KEY, RECORD_BYTES
 from .mergetree import (
     REUSE_FACTOR,
     TreeSpec,
-    UnsortedFeedError,
     build_tree,
     run_pass_cycles,  # not called here: bench/run.py traces engine.run_pass_cycles
     run_passes_cycles,
@@ -205,20 +204,6 @@ def split_channels(padded: np.ndarray, cfg: SortConfig) -> np.ndarray:
     return padded.reshape(cfg.parallel_trees, -1, 2)
 
 
-_LOW_WORD = np.uint64(0xFFFFFFFF)
-# Index of the high 32-bit word of a native uint64 seen as two uint32 words.
-_HIGH = 1 if sys.byteorder == "little" else 0
-
-
-def composite_keys(high: np.ndarray, low: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``high << 32 | low`` of 32-bit words into the caller's contiguous
-    uint64 buffer ``out``; the composites order by ``high``, then ``low``."""
-    words = out.view(np.uint32).reshape(-1, 2)
-    words[:, _HIGH] = high
-    words[:, 1 - _HIGH] = low
-    return out
-
-
 def _workers(threads: int, tasks: int) -> int:
     """The pool size for ``tasks`` tasks: at most ``threads``, one per task
     and one per CPU."""
@@ -252,14 +237,12 @@ def _sort_segments(src: np.ndarray, cuts: np.ndarray, threads: int) -> np.ndarra
         for s in share:
             at = 0
             for lo, hi in cuts[:, s : s + 2]:
-                piece = composite_keys(src[lo:hi, 0], positions[: hi - lo], comp[at : at + hi - lo])
+                piece = mergenet.composite_keys(src[lo:hi, 0], positions[: hi - lo], comp[at : at + hi - lo])
                 piece += np.uint64(lo)
                 at += hi - lo
-            rows = comp[:at]
-            rows.sort()
-            rows &= _LOW_WORD
+            rows = mergenet.sorted_low_words(comp[:at])
             # The rows are in range; "clip" skips the copy "raise" buffers through.
-            np.take(src, rows.view(np.int64), axis=0, out=out[starts[s] : starts[s] + at], mode="clip")
+            np.take(src, rows, axis=0, out=out[starts[s] : starts[s] + at], mode="clip")
 
     with ThreadPoolExecutor(len(shares)) as pool:
         list(pool.map(sort_share, shares, buffers))
@@ -325,10 +308,7 @@ def run_phase2(
     feeds = channels.reshape(-1, 2)
     keys = feeds[:, 0]
     per = plan.subrun_records
-    drops = np.flatnonzero(keys[1:] < keys[:-1]) + 1
-    drops = drops[drops % per != 0]  # a new sub-run may start lower
-    if len(drops):
-        raise UnsortedFeedError(int(drops[0]) // per)
+    mergenet.check_runs_sorted(keys, np.arange(per, len(feeds) + 1, per))
     ranges = max(_workers(threads, len(feeds)), -(-len(feeds) // RANGE_RECORDS))
     cuts = _key_ranges(keys.reshape(-1, per), ranges) + np.arange(0, len(feeds), per)[:, None]
     return _sort_segments(feeds, cuts, threads)
@@ -544,12 +524,9 @@ def _check_records(records: np.ndarray):
         raise RecordFormatError(f"records must have shape (n, 2), got {records.shape}")
     if not np.issubdtype(records.dtype, np.integer):
         raise RecordFormatError(f"records must be integers, got dtype {records.dtype}")
-    if records.size and not np.can_cast(records.dtype, np.uint32):
-        lo, hi = int(records.min()), int(records.max())
-        if lo < 0 or hi > MAX_KEY:
-            raise RecordFormatError(
-                f"keys and payloads must lie in 0..{MAX_KEY}, found {lo}..{hi}"
-            )
+    if not mergenet.fits_32_bits(records):
+        raise RecordFormatError(f"keys and payloads must lie in 0..{MAX_KEY}, "
+                                f"found {records.min()}..{records.max()}")
 
 
 def sort_records(

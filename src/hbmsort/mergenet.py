@@ -13,7 +13,9 @@ The building blocks of the hardware model, bottom up:
 
 Records are 64-bit: a 32-bit unsigned key that defines the order and a
 32-bit opaque payload that rides along.  All merges are stable with
-respect to port order (port A before port B).
+respect to port order (port A before port B).  This module owns the
+record format: packing (:func:`composite_keys`, :func:`sorted_low_words`),
+run order (:func:`check_runs_sorted`) and 32-bit range (:func:`fits_32_bits`).
 
 A unit's choices depend only on the heads of its sorted inputs, never
 on timing, so one stable sort of all records fixes what every unit
@@ -29,15 +31,14 @@ and raises :class:`MergeOrderError` on a wrong firing rule.  Only
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from operator import index
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-KEY_BITS = 32
-MAX_KEY = (1 << KEY_BITS) - 1
-MAX_VALUE = (1 << 32) - 1
+MAX_KEY = (1 << 32) - 1
 #: Bytes per record: a 32-bit key followed by a 32-bit payload.
 RECORD_BYTES = 8
 
@@ -61,6 +62,41 @@ class MergeOrderError(RuntimeError):
     """A merge unit emitted a record of its merged stream it has not read."""
 
 
+def fits_32_bits(a: np.ndarray) -> bool:
+    """Whether every key or payload in the integer array `a` lies in 0..MAX_KEY."""
+    narrow = a.dtype.kind == "u" and a.itemsize <= 4  # as np.can_cast(a.dtype, np.uint32), but faster
+    return narrow or not a.size or (a.min() >= 0 and a.max() <= MAX_KEY)
+
+
+_LOW_WORD = np.uint64(0xFFFFFFFF)
+# Index of the high 32-bit word of a native uint64 seen as two uint32 words.
+_HIGH = 1 if sys.byteorder == "little" else 0
+
+
+def composite_keys(high: np.ndarray, low: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``high << 32 | low`` of 32-bit words into the caller's contiguous
+    uint64 buffer ``out``; the composites order by ``high``, then ``low``."""
+    words = out.view(np.uint32).reshape(-1, 2)
+    words[:, _HIGH] = high
+    words[:, 1 - _HIGH] = low
+    return out
+
+
+def sorted_low_words(comp: np.ndarray) -> np.ndarray:
+    """Sort the composites `comp` in place and return their low words, as int64, in `comp`."""
+    comp.sort()
+    return np.bitwise_and(comp, _LOW_WORD, out=comp).view(np.int64)
+
+
+def check_runs_sorted(keys: np.ndarray, ends: np.ndarray) -> None:
+    """Raise :class:`UnsortedFeedError` naming the first run that descends;
+    run i, maybe empty, is ``keys[ends[i - 1]:ends[i]]`` (from 0 for i = 0)."""
+    down = keys[1:] < keys[:-1]
+    down[ends[(0 < ends) & (ends < len(keys))] - 1] = False  # pairs across two runs
+    if down.any():
+        raise UnsortedFeedError(int(np.count_nonzero(ends <= down.argmax())))
+
+
 @dataclass(frozen=True, slots=True)
 class Record:
     """One 8-byte sort element: the key orders, the value is payload."""
@@ -71,7 +107,7 @@ class Record:
     def __post_init__(self):  # operator.index raises TypeError on a non-integer
         if not 0 <= index(self.key) <= MAX_KEY:
             raise ValueError(f"key {self.key} outside 32-bit range")
-        if not 0 <= index(self.value) <= MAX_VALUE:
+        if not 0 <= index(self.value) <= MAX_KEY:
             raise ValueError(f"value {self.value} outside 32-bit range")
 
 

@@ -64,7 +64,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mergenet import MAX_KEY, Record, UnitPlans, UnsortedFeedError, mms_stats, plan_units
+from .mergenet import (Record, UnitPlans, check_runs_sorted, composite_keys, fits_32_bits,
+                       mms_stats, plan_units, sorted_low_words)
 
 #: Internal inter-level buffer depth, in blocks of the consuming unit.
 #: Depth 2 starves interior units on skewed consumption (random data runs
@@ -145,8 +146,8 @@ def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
 # ----------------------------------------------------------------------
 
 class FeedFormatError(ValueError):
-    """A feed is not a run of integer keys or of (key, value) rows; `leaf`
-    is its index."""
+    """A feed is not a run of integer keys or of (key, value) rows in the
+    32-bit range; `leaf` is its index."""
 
     def __init__(self, leaf: int, fault: str):
         super().__init__(f"feed {leaf} {fault}")
@@ -154,8 +155,8 @@ class FeedFormatError(ValueError):
 
 
 def _feed_columns(run, leaf: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and values of one feed: a 1-D key array, an (n, 2) array of
-    (key, value) rows, or a list of :class:`Record` or int keys."""
+    """The uint32 keys and values of one feed: a 1-D key array (values 0), an
+    (n, 2) array of (key, value) rows, or a list of :class:`Record` or int keys."""
     if isinstance(run, np.ndarray):
         if run.dtype.kind not in "iu":
             raise FeedFormatError(leaf, f"is not integer: dtype {run.dtype}")
@@ -168,14 +169,11 @@ def _feed_columns(run, leaf: int) -> tuple[np.ndarray, np.ndarray]:
         except TypeError as err:
             raise FeedFormatError(leaf, f"is not integer: {err}") from None
         except OverflowError:
-            raise ValueError(f"feed {leaf} holds a key outside the 32-bit range") from None
-    return (run, np.zeros(len(run), run.dtype)) if run.ndim == 1 else (run[:, 0], run[:, 1])
-
-
-def _as_u32(col: np.ndarray, what: str) -> np.ndarray:
-    if not np.can_cast(col.dtype, np.uint32) and len(col) and (col.min() < 0 or col.max() > MAX_KEY):
-        raise ValueError(f"feed {what} outside the 32-bit range")
-    return col.astype(np.uint32, copy=False)
+            raise FeedFormatError(leaf, "holds a key outside the 32-bit range") from None
+    if not fits_32_bits(run):
+        raise FeedFormatError(leaf, "holds a key or value outside the 32-bit range")
+    run = run.astype(np.uint32, copy=False)
+    return (run, np.zeros(len(run), np.uint32)) if run.ndim == 1 else (run[:, 0], run[:, 1])
 
 
 def _merge_feeds(tree: TreeSpec, feeds) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -185,19 +183,11 @@ def _merge_feeds(tree: TreeSpec, feeds) -> tuple[np.ndarray, np.ndarray, list[in
         raise TreeShapeError(f"{len(feeds)} feeds for a {tree.leaves}-leaf tree")
     cols = [_feed_columns(f, i) for i, f in enumerate(feeds)] or [_feed_columns([], 0)]
     lengths = [len(k) for k, _ in cols]
-    keys = np.concatenate([k for k, _ in cols])
-    down = keys[1:] < keys[:-1]
-    ends = np.cumsum(lengths)
-    down[ends[(0 < ends) & (ends < len(keys))] - 1] = False  # pairs across two feeds
-    if down.any():
-        raise UnsortedFeedError(int(np.count_nonzero(ends <= down.argmax())))
-    keys = _as_u32(keys, "key")
-    values = _as_u32(np.concatenate([v for _, v in cols]), "value")
-    comp = keys.astype(np.uint64) << 32 | np.arange(len(keys), dtype=np.uint64)
-    comp.sort()  # unique (key, position) composites: a stable sort by key
-    order = (comp & 0xFFFFFFFF).astype(np.intp)
-    records = np.stack([(comp >> 32).astype(np.uint32), values[order]], axis=1)
-    return records, order, lengths
+    keys, values = map(np.concatenate, zip(*cols))
+    check_runs_sorted(keys, np.cumsum(lengths))
+    comp = composite_keys(keys, np.arange(len(keys), dtype=np.uint32), np.empty_like(keys, np.uint64))
+    order = sorted_low_words(comp)  # unique (key, position) composites: a stable sort by key
+    return np.stack([keys[order], values[order]], axis=1), order, lengths
 
 
 @dataclass

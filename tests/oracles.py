@@ -13,9 +13,9 @@ from itertools import accumulate, pairwise
 
 import numpy as np
 
+from hbmsort import mergetree
 from hbmsort.analytics import FloorplanProblem
 from hbmsort.mergenet import MergeOrderError, Record
-from hbmsort.mergetree import UNIT_FIFO_BLOCKS
 
 
 def two_pointer_merge(a, b):
@@ -50,6 +50,14 @@ def kway_heap_merge(feeds):
         out[i, 0] = k
         out[i, 1] = v
     return out
+
+
+def first_unsorted_run(runs):
+    """Index of the first list in `runs` with a key above the next one, else None."""
+    for i, run in enumerate(runs):
+        if any(b < a for a, b in pairwise(run)):
+            return i
+    return None
 
 
 def records_to_array(records):
@@ -285,7 +293,7 @@ def cycle_stepped_pass(tree, feeds):
             unit = MergeUnit(rate, srcs[2 * k : 2 * k + 2], (c0[lo : hi + 1] - c0[lo]).tolist())
             if j:
                 unit.sink = Source.fifo(grp[lo:hi].tolist())
-                unit.cap = UNIT_FIFO_BLOCKS * tree.levels[j - 1][k // 2]
+                unit.cap = mergetree.UNIT_FIFO_BLOCKS * tree.levels[j - 1][k // 2]
             row.append(unit)
         srcs = [unit.sink for unit in row]
         rows.append(row)
@@ -333,7 +341,7 @@ def searchsorted_room_deps(plan, below, bounds):
     which the FIFO holds at most ``cap - E`` records (0: none).  Then the
     same for each unit's finish, after all its records.  A need past the
     unit's records points past the parent's last firing."""
-    cap = UNIT_FIFO_BLOCKS * plan.rate
+    cap = mergetree.UNIT_FIFO_BLOCKS * plan.rate
     kids = np.arange(len(below.start) - 1)
     fires = np.diff(below.start)
     before = np.concatenate(([0], below.out[:-1]))

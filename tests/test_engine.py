@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hbmsort import cli, dataset, engine
+from hbmsort import cli, dataset, engine, mergenet
 from hbmsort.engine import (
     IntegrityError,
     RecordFormatError,
@@ -20,10 +20,9 @@ from hbmsort.engine import (
     split_channels,
 )
 from hbmsort.hbm import BandwidthProfile, HbmTopology
-from hbmsort.mergenet import MAX_KEY
+from hbmsort.mergenet import MAX_KEY, UnsortedFeedError
 from hbmsort.mergetree import (
     REUSE_FACTOR,
-    UnsortedFeedError,
     build_tree,
     compose_wide_tree,
     run_pass_cycles,
@@ -686,9 +685,9 @@ class TestCheckOutput:
         out = data.copy()
         out[[boundary - 1, boundary], 1] = data[[boundary - 1, boundary], 1][::order]
         lengths = []
-        pack = engine.composite_keys
+        pack = mergenet.composite_keys
         monkeypatch.setattr(engine, "RANGE_RECORDS", records)
-        monkeypatch.setattr(engine, "composite_keys",
+        monkeypatch.setattr(mergenet, "composite_keys",
                             lambda high, low, buf: lengths.append(len(buf)) or pack(high, low, buf))
         assert cli._check_output(out, data, 2) == _check_reference(out, data) == "ok"
         assert lengths.count(n) == packs  # the input; for descending payloads the output too

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbmsort.mergenet import (
@@ -14,11 +14,12 @@ from hbmsort.mergenet import (
     UnsortedFeedError,
     bitonic_merge_blocks,
     bitonic_merge_network,
+    check_runs_sorted,
     mms_merge_runs,
     mms_stats,
     plan_units,
 )
-from oracles import MergeUnit, Source, random_sorted_records, two_pointer_merge
+from oracles import MergeUnit, Source, first_unsorted_run, random_sorted_records, two_pointer_merge
 
 
 def recs(*keys):
@@ -86,6 +87,20 @@ class TestNetwork:
             lanes = [l for pair in stage for l in pair]
             assert len(lanes) == len(set(lanes))
 
+    @pytest.mark.parametrize("width", [2, 4, 8, 16, 32, 64])
+    def test_sorts_every_bitonic_zero_one_input(self, width):
+        """By the 0-1 principle the stages sort every bitonic input if they
+        sort every bitonic 0-1 input: 0^a 1^b 0^c and its complement
+        1^a 0^b 1^c, O(width**2) inputs."""
+        lane = np.arange(width)
+        ones = np.array([(a <= lane) & (lane < a + b)
+                         for a in range(width + 1) for b in range(width + 1 - a)])
+        lanes = np.concatenate([ones, ~ones])
+        for stage in bitonic_merge_network(width):
+            lo, hi = np.array(stage).T
+            lanes[:, lo], lanes[:, hi] = lanes[:, lo] & lanes[:, hi], lanes[:, lo] | lanes[:, hi]
+        assert (lanes[:, 1:] >= lanes[:, :-1]).all()
+
     def test_mms_doubles(self):
         assert mms_stats(1) == (1, 1)
         assert mms_stats(4) == (24, 6)
@@ -96,6 +111,27 @@ class TestNetwork:
             bitonic_merge_network(6)
         with pytest.raises(RateError):
             mms_stats(3)
+
+
+class TestCheckRunsSorted:
+    @given(st.lists(st.tuples(st.lists(st.integers(0, 3), max_size=6), st.booleans()), max_size=8))
+    @example([([3], True), ([1, 1], True), ([], True), ([0, 2], True)])  # ties and descents across runs
+    @example([([1, 2], True), ([], True), ([3, 2], False), ([1, 0], False)])
+    def test_matches_python_oracle(self, drawn):
+        """Ragged runs, empty and single-record ones included, some left
+        unsorted; the keys are the strided key column of (key, value) rows,
+        as the sorter passes them."""
+        runs = [sorted(run) if keep_sorted else run for run, keep_sorted in drawn]
+        rows = np.zeros((sum(map(len, runs)), 2), dtype=np.uint32)
+        rows[:, 0] = [k for run in runs for k in run]
+        ends = np.cumsum([len(run) for run in runs], dtype=np.intp)
+        want = first_unsorted_run(runs)
+        if want is None:
+            check_runs_sorted(rows[:, 0], ends)
+        else:
+            with pytest.raises(UnsortedFeedError) as err:
+                check_runs_sorted(rows[:, 0], ends)
+            assert err.value.leaf == want
 
 
 class TestBitonicMergeBlocks:

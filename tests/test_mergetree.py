@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 import oracles
 from hbmsort import mergetree
-from hbmsort.mergenet import Record, mms_stats
+from hbmsort.mergenet import Record, UnsortedFeedError, mms_stats
 from hbmsort.mergetree import (
     FeedFormatError,
     StuckPassError,
     TreeShapeError,
-    UnsortedFeedError,
     build_tree,
     compose_wide_tree,
     run_pass_cycles,
@@ -165,10 +164,17 @@ class TestFunctionalPass:
         assert err.value.leaf == 3
 
     @pytest.mark.parametrize("feed", [np.array([1, 1 << 32]), np.array([-1, 2]), [1 << 32],
-                                      [1 << 70], [-(1 << 70)]])
-    def test_out_of_range_keys_rejected(self, feed):
-        with pytest.raises(ValueError, match="32-bit"):
-            run_pass_functional(build_tree(1, 2), [feed])
+                                      [1 << 70], [-(1 << 70)], np.array([[1, 1 << 32]]),
+                                      np.array([[1, -1]])])
+    @pytest.mark.parametrize("leaf", [0, 1])
+    @pytest.mark.parametrize("run", [run_pass_functional, run_pass_cycles])
+    def test_out_of_range_keys_rejected(self, run, leaf, feed):
+        # the range is checked feed by feed, before the run order, so an
+        # unsorted feed 0 does not hide an out-of-range feed 1
+        feeds = [[2, 1], feed] if leaf else [feed, [1, 2]]
+        with pytest.raises(FeedFormatError, match="32-bit") as err:
+            run(build_tree(1, 2), feeds)
+        assert err.value.leaf == leaf
 
     @pytest.mark.parametrize("feeds,leaf", [([np.array([1.5, 2.7]), np.array([2.2])], 0),
                                             ([[1, 2], [2.2]], 1),
@@ -318,8 +324,7 @@ class TestCyclePass:
         # with one-block FIFOs, the unit over leaves 0-1 ends in a flush that
         # emits nothing and waits for room until its parent's last take;
         # that parent passes it through, so it closes only after the flush
-        for module in (mergetree, oracles):
-            monkeypatch.setattr(module, "UNIT_FIFO_BLOCKS", 1)
+        monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 1)
         feeds = [[0] * 4 + [1] * 5, [0] * 4 + [1] * 7, [], [], [0] * 29, [0] * 9, [0] * 10]
         assert run_pass_cycles(build_tree(8, 8), feeds).cycles == 28
         assert cycle_stepped_pass(build_tree(8, 8), feeds)[1] == 28
@@ -358,8 +363,7 @@ class TestCyclePass:
         # with one-block FIFOs a ragged pass can deadlock after units have
         # fired, on any level; the error names the first firing found that
         # can never become ready, and the cycle-stepped oracle stalls too
-        for module in (mergetree, oracles):
-            monkeypatch.setattr(module, "UNIT_FIFO_BLOCKS", 1)
+        monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 1)
         with pytest.raises(StuckPassError) as err:
             run_pass_cycles(build_tree(*shape), feeds)
         assert (err.value.level, err.value.unit, err.value.firing) == stuck
@@ -405,8 +409,7 @@ class TestCrossCheck:
         tree = CROSS_TREES[name]
         feeds = draw_ragged_feeds(data, tree)
         with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the fixture
-            for module in (mergetree, oracles):
-                patch.setattr(module, "UNIT_FIFO_BLOCKS", depth)
+            patch.setattr(mergetree, "UNIT_FIFO_BLOCKS", depth)
             try:
                 records, cycles, root_rate = cycle_stepped_pass(tree, feeds)
             except RuntimeError as err:
@@ -434,8 +437,7 @@ class TestCrossCheck:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mergetree, "_deps", recording)
-            for module in (mergetree, oracles):
-                patch.setattr(module, "UNIT_FIFO_BLOCKS", depth)
+            patch.setattr(mergetree, "UNIT_FIFO_BLOCKS", depth)
             try:
                 run_pass_cycles(tree, feeds)
             except StuckPassError:  # the columns are computed before any firing is timed
