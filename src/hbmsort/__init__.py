@@ -38,8 +38,6 @@ from .analytics import (
     ceil_log,
     floorplan_solve,
     perf_overall,
-    perf_phase1,
-    perf_single_tree,
     resource_tree,
     select_burst_sizes,
 )

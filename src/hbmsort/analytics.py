@@ -1,4 +1,5 @@
-"""Closed-form performance, resource and floorplanning models.
+"""Resource, floorplan and burst-selection models, and the two formulas
+that compose phase bandwidths (``engine.build_timing`` times the phases).
 
 Bandwidth figures follow the write-side convention: half of the system
 bandwidth feeds reads, half drains writes, and a tree's throughput is the
@@ -24,24 +25,6 @@ def ceil_log(base: int, n: int) -> int:
         v *= base
         j += 1
     return j
-
-
-def tree_passes(leaves: int, records: int) -> int:
-    """Passes of one tree sorting `records` records: each pass merges
-    `leaves` runs into one, and even one record is read once."""
-    return max(1, ceil_log(leaves, records))
-
-
-def perf_single_tree(records: int, leaves: int, memory_bandwidth: float) -> float:
-    """Overall bytes/s of one tree sorting its whole input: bandwidth
-    (bytes/s, write side) divided by the number of passes."""
-    return memory_bandwidth / tree_passes(leaves, records)
-
-
-def perf_phase1(parallel_trees: int, channel_bandwidth: float, passes: int) -> float:
-    """First-phase aggregate: k trees, each streaming one channel at
-    channel bandwidth ``passes`` times."""
-    return parallel_trees * channel_bandwidth / passes
 
 
 def perf_overall(beta1: float, beta2: float) -> float:

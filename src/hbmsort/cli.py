@@ -5,8 +5,9 @@ Subcommands
 gen       write a benchmark dataset (by default shuffled permutation keys 1..N)
 sort      run the two-phase pipeline over a dataset, or model a run dry;
           ``--mode cycles`` adds the dry-run model's timing to a real run
-model     print the analytic report: performance equations, resources,
-          floorplan and burst selection
+model     print the modelled timing of one sort (the block ``sort --dry-run``
+          writes) beside the reference figures, with resources, floorplan
+          and burst selection
 sweep     model a range of data sizes and tabulate pass counts/throughput
 validate  check that a dataset is the sorted permutation 1..N
 
@@ -38,7 +39,7 @@ from .analytics import floorplan_solve, resource_tree, select_burst_sizes
 from .config import AppConfig, ConfigError, load_config
 from .engine import build_timing, plan_sort, verify_permutation
 from .hbm import CapacityError
-from .mergetree import REUSE_FACTOR, build_tree
+from .mergetree import REUSE_FACTOR
 
 SCHEMA_VERSION = 1
 
@@ -228,14 +229,18 @@ def _print_sort_summary(report: dict):
     plan = report["plan"]
     print(f"records:        {report['config']['records']}")
     print(f"phase-1 passes: {plan['phase1_passes']}")
-    timing = report.get("timing")
-    if timing:
-        p1, p2 = timing["phase1"], timing["phase2"]
-        print(f"phase 1:        {p1['cycles']} cycles, {p1['gbytes_per_s']} GB/s")
-        print(f"phase 2:        {p2['cycles']} cycles, {p2['gbytes_per_s']} GB/s")
-        print(f"overall:        {timing['overall_gbytes_per_s']} GB/s modeled")
-        print(f"HBM traffic:    {timing['hbm_traffic_gbytes_per_s']} GB/s sustained in phase 1")
+    if report["timing"]:
+        _print_timing(report["timing"])
     print(f"validation:     {report['validation']['message']}")
+
+
+def _print_timing(timing: dict):
+    """The lines of a report's ``timing`` block, for ``sort`` and ``model``."""
+    p1, p2 = timing["phase1"], timing["phase2"]
+    print(f"phase 1:        {p1['cycles']} cycles, {p1['gbytes_per_s']} GB/s")
+    print(f"phase 2:        {p2['cycles']} cycles, {p2['gbytes_per_s']} GB/s")
+    print(f"overall:        {timing['overall_gbytes_per_s']} GB/s modeled")
+    print(f"HBM traffic:    {timing['hbm_traffic_gbytes_per_s']} GB/s sustained in phase 1")
 
 
 def cmd_model(args) -> int:
@@ -244,15 +249,7 @@ def cmd_model(args) -> int:
     n = app.sort_overrides.get("records", 1 << 29)
     cfg = app.sort_config(n)
     plan = plan_sort(cfg, app.topo)
-
-    single_gbps = analytics.perf_single_tree(
-        n, ref.single_tree_leaves, ref.phase2_gbps * 1e9) / 1e9
-    single_passes = analytics.tree_passes(ref.single_tree_leaves, n)
-    eq_passes = analytics.tree_passes(cfg.phase1_leaves, -(-n // cfg.parallel_trees))
-    eq_phase1 = analytics.perf_phase1(
-        cfg.parallel_trees, app.topo.channel_bandwidth, eq_passes) / 1e9
-    planned_phase1 = analytics.perf_phase1(
-        cfg.parallel_trees, app.topo.channel_bandwidth, plan.phase1_passes) / 1e9
+    timing = _timing_dict(build_timing(cfg, plan, app.topo, app.profile))
 
     tree1 = resource_tree(cfg.phase1_rate, cfg.phase1_leaves, app.resource,
                           burst_bytes=cfg.phase1_burst)
@@ -260,7 +257,6 @@ def cmd_model(args) -> int:
                                 burst_bytes=cfg.phase2_burst)
     extra_comparators = (plan.passes[-1].tree.comparator_total()
                          - REUSE_FACTOR * tree1.comparators)
-    recurrence = {str(p): build_tree(p, p).comparator_total() for p in (2, 4, 8, 16, 32)}
     plan_sol = floorplan_solve(app.floorplan, tree1.luts, cfg.parallel_trees)
     bursts = select_burst_sizes(app.profile)
 
@@ -269,18 +265,12 @@ def cmd_model(args) -> int:
         "command": "model",
         "records": n,
         "reference": _reference_dict(ref),
-        "phase1_model_gbps": round(eq_phase1, 4),
-        "phase1_planned_gbps": round(planned_phase1, 4),
-        "single_wide_tree": {
-            "leaves": ref.single_tree_leaves,
-            "passes": single_passes,
-            "gbytes_per_s": round(single_gbps, 4),
-        },
+        "phase1_planned_gbps": timing["phase1"]["gbytes_per_s"],
+        "timing": timing,
         "resources": {
             "tree_phase1_only": tree1._asdict(),
             "tree_reused": tree_reused._asdict(),
             "extra_units_comparators": extra_comparators,
-            "comparator_recurrence": recurrence,
         },
         "floorplan": {
             "die1_trees": plan_sol.die1_trees,
@@ -298,8 +288,7 @@ def cmd_model(args) -> int:
     print(f"reference composition: {ref.phase1_gbps} + {ref.phase2_gbps} GB/s -> "
           f"{report['reference']['overall_gbps']} GB/s overall, "
           f"{report['reference']['hbm_traffic_gbps']} GB/s HBM traffic")
-    print(f"single {ref.single_tree_leaves}-leaf tree: {single_passes} passes, "
-          f"{report['single_wide_tree']['gbytes_per_s']} GB/s")
+    _print_timing(timing)
     print(f"floorplan: {plan_sol.die1_trees} trees on die 1, {plan_sol.die2_trees} on die 2")
     print(f"burst sizes: phase 1 {bursts.phase1.burst_bytes} B, phase 2 {bursts.phase2.burst_bytes} B")
     print(f"tree LUT estimate: {tree1.luts} (phase-1 burst)")
@@ -402,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_sort)
 
-    p = sub.add_parser("model", help="analytic performance/resource report")
+    p = sub.add_parser("model", help="modelled timing, resource and floorplan report")
     p.add_argument("--config", help="config file path")
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_model)

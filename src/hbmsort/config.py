@@ -5,13 +5,14 @@ derived from them, not set), [hbm] per-channel bandwidth and capacity,
 [bandwidth] the measured efficiency table as ``MxM,BURST = fraction``
 entries, [resource] the LUT cost model of one tree, which also sizes
 the trees the floorplan places, [floorplan] the die budgets of the
-placement instance, [reference] reported hardware anchor figures used
-by the analytic reports.  The keys of every section but [bandwidth] are
-the fields of its dataclass (``SortConfig``, ``HbmTopology``,
-``ResourceModelParams``, ``FloorplanProblem``, ``Reference``), parsed as
-the field's type and checked by the dataclass.  Unknown sections or
-keys and out-of-range values are errors; missing keys fall back to the
-field defaults, [bandwidth] entries to those of ``BandwidthProfile``.
+placement instance, [reference] the measured hardware figures (phase
+GB/s, phase-1 passes) that reports quote beside the model.  The keys of
+every section but [bandwidth] are the fields of its dataclass
+(``SortConfig``, ``HbmTopology``, ``ResourceModelParams``,
+``FloorplanProblem``, ``Reference``), parsed as the field's type and
+checked by the dataclass.  Unknown sections or keys and out-of-range
+values are errors; missing keys fall back to the field defaults,
+[bandwidth] entries to those of ``BandwidthProfile``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Reference:
-    """Measured hardware anchor figures quoted by the analytic reports."""
+    """Measured hardware figures that reports quote beside the model."""
 
     phase1_gbps: float = 26.5
     phase2_gbps: float = 38.0
     phase1_passes: int = 6
-    single_tree_leaves: int = 256
 
     def __post_init__(self):
         for name in ("phase1_gbps", "phase2_gbps"):
@@ -46,8 +46,6 @@ class Reference:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.phase1_passes < 1:
             raise ValueError(f"phase1_passes must be at least 1, got {self.phase1_passes}")
-        if self.single_tree_leaves < 2:
-            raise ValueError(f"single_tree_leaves must be at least 2, got {self.single_tree_leaves}")
 
 
 @dataclass

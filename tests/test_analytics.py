@@ -6,7 +6,6 @@ from hbmsort.analytics import (
     FloorplanProblem,
     ceil_log,
     floorplan_solve,
-    perf_phase1,
     select_burst_sizes,
 )
 from hbmsort.hbm import BandwidthProfile
@@ -25,10 +24,6 @@ class TestCeilLog:
     def test_rejects_degenerate_arguments(self, base, n):
         with pytest.raises(ValueError):
             ceil_log(base, n)
-
-
-def test_perf_phase1_divides_by_passes():
-    assert perf_phase1(16, 2e9, 4) == 16 * 2e9 / 4
 
 
 def test_default_bursts():

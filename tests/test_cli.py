@@ -77,7 +77,7 @@ BAD_CONFIGS = {
     "nan-reference-phase2-gbps": "[reference]\nphase2_gbps = nan\n",
     "infinite-reference-phase1-gbps": "[reference]\nphase1_gbps = inf\n",
     "negative-reference-passes": "[reference]\nphase1_passes = -3\n",
-    "one-leaf-reference-tree": "[reference]\nsingle_tree_leaves = 1\n",
+    "removed-single-tree-leaves-key": "[reference]\nsingle_tree_leaves = 256\n",
     "removed-base-comparators-key": "[resource]\nbase_comparators = 3\n",
     "removed-tree-resources-key": "[floorplan]\ntree_resources = 28788\n",
     "unknown-section": "[sorting]\nrecords = 5\n",
@@ -125,7 +125,7 @@ def test_over_capacity_exits_with_data_status(argv, text, prefix, tmp_path, caps
 
 @pytest.mark.parametrize("records", [0, -3])
 def test_model_of_no_records_exits_with_usage_status(records, tmp_path, capsys):
-    """The sorter's config is checked before the closed forms use the count
+    """The sorter's config is checked before the plan uses the count
     (``[sort] records`` cannot join BAD_CONFIGS: ``--records 1000`` would
     override it in the sort variant)."""
     argv = ["model", "--config", _write(tmp_path, f"[sort]\nrecords = {records}\n")]
@@ -157,13 +157,51 @@ def test_floorplan_places_no_more_trees_than_the_sorter_has(tmp_path, capsys):
     assert "floorplan: 16 trees on die 1, 0 on die 2" in capsys.readouterr().out
 
 
+def _model_beside_dry_run(tmp_path, capsys, text, records):
+    """``model``'s report and stdout for config TEXT, then ``sort --dry-run
+    --records RECORDS``'s on the same config."""
+    config = ["--config", _write(tmp_path, text)]
+    out = []
+    for argv in (["model"], ["sort", "--dry-run", "--records", str(records)]):
+        report = tmp_path / "report.json"
+        assert cli.main(argv + config + ["--report", str(report)]) == cli.EXIT_OK
+        out.append((json.loads(report.read_text()), capsys.readouterr().out))
+    return out
+
+
 @pytest.mark.parametrize("records", [1, 5])
 def test_model_of_fewer_records_than_trees(records, tmp_path, capsys):
+    (model, _), (dry, _) = _model_beside_dry_run(
+        tmp_path, capsys, f"[sort]\nrecords = {records}\n", records)
+    assert len(model["timing"]["phase1"]["passes"]) == 1
+    assert model["timing"] == dry["timing"]
+
+
+def test_model_reports_the_dry_run_timing_of_the_default_sort(tmp_path, capsys):
     report = tmp_path / "model.json"
-    argv = ["model", "--report", str(report),
-            "--config", _write(tmp_path, f"[sort]\nrecords = {records}\n")]
-    assert cli.main(argv) == cli.EXIT_OK
-    assert json.loads(report.read_text())["single_wide_tree"]["passes"] == 1
+    assert cli.main(["model", "--report", str(report)]) == cli.EXIT_OK
+    got = json.loads(report.read_text())
+    assert got["timing"] == json.loads((GOLDEN / "sort_dry_536870912.json").read_text())["timing"]
+    assert got["phase1_planned_gbps"] == got["timing"]["phase1"]["gbytes_per_s"]
+
+
+def test_model_reports_the_dry_run_timing_of_a_configured_sort(tmp_path, capsys):
+    """Same timing block and the same printed timing lines, on 8 trees."""
+    (model, model_out), (dry, dry_out) = _model_beside_dry_run(
+        tmp_path, capsys, "[sort]\nparallel_trees = 8\nrecords = 4194304\n", 4194304)
+    assert model["timing"] == dry["timing"]
+    assert model["phase1_planned_gbps"] == model["timing"]["phase1"]["gbytes_per_s"]
+    timing_lines = [line for line in dry_out.splitlines()
+                    if line.startswith(("phase 1:", "phase 2:", "overall:", "HBM traffic:"))]
+    assert len(timing_lines) == 4
+    assert set(timing_lines) <= set(model_out.splitlines())
+
+
+def test_removed_reference_key_is_named(tmp_path, capsys):
+    argv = ["model", "--config", _write(tmp_path, "[reference]\nsingle_tree_leaves = 256\n")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "config error: unknown key 'single_tree_leaves' in section [reference]\n"
 
 
 #: Sizes whose tuned pass merges only 2 runs per group.
@@ -293,7 +331,7 @@ def test_empty_dataset_exits_with_data_status(command, name, prefix, tmp_path, c
 def test_sort_cycles_reports_the_dry_run_timing(dataset_100003, tmp_path, capsys):
     """The model times a pass from its run lengths alone, never from the
     keys, so a real run reports the dry run's plan and timing.  Timing real
-    passes from their keys (ROADMAP item 2) will change this on purpose."""
+    passes from their keys (ROADMAP item 1, step c) will change this on purpose."""
     report = tmp_path / "cycles.json"
     argv = ["sort", dataset_100003, "--mode", "cycles", "--report", str(report)]
     assert cli.main(argv) == cli.EXIT_OK
@@ -328,7 +366,7 @@ ROUND_TRIP = {
     },
     "reference": {
         "phase1_gbps": ("20.5", 20.5), "phase2_gbps": ("30", 30.0),
-        "phase1_passes": ("5", 5), "single_tree_leaves": ("128", 128),
+        "phase1_passes": ("5", 5),
     },
 }
 
