@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .hbm import BandwidthProfile
-from .mergetree import REUSE_FACTOR, build_tree
+from .mergetree import build_tree
 
 
 def ceil_log(base: int, n: int) -> int:
@@ -176,10 +176,10 @@ class ProfileCoverageError(ValueError):
     pass
 
 
-def select_burst_sizes(profile: BandwidthProfile) -> BurstSelection:
+def select_burst_sizes(profile: BandwidthProfile, phase2_pattern: int) -> BurstSelection:
     """Pick per-phase burst sizes: the cheapest burst that reaches the
-    pattern's peak efficiency (1x1 traffic in phase one, the reuse
-    factor's pattern, 4x4, in phase two).  A pattern whose profile never
-    reaches 95% of peak channel efficiency is flagged via ``at_peak=False``."""
+    pattern's peak efficiency (1x1 traffic in phase one, `phase2_pattern`,
+    the reuse factor ``SortConfig.reuse``, in phase two).  A pattern whose
+    profile never reaches 95% of peak efficiency is flagged via ``at_peak=False``."""
     return BurstSelection(_select_for_pattern(profile, 1),
-                          _select_for_pattern(profile, REUSE_FACTOR))
+                          _select_for_pattern(profile, phase2_pattern))

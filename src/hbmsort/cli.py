@@ -39,7 +39,6 @@ from .analytics import floorplan_solve, resource_tree, select_burst_sizes
 from .config import AppConfig, ConfigError, load_config
 from .engine import build_timing, plan_sort, verify_permutation
 from .hbm import CapacityError
-from .mergetree import REUSE_FACTOR
 
 SCHEMA_VERSION = 1
 
@@ -255,10 +254,9 @@ def cmd_model(args) -> int:
                           burst_bytes=cfg.phase1_burst)
     tree_reused = resource_tree(cfg.phase1_rate, cfg.phase1_leaves, app.resource,
                                 burst_bytes=cfg.phase2_burst)
-    extra_comparators = (plan.passes[-1].tree.comparator_total()
-                         - REUSE_FACTOR * tree1.comparators)
+    extra_comparators = plan.passes[-1].tree.comparator_total() - cfg.reuse * tree1.comparators
     plan_sol = floorplan_solve(app.floorplan, tree1.luts, cfg.parallel_trees)
-    bursts = select_burst_sizes(app.profile)
+    bursts = select_burst_sizes(app.profile, cfg.reuse)
 
     report = {
         "schema_version": SCHEMA_VERSION,

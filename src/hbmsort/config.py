@@ -25,7 +25,6 @@ from typing import Optional, get_type_hints
 from .analytics import FloorplanProblem, ResourceModelParams
 from .engine import SortConfig
 from .hbm import BandwidthProfile, HbmTopology, ProfileKeyError
-from .mergetree import REUSE_FACTOR
 
 
 class ConfigError(ValueError):
@@ -68,7 +67,7 @@ class AppConfig:
         except ValueError as exc:
             raise ConfigError(f"[sort] {exc}") from None
         # phase one drives the 1x1 pattern, phase two that of the reused trees
-        for key, pattern in (("phase1_burst", 1), ("phase2_burst", REUSE_FACTOR)):
+        for key, pattern in (("phase1_burst", 1), ("phase2_burst", cfg.reuse)):
             try:
                 self.profile.efficiency(pattern, getattr(cfg, key))
             except ProfileKeyError as exc:

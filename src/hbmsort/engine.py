@@ -6,7 +6,7 @@ with ``phase2_leaves / parallel_trees`` independent sorted sub-runs
 instead of one fully sorted sequence, so that the sub-runs of all
 channels feed every leaf of the wide tree in the next phase.  Phase two:
 one pass of the wide (``phase2_rate``, ``phase2_leaves``) tree, which
-reuses ``REUSE_FACTOR`` phase-one trees, merges all ``phase2_leaves``
+reuses ``SortConfig.reuse`` phase-one trees, merges all ``phase2_leaves``
 sub-runs into one sorted run.
 :func:`plan_sort` derives every such count from :class:`SortConfig`.
 
@@ -50,10 +50,10 @@ import numpy as np
 
 from . import mergenet
 from .analytics import bandwidth_utilization, ceil_log, perf_overall
-from .hbm import BandwidthProfile, CapacityError, HbmTopology
+from .hbm import CHANNELS, BandwidthProfile, CapacityError, HbmTopology
 from .mergenet import MAX_KEY, RECORD_BYTES
 from .mergetree import (
-    REUSE_FACTOR,
+    TreeShapeError,
     TreeSpec,
     build_tree,
     run_pass_cycles,  # not called here: bench/run.py traces engine.run_pass_cycles
@@ -77,7 +77,7 @@ class RecordFormatError(ValueError):
 class SortConfig:
     """The sorter's settings; :func:`plan_sort` derives the geometry.
 
-    At most 16 trees: 32 HBM channels, one read and one write channel per
+    At most ``CHANNELS // 2`` trees: one read and one write channel per
     tree.  The tree count must divide ``phase2_leaves``: each channel
     leaves ``phase2_leaves / parallel_trees`` sub-runs for the wide tree.
     """
@@ -95,18 +95,24 @@ class SortConfig:
     def __post_init__(self):
         if self.records < 1:
             raise ValueError("records must be positive")
-        if not 1 <= self.parallel_trees <= 16:
-            raise ValueError("parallel_trees must be between 1 and 16")
+        if not 1 <= self.parallel_trees <= CHANNELS // 2:
+            raise ValueError(f"parallel_trees must be between 1 and {CHANNELS // 2}")
         build_tree(self.phase1_rate, self.phase1_leaves)  # TreeShapeError on a bad shape
-        r = REUSE_FACTOR
-        if self.phase2_leaves != r * self.phase1_leaves:
-            raise ValueError(f"the reuse composition requires phase2_leaves == {r} * phase1_leaves")
-        if self.phase2_rate != r * self.phase1_rate:
-            raise ValueError(f"the reuse composition requires phase2_rate == {r} * phase1_rate")
+        r = self.reuse
+        if r < 2 or r & (r - 1) or (self.phase2_rate, self.phase2_leaves) != (
+                r * self.phase1_rate, r * self.phase1_leaves):
+            raise TreeShapeError(f"phase two's ({self.phase2_rate}, {self.phase2_leaves}) tree is not an "
+                                 f"R-fold composition of phase one's ({self.phase1_rate}, "
+                                 f"{self.phase1_leaves}) tree for a power of two R >= 2")
         if self.phase2_leaves % self.parallel_trees:
             raise ValueError(f"parallel_trees does not divide phase2_leaves = {self.phase2_leaves}")
         if not 0 < self.clock_hz < math.inf:
             raise ValueError(f"clock_hz must be positive and finite, got {self.clock_hz}")
+
+    @property
+    def reuse(self) -> int:
+        """Phase-one trees in the phase-two tree, the m of its m x m access pattern."""
+        return self.phase2_leaves // self.phase1_leaves
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
     the leaf count until one more pass would sort each channel
     completely; the tuned pass instead merges into the sub-runs, so there
     are (smallest j with leaves**j >= N/align) + 1.  Phase one streams the
-    1x1 access pattern, phase two the ``REUSE_FACTOR`` x ``REUSE_FACTOR`` one.
+    1x1 access pattern, phase two the ``cfg.reuse`` x ``cfg.reuse`` one.
     """
     topo = topo or HbmTopology()
     align = cfg.phase2_leaves * cfg.phase1_leaves
@@ -182,7 +188,7 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
     phase1 = tuple(PassRow(kind, tree, a, b, channel, 1, cfg.phase1_burst)
                    for kind, (a, b) in zip(kinds, pairwise(ladder)))
     final = PassRow("final", build_tree(cfg.phase2_rate, cfg.phase2_leaves), ladder[-1], n_pad,
-                    n_pad, REUSE_FACTOR, cfg.phase2_burst)
+                    n_pad, cfg.reuse, cfg.phase2_burst)
     return SortPlan(cfg.records, phase1 + (final,))
 
 

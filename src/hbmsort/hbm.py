@@ -1,12 +1,12 @@
-"""Model of a 32-channel HBM subsystem as seen from user-side AXI ports.
+"""Model of a ``CHANNELS``-channel HBM subsystem as seen from user-side AXI ports.
 
 Each pseudo-channel has a fixed peak bandwidth and capacity.  The
 crossbar that joins the channels is not routed: its effect enters only
 as the measured efficiency of an access pattern ("m x m": reading m
 channels while writing the m nearby ones) at a given AXI burst size.
 :func:`~hbmsort.engine.plan_sort` sets each phase's pattern: 1x1 in
-phase one, every tree on its own channel pair, and the wider pattern of
-the reused trees (``REUSE_FACTOR`` in ``mergetree``) in phase two.  Those
+phase one, every tree on its own channel pair, and in phase two the
+R x R pattern of the R reused trees (``SortConfig.reuse``).  Those
 efficiencies ship as configuration, not code constants.
 """
 
@@ -16,6 +16,9 @@ import math
 from dataclasses import dataclass, field
 
 MiB = 1 << 20
+
+#: HBM pseudo-channels; each tree reads one and writes another.
+CHANNELS = 32
 
 
 class ProfileKeyError(KeyError):
@@ -28,8 +31,8 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class HbmTopology:
-    channel_bandwidth: float = 420e9 / 32  # bytes/s per pseudo-channel
-    channel_capacity: int = 256 * MiB      # bytes per pseudo-channel
+    channel_bandwidth: float = 420e9 / CHANNELS  # bytes/s per pseudo-channel
+    channel_capacity: int = 256 * MiB            # bytes per pseudo-channel
 
     def __post_init__(self):
         for name in ("channel_bandwidth", "channel_capacity"):

@@ -3,9 +3,9 @@
 A tree is described by its root rate ``p`` (records emitted per cycle)
 and leaf count ``l``.  Rates halve level by level toward the leaves; when
 ``l`` exceeds twice the root rate, extra rate-1 levels sit above the leaf
-buffers.  Phase two reuses ``R = REUSE_FACTOR`` identical (p, l) trees as
-one tree that many times wider, adding units above them (two half-rate
-units and one full-rate unit for four trees).  That is the tree
+buffers.  Phase two reuses ``R = SortConfig.reuse`` identical (p, l)
+trees as one tree that many times wider, adding units above them (two
+half-rate units and one full-rate unit for four trees).  That is the tree
 ``build_tree(R * p, R * l)``: below its top levels, each of its levels is
 a level of the (p, l) tree repeated R times.
 
@@ -67,18 +67,8 @@ import numpy as np
 from .mergenet import (Record, UnitPlans, check_runs_sorted, composite_keys, fits_32_bits,
                        mms_stats, plan_units, sorted_low_words)
 
-#: Internal inter-level buffer depth, in blocks of the consuming unit.
-#: Depth 2 starves interior units on skewed consumption (random data runs
-#: a tree at ~77% of its rate); 8 blocks absorb the fluctuations.
-UNIT_FIFO_BLOCKS = 8
-
-#: Phase-one trees reused as the one phase-two wide tree; also the number
-#: of channels each access of the wide tree spans ("m x m" pattern m).
-REUSE_FACTOR = 4
-
-
 class TreeShapeError(ValueError):
-    """Invalid (p, l) combination or mismatched composition."""
+    """Invalid (p, l) combination or FIFO depth, or mismatched composition."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +78,11 @@ class TreeSpec:
     root_rate: int
     leaves: int
     levels: tuple[tuple[int, ...], ...]
+    #: Inter-level buffer depth, in blocks of the consuming unit.  Depth 2
+    #: starves interior units on skewed consumption (random data runs a
+    #: tree at ~77% of its rate); 8 blocks absorb the fluctuations.
+    #: Depths 0 and 1 can leave a pass stuck (:class:`StuckPassError`).
+    fifo_blocks: int = 8
 
     @property
     def depth(self) -> int:
@@ -101,7 +96,7 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and not n & (n - 1)
 
 
-def build_tree(p: int, l: int) -> TreeSpec:
+def build_tree(p: int, l: int, fifo_blocks: int = 8) -> TreeSpec:
     """Build the (p, l) tree: rates halve from the root, counts double.
 
     The bottom level has rate ``max(1, 2p/l)``; if ``l > 2p`` the chain is
@@ -113,6 +108,8 @@ def build_tree(p: int, l: int) -> TreeSpec:
         raise TreeShapeError(f"leaf count must be a power of two >= 2, got {l}")
     if l < p:
         raise TreeShapeError(f"leaf count {l} below root rate {p}")
+    if fifo_blocks < 0:
+        raise TreeShapeError(f"FIFO depth must be at least 0 blocks, got {fifo_blocks}")
 
     levels: list[tuple[int, ...]] = []
     rate, count = p, 1
@@ -124,21 +121,19 @@ def build_tree(p: int, l: int) -> TreeSpec:
     while count < l:  # extra rate-1 levels above the leaves
         levels.append((1,) * count)
         count *= 2
-    spec = TreeSpec(p, l, tuple(levels))
+    spec = TreeSpec(p, l, tuple(levels), fifo_blocks)
     assert 2 * len(spec.levels[-1]) == l
     return spec
 
 
 def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
-    """Reuse ``REUSE_FACTOR`` identical (p, l) trees as one tree R times
-    wider: the (R * p, R * l) tree."""
-    if len(subtrees) != REUSE_FACTOR:
-        raise TreeShapeError(f"wide tree needs {REUSE_FACTOR} subtrees, got {len(subtrees)}")
-    first = subtrees[0]
+    """Reuse R = ``len(subtrees)`` identical (p, l) trees as one tree R
+    times wider: the (R * p, R * l) tree, at their FIFO depth."""
+    first, r = subtrees[0], len(subtrees)
     for i, st in enumerate(subtrees[1:], 1):
-        if (st.root_rate, st.leaves, st.levels) != (first.root_rate, first.leaves, first.levels):
-            raise TreeShapeError(f"subtree {i} shape differs from subtree 0")
-    return build_tree(REUSE_FACTOR * first.root_rate, REUSE_FACTOR * first.leaves)
+        if st != first:
+            raise TreeShapeError(f"subtree {i} differs from subtree 0")
+    return build_tree(r * first.root_rate, r * first.leaves, first.fifo_blocks)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +358,7 @@ def _counts(at: np.ndarray, regions: np.ndarray, events: np.ndarray, slots: int,
     return hist.cumsum(out=hist)
 
 
-def _deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray):
+def _deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray, fifo_blocks: int):
     """The dependency columns between the row `plan` plans and the row
     `below` it, gathered from per-record maps over the row's inputs (input
     c is unit c below, its records ``bounds[c]`` to ``bounds[c + 1]``).
@@ -377,12 +372,12 @@ def _deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray):
     i records; slot ``n_c``, past the last record, is the finish.
 
     Room deps of each firing of `below`, then of each unit's finish: the
-    index into the parent's times of the firing after which the FIFO
-    holds at most ``cap - E`` records (0: none; the parent fires first in
-    a cycle).  Slot m of the reader map is the first parent firing that
-    has read m records of the input.  A need past the input's records,
-    possible only with a FIFO smaller than a block, maps to the parent's
-    finish, which waits on this unit's: the pass is stuck.
+    index into the parent's times of the firing after which the FIFO, of
+    ``cap = fifo_blocks * E`` records, holds at most ``cap - E`` (0: none;
+    the parent fires first in a cycle).  Slot m of the reader map is the
+    first parent firing that has read m records of the input.  A need
+    past them, possible only with a FIFO smaller than a block, maps to the
+    parent's finish, which waits on this unit's: the pass is stuck.
     """
     E, kids = plan.rate, len(bounds) - 1
     emits = bounds[:-1] + np.arange(kids)
@@ -393,7 +388,7 @@ def _deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray):
     inputs = emitter[need]
     del emitter, need
 
-    slack = UNIT_FIFO_BLOCKS * E - below.rate  # room needs records before a firing - slack
+    slack = fifo_blocks * E - below.rate  # room needs records before a firing - slack
     width = 1 + max(1, -slack)
     reads = bounds[:-1] + width * np.arange(kids)
     at = plan.pos + 1
@@ -509,7 +504,7 @@ def _plan_level(tree: TreeSpec, level: int, ranks: np.ndarray, bounds: np.ndarra
     fires = plan.fires.tolist()
     if below is None:  # leaf ports are always full: the units wait only for room
         return plan, [_Unit(f) for f in fires]
-    inputs, room, close_room = _deps(plan, below, bounds)
+    inputs, room, close_room = _deps(plan, below, bounds, tree.fifo_blocks)
     deps = [_per_unit(d, plan.start) for d in inputs]
     row = []
     for u, (f, d0, d1, n0, n1) in enumerate(zip(fires, *deps, *plan.n.tolist())):

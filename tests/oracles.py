@@ -13,7 +13,6 @@ from itertools import accumulate, pairwise
 
 import numpy as np
 
-from hbmsort import mergetree
 from hbmsort.analytics import FloorplanProblem
 from hbmsort.mergenet import MergeOrderError, Record
 
@@ -293,7 +292,7 @@ def cycle_stepped_pass(tree, feeds):
             unit = MergeUnit(rate, srcs[2 * k : 2 * k + 2], (c0[lo : hi + 1] - c0[lo]).tolist())
             if j:
                 unit.sink = Source.fifo(grp[lo:hi].tolist())
-                unit.cap = mergetree.UNIT_FIFO_BLOCKS * tree.levels[j - 1][k // 2]
+                unit.cap = tree.fifo_blocks * tree.levels[j - 1][k // 2]
             row.append(unit)
         srcs = [unit.sink for unit in row]
         rows.append(row)
@@ -335,13 +334,13 @@ def searchsorted_input_deps(plan, below, bounds):
     return deps
 
 
-def searchsorted_room_deps(plan, below, bounds):
-    """For each firing of the units below `plan`, the index into the
-    parent's times that it waits on for FIFO room: the parent firing after
-    which the FIFO holds at most ``cap - E`` records (0: none).  Then the
-    same for each unit's finish, after all its records.  A need past the
-    unit's records points past the parent's last firing."""
-    cap = mergetree.UNIT_FIFO_BLOCKS * plan.rate
+def searchsorted_room_deps(plan, below, bounds, fifo_blocks):
+    """For each firing of the units below `plan`, the index into the parent's
+    times that it waits on for room in its FIFO of `fifo_blocks` blocks: the
+    parent firing after which the FIFO holds at most ``cap - E`` records (0:
+    none).  Then the same for each unit's finish, after all its records.  A
+    need past the unit's records points past the parent's last firing."""
+    cap = fifo_blocks * plan.rate
     kids = np.arange(len(below.start) - 1)
     fires = np.diff(below.start)
     before = np.concatenate(([0], below.out[:-1]))

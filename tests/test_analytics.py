@@ -27,7 +27,7 @@ class TestCeilLog:
 
 
 def test_default_bursts():
-    sel = select_burst_sizes(BandwidthProfile())
+    sel = select_burst_sizes(BandwidthProfile(), 4)
     assert (sel.phase1.burst_bytes, sel.phase2.burst_bytes) == (1024, 4096)
     assert sel.phase1.at_peak and sel.phase2.at_peak
 

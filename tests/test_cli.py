@@ -53,6 +53,8 @@ BAD_CONFIGS = {
     "zero-bandwidth-pattern": "[bandwidth]\n0x0,0 = 0.5\n",
     "negative-bandwidth-burst": "[bandwidth]\n1x1,-64 = 0.3\n",
     "no-4x-composition": "[sort]\nphase2_leaves = 10\n",
+    "three-fold-composition": "[sort]\nphase2_leaves = 48\nphase2_rate = 24\n",
+    "leaves-and-rate-ratios-differ": "[sort]\nphase2_leaves = 128\n",
     "one-leaf-tree": "[sort]\nphase1_leaves = 1\nphase2_leaves = 4\n",
     "non-numeric-int": "[sort]\nphase1_rate = abc\n",
     "zero-trees": "[sort]\nparallel_trees = 0\n",
@@ -175,6 +177,15 @@ def test_model_of_fewer_records_than_trees(records, tmp_path, capsys):
         tmp_path, capsys, f"[sort]\nrecords = {records}\n", records)
     assert len(model["timing"]["phase1"]["passes"]) == 1
     assert model["timing"] == dry["timing"]
+
+
+def test_phase_two_reuses_any_power_of_two_of_trees(tmp_path, capsys):
+    text = "[sort]\nphase2_leaves = 32\nphase2_rate = 16\n"
+    (model, _), _ = _model_beside_dry_run(tmp_path, capsys, text, 4194304)
+    assert cli.main(["sweep", "--sizes", "32M", "--config", _write(tmp_path, text)]) == cli.EXIT_OK
+    assert model["bursts"]["phase2_bytes"] == 2048  # the cheapest burst at the 2x2 pattern's peak
+    assert cli.main(["model", "--config", _write(tmp_path, BAD_CONFIGS["three-fold-composition"])]) == cli.EXIT_USAGE
+    assert "not an R-fold composition of phase one's (8, 16) tree" in capsys.readouterr().err
 
 
 def test_model_reports_the_dry_run_timing_of_the_default_sort(tmp_path, capsys):

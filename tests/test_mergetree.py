@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 from fractions import Fraction
@@ -47,10 +48,10 @@ class TestBuildTree:
         assert t.levels[-2:] == ((1,) * 8, (1,) * 16)
         assert t.leaves == 32
 
-    @pytest.mark.parametrize("p,l", [(3, 16), (8, 12), (8, 4), (8, 1), (0, 8)])
-    def test_invalid_shapes_rejected(self, p, l):
+    @pytest.mark.parametrize("shape", [(3, 16), (8, 12), (8, 4), (8, 1), (0, 8), (8, 16, -1)])
+    def test_invalid_shapes_rejected(self, shape):
         with pytest.raises(TreeShapeError):
-            build_tree(p, l)
+            build_tree(*shape)
 
     def test_comparator_total_is_sum_over_units(self):
         t = build_tree(16, 16)
@@ -86,9 +87,8 @@ class TestComposeWideTree:
                 level * 4 for level in sub), (p, l)
 
     def test_smallest_composition(self):
-        wide = compose_wide_tree([build_tree(1, 2)] * 4)
-        assert wide.root_rate == 4
-        assert wide.leaves == 8
+        wide = compose_wide_tree([build_tree(1, 2, 3)] * 4)
+        assert (wide.root_rate, wide.leaves, wide.fifo_blocks) == (4, 8, 3)
 
     def test_extra_unit_cost(self):
         wide = compose_wide_tree([build_tree(8, 16)] * 4)
@@ -102,10 +102,11 @@ class TestComposeWideTree:
         assert (sub.root_rate, sub.leaves, sub.levels) == before
 
     def test_mismatched_subtrees_rejected(self):
-        with pytest.raises(TreeShapeError):
-            compose_wide_tree([build_tree(8, 16)] * 3 + [build_tree(4, 16)])
-        with pytest.raises(TreeShapeError):
-            compose_wide_tree([build_tree(8, 16)] * 2)
+        # two trees compose; three is no power of two; depth is part of a tree
+        assert compose_wide_tree([build_tree(8, 16)] * 2) == build_tree(16, 32)
+        for last in ([build_tree(4, 16)], [build_tree(8, 16, 2)], []):
+            with pytest.raises(TreeShapeError):
+                compose_wide_tree([build_tree(8, 16)] * 3 + last)
 
 
 #: Trees checked against the heap merge, keyed by test id: (p, l) trees
@@ -204,8 +205,8 @@ class TestFunctionalPass:
         assert list(out[:, 0]) == [3, 4, 9]
 
 
-#: Ragged passes that deadlock after units have fired at `UNIT_FIFO_BLOCKS = 1`,
-#: with the (level, unit, firing) their `StuckPassError` names.
+#: Ragged passes that deadlock after units have fired in trees of FIFO depth 1
+#: (`build_tree(*shape, 1)`), with the (level, unit, firing) their `StuckPassError` names.
 MID_PASS_DEADLOCKS = [
     ((8, 16), [[0, 0, 1, 1, 1], [], [], [], [0, 1, 1, 2, 2, 2, 2, 2, 3, 3]], (0, 0, 1)),
     ((16, 16), [[0, 0, 2, 2], [1], [0]], (1, 0, 0)),
@@ -320,16 +321,15 @@ class TestCyclePass:
         assert run_pass_cycles(build_tree(8, 16), feeds).cycles == 7
         assert cycle_stepped_pass(build_tree(8, 16), feeds)[1] == 7
 
-    def test_pass_through_closes_after_a_flush_that_waits_for_room(self, monkeypatch):
+    def test_pass_through_closes_after_a_flush_that_waits_for_room(self):
         # with one-block FIFOs, the unit over leaves 0-1 ends in a flush that
         # emits nothing and waits for room until its parent's last take;
         # that parent passes it through, so it closes only after the flush
-        monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 1)
         feeds = [[0] * 4 + [1] * 5, [0] * 4 + [1] * 7, [], [], [0] * 29, [0] * 9, [0] * 10]
-        assert run_pass_cycles(build_tree(8, 8), feeds).cycles == 28
-        assert cycle_stepped_pass(build_tree(8, 8), feeds)[1] == 28
+        assert run_pass_cycles(build_tree(8, 8, 1), feeds).cycles == 28
+        assert cycle_stepped_pass(build_tree(8, 8, 1), feeds)[1] == 28
 
-    def test_pass_leaves_no_reference_cycles(self, monkeypatch):
+    def test_pass_leaves_no_reference_cycles(self):
         # a pass's timing state must be freed when it returns, not at the
         # next full collection; with two feeds, the unit over leaves 0-3
         # passes its first input through and closes on that input's finish;
@@ -341,34 +341,31 @@ class TestCyclePass:
             for fed in (feeds, feeds[:2]):
                 run_pass_cycles(build_tree(8, 16), fed, 0.5)
                 assert gc.collect() == 0
-            monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 0)
             with pytest.raises(StuckPassError):
-                run_pass_cycles(build_tree(8, 16), feeds)
+                run_pass_cycles(build_tree(8, 16, 0), feeds)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    def test_stuck_pass_raises_at_once(self, monkeypatch):
+    def test_stuck_pass_raises_at_once(self):
         # without FIFO room no unit below the root can ever fire; the
         # (4, 4) tree's root sits over the units over leaf ports
-        monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 0)
-        for tree in (build_tree(8, 16), build_tree(4, 4), build_tree(32, 64), build_tree(2, 4)):
+        for tree in (build_tree(p, l, 0) for p, l in ((8, 16), (4, 4), (32, 64), (2, 4))):
             feeds = [np.arange(i, 256, tree.leaves, dtype=np.uint32) for i in range(tree.leaves)]
             with pytest.raises(StuckPassError) as err:
                 run_pass_cycles(tree, feeds)
             assert (err.value.level, err.value.unit, err.value.firing) == (0, 0, 0)
 
     @pytest.mark.parametrize("shape,feeds,stuck", MID_PASS_DEADLOCKS)
-    def test_mid_pass_deadlock_names_its_firing(self, monkeypatch, shape, feeds, stuck):
+    def test_mid_pass_deadlock_names_its_firing(self, shape, feeds, stuck):
         # with one-block FIFOs a ragged pass can deadlock after units have
         # fired, on any level; the error names the first firing found that
         # can never become ready, and the cycle-stepped oracle stalls too
-        monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 1)
         with pytest.raises(StuckPassError) as err:
-            run_pass_cycles(build_tree(*shape), feeds)
+            run_pass_cycles(build_tree(*shape, 1), feeds)
         assert (err.value.level, err.value.unit, err.value.firing) == stuck
         with pytest.raises(RuntimeError, match="no progress"):
-            cycle_stepped_pass(build_tree(*shape), feeds)
+            cycle_stepped_pass(build_tree(*shape, 1), feeds)
 
 
 #: Trees cross-checked against the cycle-stepped oracle: the shapes of
@@ -401,23 +398,20 @@ def draw_ragged_feeds(data, tree):
 
 class TestCrossCheck:
     @settings(deadline=None)  # example count from the profile (tests/conftest.py)
-    @given(st.sampled_from(sorted(CROSS_TREES)), st.sampled_from([1, 2, 3, mergetree.UNIT_FIFO_BLOCKS]),
-           st.data())
+    @given(st.sampled_from(sorted(CROSS_TREES)), st.sampled_from([1, 2, 3, 8]), st.data())
     def test_matches_cycle_stepped_oracle(self, name, depth, data):
         # shallow FIFOs make units wait for room far more often; one-block
         # FIFOs can deadlock a pass, and then both must say so
-        tree = CROSS_TREES[name]
+        tree = dataclasses.replace(CROSS_TREES[name], fifo_blocks=depth)
         feeds = draw_ragged_feeds(data, tree)
-        with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the fixture
-            patch.setattr(mergetree, "UNIT_FIFO_BLOCKS", depth)
-            try:
-                records, cycles, root_rate = cycle_stepped_pass(tree, feeds)
-            except RuntimeError as err:
-                assert str(err).startswith("no progress")
-                with pytest.raises(StuckPassError):
-                    run_pass_cycles(tree, feeds)
-                return
-            res = run_pass_cycles(tree, feeds)
+        try:
+            records, cycles, root_rate = cycle_stepped_pass(tree, feeds)
+        except RuntimeError as err:
+            assert str(err).startswith("no progress")
+            with pytest.raises(StuckPassError):
+                run_pass_cycles(tree, feeds)
+            return
+        res = run_pass_cycles(tree, feeds)
         np.testing.assert_array_equal(res.records, records)
         assert (res.cycles, res.root_active_rate) == (cycles, root_rate)
 
@@ -427,17 +421,16 @@ class TestCrossCheck:
         # the per-record maps against binary searches over each row's running
         # counts; without FIFO room a need can exceed a unit's records, and
         # then both must point past the parent's last firing (a stuck wait)
-        tree = CROSS_TREES[name]
+        tree = dataclasses.replace(CROSS_TREES[name], fifo_blocks=depth)
         feeds = draw_ragged_feeds(data, tree)
         rows, deps = [], mergetree._deps
 
-        def recording(plan, below, bounds):
-            rows.append((plan, below, bounds, deps(plan, below, bounds)))
+        def recording(plan, below, bounds, fifo_blocks):
+            rows.append((plan, below, bounds, deps(plan, below, bounds, fifo_blocks)))
             return rows[-1][-1]
 
-        with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the fixture
             patch.setattr(mergetree, "_deps", recording)
-            patch.setattr(mergetree, "UNIT_FIFO_BLOCKS", depth)
             try:
                 run_pass_cycles(tree, feeds)
             except StuckPassError:  # the columns are computed before any firing is timed
@@ -447,7 +440,7 @@ class TestCrossCheck:
                 for got, want in zip(inputs, oracles.searchsorted_input_deps(plan, below, bounds)):
                     np.testing.assert_array_equal(got, want)
                 parent_fires = plan.fires[np.arange(len(below.fires)) >> 1]
-                want_room, want_close = oracles.searchsorted_room_deps(plan, below, bounds)
+                want_room, want_close = oracles.searchsorted_room_deps(plan, below, bounds, depth)
                 for got, want, fires in ((room, want_room, parent_fires.repeat(below.fires)),
                                          (close_room, want_close, parent_fires)):
                     stuck = want > fires
@@ -471,25 +464,23 @@ class TestForest:
         # ragged feeds with runs of empty leaves, and one pass without any
         # record; one-block FIFOs can deadlock a member, and then the forest
         # raises the first stuck member's error
-        tree = CROSS_TREES[name]
+        tree = dataclasses.replace(CROSS_TREES[name], fifo_blocks=depth)
         feed_sets = [draw_ragged_feeds(data, tree) for _ in range(passes)]
         empty = data.draw(st.integers(0, passes - 1))
         feed_sets[empty] = [[]] * data.draw(st.integers(0, tree.leaves))
-        with pytest.MonkeyPatch.context() as patch:  # hypothesis rejects the fixture
-            patch.setattr(mergetree, "UNIT_FIFO_BLOCKS", depth)
-            lone = []
-            for feeds in feed_sets:
-                try:
-                    lone.append(run_pass_cycles(tree, feeds))
-                except StuckPassError as err:
-                    lone.append(err)
-            stuck = [err for err in lone if isinstance(err, StuckPassError)]
-            if stuck:
-                with pytest.raises(StuckPassError) as err:
-                    run_passes_cycles(tree, feed_sets)
-                assert err.value.args == stuck[0].args
-                return
-            forest = run_passes_cycles(tree, feed_sets)
+        lone = []
+        for feeds in feed_sets:
+            try:
+                lone.append(run_pass_cycles(tree, feeds))
+            except StuckPassError as err:
+                lone.append(err)
+        stuck = [err for err in lone if isinstance(err, StuckPassError)]
+        if stuck:
+            with pytest.raises(StuckPassError) as err:
+                run_passes_cycles(tree, feed_sets)
+            assert err.value.args == stuck[0].args
+            return
+        forest = run_passes_cycles(tree, feed_sets)
         assert len(forest) == passes
         for got, want in zip(forest, lone):
             np.testing.assert_array_equal(got.records, want.records)
@@ -508,21 +499,19 @@ class TestForest:
         assert err.value.leaf == 1
 
     @pytest.mark.parametrize("shape,feeds,stuck", MID_PASS_DEADLOCKS)
-    def test_stuck_member_names_its_firing_in_its_own_tree(self, monkeypatch, shape, feeds, stuck):
+    def test_stuck_member_names_its_firing_in_its_own_tree(self, shape, feeds, stuck):
         # second behind a pass that completes, the stuck pass's units follow
         # a whole tree's in each row, yet the error numbers them as alone
-        monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 1)
-        tree = build_tree(*shape)
+        tree = build_tree(*shape, 1)
         with pytest.raises(StuckPassError) as err:
             run_passes_cycles(tree, [dealt_feeds(tree), feeds])
         assert (err.value.level, err.value.unit, err.value.firing) == stuck
 
-    def test_stuck_member_raises_at_once(self, monkeypatch):
+    def test_stuck_member_raises_at_once(self):
         # without FIFO room every pass with records is stuck at (0, 0, 0),
         # so the first such member names it; an empty pass ahead takes no
         # unit in any row
-        monkeypatch.setattr(mergetree, "UNIT_FIFO_BLOCKS", 0)
-        for tree in (build_tree(8, 16), build_tree(4, 4), build_tree(32, 64), build_tree(2, 4)):
+        for tree in (build_tree(p, l, 0) for p, l in ((8, 16), (4, 4), (32, 64), (2, 4))):
             for first in ([], dealt_feeds(tree)):
                 with pytest.raises(StuckPassError) as err:
                     run_passes_cycles(tree, [first, dealt_feeds(tree, 16)])
