@@ -98,12 +98,11 @@ class SortConfig:
         if not 1 <= self.parallel_trees <= CHANNELS // 2:
             raise ValueError(f"parallel_trees must be between 1 and {CHANNELS // 2}")
         build_tree(self.phase1_rate, self.phase1_leaves)  # TreeShapeError on a bad shape
-        r = self.reuse
-        if r < 2 or r & (r - 1) or (self.phase2_rate, self.phase2_leaves) != (
-                r * self.phase1_rate, r * self.phase1_leaves):
-            raise TreeShapeError(f"phase two's ({self.phase2_rate}, {self.phase2_leaves}) tree is not an "
-                                 f"R-fold composition of phase one's ({self.phase1_rate}, "
-                                 f"{self.phase1_leaves}) tree for a power of two R >= 2")
+        r = 4  # the paper's reuse; other R wait on a phase-two supply model (ROADMAP item 5)
+        if (self.phase2_rate, self.phase2_leaves) != (r * self.phase1_rate, r * self.phase1_leaves):
+            raise TreeShapeError(f"phase two's ({self.phase2_rate}, {self.phase2_leaves}) tree is not a "
+                                 f"{r}-fold composition of phase one's ({self.phase1_rate}, "
+                                 f"{self.phase1_leaves}) tree")
         if self.phase2_leaves % self.parallel_trees:
             raise ValueError(f"parallel_trees does not divide phase2_leaves = {self.phase2_leaves}")
         if not 0 < self.clock_hz < math.inf:

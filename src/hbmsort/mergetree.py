@@ -67,6 +67,7 @@ import numpy as np
 from .mergenet import (Record, UnitPlans, check_runs_sorted, composite_keys, fits_32_bits,
                        mms_stats, plan_units, sorted_low_words)
 
+
 class TreeShapeError(ValueError):
     """Invalid (p, l) combination or FIFO depth, or mismatched composition."""
 
@@ -96,7 +97,7 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and not n & (n - 1)
 
 
-def build_tree(p: int, l: int, fifo_blocks: int = 8) -> TreeSpec:
+def build_tree(p: int, l: int, fifo_blocks: int = TreeSpec.fifo_blocks) -> TreeSpec:
     """Build the (p, l) tree: rates halve from the root, counts double.
 
     The bottom level has rate ``max(1, 2p/l)``; if ``l > 2p`` the chain is
@@ -127,13 +128,14 @@ def build_tree(p: int, l: int, fifo_blocks: int = 8) -> TreeSpec:
 
 
 def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
-    """Reuse R = ``len(subtrees)`` identical (p, l) trees as one tree R
-    times wider: the (R * p, R * l) tree, at their FIFO depth."""
-    first, r = subtrees[0], len(subtrees)
-    for i, st in enumerate(subtrees[1:], 1):
-        if st != first:
-            raise TreeShapeError(f"subtree {i} differs from subtree 0")
-    return build_tree(r * first.root_rate, r * first.leaves, first.fifo_blocks)
+    """Reuse four identical (p, l) trees, as phase two does
+    (``SortConfig.reuse``), as one tree four times wider: the (4p, 4l)
+    tree, at their FIFO depth."""
+    kinds = set(subtrees)
+    if len(subtrees) != 4 or len(kinds) != 1:
+        raise TreeShapeError(f"need 4 identical subtrees, got {len(subtrees)}, {len(kinds)} distinct")
+    (first,) = kinds
+    return build_tree(4 * first.root_rate, 4 * first.leaves, first.fifo_blocks)
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,7 @@ BAD_CONFIGS = {
     "negative-bandwidth-burst": "[bandwidth]\n1x1,-64 = 0.3\n",
     "no-4x-composition": "[sort]\nphase2_leaves = 10\n",
     "three-fold-composition": "[sort]\nphase2_leaves = 48\nphase2_rate = 24\n",
+    "two-fold-composition": "[sort]\nphase2_leaves = 32\nphase2_rate = 16\n",
     "leaves-and-rate-ratios-differ": "[sort]\nphase2_leaves = 128\n",
     "one-leaf-tree": "[sort]\nphase1_leaves = 1\nphase2_leaves = 4\n",
     "non-numeric-int": "[sort]\nphase1_rate = abc\n",
@@ -179,13 +180,9 @@ def test_model_of_fewer_records_than_trees(records, tmp_path, capsys):
     assert model["timing"] == dry["timing"]
 
 
-def test_phase_two_reuses_any_power_of_two_of_trees(tmp_path, capsys):
-    text = "[sort]\nphase2_leaves = 32\nphase2_rate = 16\n"
-    (model, _), _ = _model_beside_dry_run(tmp_path, capsys, text, 4194304)
-    assert cli.main(["sweep", "--sizes", "32M", "--config", _write(tmp_path, text)]) == cli.EXIT_OK
-    assert model["bursts"]["phase2_bytes"] == 2048  # the cheapest burst at the 2x2 pattern's peak
+def test_composition_error_names_the_four_fold_rule(tmp_path, capsys):
     assert cli.main(["model", "--config", _write(tmp_path, BAD_CONFIGS["three-fold-composition"])]) == cli.EXIT_USAGE
-    assert "not an R-fold composition of phase one's (8, 16) tree" in capsys.readouterr().err
+    assert "(24, 48) tree is not a 4-fold composition of phase one's (8, 16) tree" in capsys.readouterr().err
 
 
 def test_model_reports_the_dry_run_timing_of_the_default_sort(tmp_path, capsys):

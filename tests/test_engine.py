@@ -110,16 +110,15 @@ class TestPlanRows:
     def test_rows_chain_and_match_the_closed_form_ladder(self, records, log_leaves, data):
         leaves = 1 << log_leaves
         rate = 1 << data.draw(st.integers(0, log_leaves), label="log_rate")
-        reuse = data.draw(st.sampled_from([2, 4, 8]), label="reuse")
-        trees = data.draw(st.sampled_from([t for t in range(1, 17) if reuse * leaves % t == 0]),
+        trees = data.draw(st.sampled_from([t for t in range(1, 17) if 4 * leaves % t == 0]),
                           label="trees")
         burst1, burst2 = data.draw(st.lists(st.sampled_from([512, 1024, 2048, 4096]),
                                             min_size=2, max_size=2), label="bursts")
         cfg = SortConfig(records=records, parallel_trees=trees, phase1_leaves=leaves,
-                         phase1_rate=rate, phase2_leaves=reuse * leaves, phase2_rate=reuse * rate,
+                         phase1_rate=rate, phase2_leaves=4 * leaves, phase2_rate=4 * rate,
                          phase1_burst=burst1, phase2_burst=burst2)
         plan = plan_sort(cfg, HbmTopology(channel_capacity=1 << 40))
-        ladder = pass_ladder(records, leaves, reuse * leaves)
+        ladder = pass_ladder(records, leaves, 4 * leaves)
         assert plan.run_lengths == ladder
         *phase1, final = plan.passes
         for row, after in zip(plan.passes, plan.passes[1:]):
@@ -128,8 +127,8 @@ class TestPlanRows:
         for row in phase1:
             assert row.tree == build_tree(rate, leaves)
             assert (row.records, row.pattern, row.burst) == (ladder[-1] // trees, 1, burst1)
-        assert final.kind == "final" and final.tree == build_tree(reuse * rate, reuse * leaves)
-        assert (final.records, final.pattern, final.burst) == (ladder[-1], reuse, burst2)
+        assert final.kind == "final" and final.tree == build_tree(4 * rate, 4 * leaves)
+        assert (final.records, final.pattern, final.burst) == (ladder[-1], 4, burst2)
         assert plan.channel_records == ladder[-1] // trees
 
 

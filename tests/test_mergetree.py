@@ -102,11 +102,11 @@ class TestComposeWideTree:
         assert (sub.root_rate, sub.leaves, sub.levels) == before
 
     def test_mismatched_subtrees_rejected(self):
-        # two trees compose; three is no power of two; depth is part of a tree
-        assert compose_wide_tree([build_tree(8, 16)] * 2) == build_tree(16, 32)
-        for last in ([build_tree(4, 16)], [build_tree(8, 16, 2)], []):
+        t = build_tree(8, 16)
+        for subtrees in ([], [t], [t] * 2, [t] * 3, [t] * 3 + [build_tree(4, 16)],
+                         [t] * 3 + [build_tree(8, 16, 2)]):  # depth is part of a tree
             with pytest.raises(TreeShapeError):
-                compose_wide_tree([build_tree(8, 16)] * 3 + last)
+                compose_wide_tree(subtrees)
 
 
 #: Trees checked against the heap merge, keyed by test id: (p, l) trees
