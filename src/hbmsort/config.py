@@ -128,7 +128,7 @@ def _apply_section(cfg: AppConfig, section: str, items: list[tuple[str, str]]):
         table = dict(cfg.profile.table)
         for key, raw in items:
             table[_parse_bandwidth_key(key)] = float(raw)
-        cfg.profile = BandwidthProfile(table=table).validate()
+        cfg.profile = BandwidthProfile(table=table)
         return
     if section not in _SECTIONS:
         raise ConfigError(f"unknown config section [{section}]")

@@ -403,19 +403,17 @@ def _time_samples(samples: dict, keys) -> None:
         samples.update(zip(todo, (res.cycles for res in run_passes_cycles(tree, feed_sets))))
 
 
-def _group_cycles(tree: TreeSpec, runs: int, r_out: int, samples: Optional[dict] = None) -> int:
+def _group_cycles(tree: TreeSpec, runs: int, r_out: int, samples: dict) -> int:
     """Cycles for ``tree`` to merge ``runs`` balanced runs into one of ``r_out`` records.
 
     A group of more than 2*S records takes the line through the timings at
     S and 2*S records (:func:`_sample_keys`).  On the (8, 16) tree and
     its 64-leaf composition the line is exact for 1, 2, 4, 8, 16 and 64
     runs and within 0.5% of a timed group for the other counts.  The
-    timings are read from ``samples``, a memo by (tree, runs, records);
-    the ones it lacks are timed first, in one forest.
+    timings are read from ``samples``, a memo by (tree, runs, records)
+    that holds them (:func:`_time_samples`).
     """
     keys = _sample_keys(tree, runs, r_out)
-    samples = {} if samples is None else samples
-    _time_samples(samples, keys)
     if len(keys) == 1:
         return samples[keys[0]]
     (_, _, s), c1, c2 = keys[0], samples[keys[0]], samples[keys[1]]
@@ -457,11 +455,6 @@ def _pass_groups(row: PassRow) -> list[tuple[int, int, int]]:
     return groups + [(1, -(-tail // row.in_run), tail)] if tail else groups
 
 
-def _pass_samples(row: PassRow) -> list[tuple[TreeSpec, int, int]]:
-    """The samples every group of a pass needs (:func:`_sample_keys`)."""
-    return [key for _, runs, n in _pass_groups(row) for key in _sample_keys(row.tree, runs, n)]
-
-
 def pass_timing(
     row: PassRow, clock_hz: float, topo: HbmTopology, profile: BandwidthProfile, samples: dict
 ) -> PassTiming:
@@ -469,9 +462,9 @@ def pass_timing(
     every group of ``out_run`` records (the last may be short) in
     :func:`_group_cycles`, plus one tree depth per group boundary; the
     memory streams the records in the row's access pattern and burst.  The
-    samples that the memo `samples` lacks are timed first, in one forest.
+    memo `samples` holds the timings of the row's groups, as
+    :func:`build_timing` fills it.
     """
-    _time_samples(samples, _pass_samples(row))
     groups = _pass_groups(row)
     compute = sum(count * _group_cycles(row.tree, runs, n, samples) for count, runs, n in groups)
     n_groups = sum(count for count, _, _ in groups)
@@ -507,7 +500,8 @@ def build_timing(
         return PhaseTiming(cycles, seconds, bytes_total / seconds / 1e9,
                            sum(row.records for row in rows) / cycles, passes)
 
-    _time_samples(samples, [key for row in plan.passes for key in _pass_samples(row)])
+    _time_samples(samples, [key for row in plan.passes for _, runs, n in _pass_groups(row)
+                             for key in _sample_keys(row.tree, runs, n)])
     phase1, phase2 = phase(plan.passes[:-1]), phase(plan.passes[-1:])
     gbps1, gbps2 = phase1.gbytes_per_s, phase2.gbytes_per_s
     return RunTiming(phase1, phase2, perf_overall(gbps1, gbps2),

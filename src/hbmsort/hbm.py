@@ -58,7 +58,7 @@ DEFAULT_EFFICIENCY = {
 
 @dataclass
 class BandwidthProfile:
-    """Measured efficiency fractions keyed by (pattern m, burst bytes)."""
+    """Measured efficiencies in (0, 1] by (pattern m, burst bytes), non-decreasing in burst."""
 
     table: dict[tuple[int, int], float] = field(
         default_factory=lambda: dict(DEFAULT_EFFICIENCY)
@@ -73,7 +73,7 @@ class BandwidthProfile:
                 f"{burst} B bursts; extend the profile, values are never interpolated"
             ) from None
 
-    def validate(self):
+    def __post_init__(self):
         for (m, burst), eff in sorted(self.table.items()):
             if not 0.0 < eff <= 1.0:
                 raise ValueError(f"efficiency {eff} for {m}x{m},{burst} outside (0, 1]")
@@ -83,4 +83,3 @@ class BandwidthProfile:
             for lo, hi in zip(effs, effs[1:]):
                 if hi < lo:
                     raise ValueError(f"pattern {m}x{m} efficiency not monotone in burst size")
-        return self

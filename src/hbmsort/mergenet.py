@@ -11,6 +11,9 @@ The building blocks of the hardware model, bottom up:
   tree in :mod:`hbmsort.mergetree` times these plans, and
   :func:`mms_merge_runs` runs one over two whole runs.
 
+Rates and widths are powers of two (:func:`is_power_of_two`) with no cap:
+phase two's root rate is the reuse factor times phase one's.
+
 Records are 64-bit: a 32-bit unsigned key that defines the order and a
 32-bit opaque payload that rides along.  All merges are stable with
 respect to port order (port A before port B).  This module owns the
@@ -42,12 +45,14 @@ MAX_KEY = (1 << 32) - 1
 #: Bytes per record: a 32-bit key followed by a 32-bit payload.
 RECORD_BYTES = 8
 
-#: Block rates the dataflow supports (power-of-two records per cycle).
-BLOCK_RATES = (1, 2, 4, 8, 16, 32)
+
+def is_power_of_two(n: int) -> bool:
+    """Whether `n` is 1, 2, 4, ...: the rule for rates, widths and tree shapes."""
+    return n >= 1 and not n & (n - 1)
 
 
 class RateError(ValueError):
-    """Block rate is not supported or two blocks disagree on rate."""
+    """Block rate is not a power of two or two blocks disagree on rate."""
 
 
 class UnsortedFeedError(ValueError):
@@ -120,7 +125,7 @@ def bitonic_merge_network(width: int) -> tuple[tuple[tuple[int, int], ...], ...]
     tuple of stages, each a tuple of (low_lane, high_lane) pairs, and
     memoised per width.
     """
-    if width < 2 or width & (width - 1):
+    if width < 2 or not is_power_of_two(width):
         raise RateError(f"network width must be a power of two >= 2, got {width}")
     stages = []
     d = width >> 1
@@ -143,18 +148,16 @@ def mms_stats(rate: int) -> UnitStats:
     :func:`bitonic_merge_network`.  The rate-1 unit degenerates to a
     single compare-swap cell.
     """
-    _check_rate(rate, cap=None)
+    _check_rate(rate)
     if rate == 1:
         return UnitStats(comparators=1, stages=1)
     stages = bitonic_merge_network(2 * rate)
     return UnitStats(comparators=2 * sum(map(len, stages)), stages=2 * len(stages))
 
 
-def _check_rate(rate, cap=max(BLOCK_RATES)):
-    if rate < 1 or rate & (rate - 1):
+def _check_rate(rate):
+    if not is_power_of_two(rate):
         raise RateError(f"rate must be a power of two, got {rate}")
-    if cap is not None and rate > cap:
-        raise RateError(f"rate {rate} exceeds supported maximum {cap}")
 
 
 def _check_sorted(*runs):
@@ -196,7 +199,7 @@ def _untag(elems):
 def bitonic_merge_blocks(a: Sequence[Record], b: Sequence[Record]) -> tuple[Record, ...]:
     """Merge two sorted E-blocks into one sorted 2E sequence.
 
-    Both blocks must share the same power-of-two rate E <= 32 and be sorted
+    Both blocks must share the same power-of-two rate E and be sorted
     by key.  Equal keys come out in port order: all of `a` before `b`.
     Raises :class:`UnsortedFeedError` naming block 0 or 1.
     """
@@ -264,7 +267,7 @@ def plan_units(rate: int, ranks: np.ndarray, bounds: np.ndarray, merged: np.ndar
     emitted a record it has not read, and :class:`MergeOrderError` is
     raised.
     """
-    _check_rate(rate, cap=None)
+    _check_rate(rate)
     E = rate
     nin = bounds[1:] - bounds[:-1]
     n = nin.reshape(-1, 2).T

@@ -64,8 +64,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mergenet import (Record, UnitPlans, check_runs_sorted, composite_keys, fits_32_bits,
-                       mms_stats, plan_units, sorted_low_words)
+from .mergenet import (UnitPlans, check_runs_sorted, composite_keys, fits_32_bits,
+                       is_power_of_two, mms_stats, plan_units, sorted_low_words)
 
 
 class TreeShapeError(ValueError):
@@ -93,19 +93,15 @@ class TreeSpec:
         return sum(mms_stats(r).comparators for level in self.levels for r in level)
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and not n & (n - 1)
-
-
 def build_tree(p: int, l: int, fifo_blocks: int = TreeSpec.fifo_blocks) -> TreeSpec:
     """Build the (p, l) tree: rates halve from the root, counts double.
 
     The bottom level has rate ``max(1, 2p/l)``; if ``l > 2p`` the chain is
     extended with rate-1 levels, each doubling the leaf count.
     """
-    if not _is_pow2(p):
+    if not is_power_of_two(p):
         raise TreeShapeError(f"root rate must be a power of two, got {p}")
-    if not _is_pow2(l) or l < 2:
+    if not is_power_of_two(l) or l < 2:
         raise TreeShapeError(f"leaf count must be a power of two >= 2, got {l}")
     if l < p:
         raise TreeShapeError(f"leaf count {l} below root rate {p}")
@@ -153,7 +149,7 @@ class FeedFormatError(ValueError):
 
 def _feed_columns(run, leaf: int) -> tuple[np.ndarray, np.ndarray]:
     """The uint32 keys and values of one feed: a 1-D key array (values 0), an
-    (n, 2) array of (key, value) rows, or a list of :class:`Record` or int keys."""
+    (n, 2) array of (key, value) rows, or a list of int keys (values 0)."""
     if isinstance(run, np.ndarray):
         if run.dtype.kind not in "iu":
             raise FeedFormatError(leaf, f"is not integer: dtype {run.dtype}")
@@ -161,8 +157,7 @@ def _feed_columns(run, leaf: int) -> tuple[np.ndarray, np.ndarray]:
             raise FeedFormatError(leaf, f"has shape {run.shape}, neither (n,) nor (n, 2)")
     else:
         try:
-            run = np.array([(r.key, r.value) if isinstance(r, Record) else (index(r), 0)
-                            for r in run], dtype=np.int64).reshape(-1, 2)
+            run = np.array([index(r) for r in run], dtype=np.int64)
         except TypeError as err:
             raise FeedFormatError(leaf, f"is not integer: {err}") from None
         except OverflowError:

@@ -334,7 +334,9 @@ class TestGroupCycles:
     def _check(self, tree, runs, sizes):
         for n in sizes:
             want = run_pass_cycles(tree, engine._balanced_feeds(tree.leaves, runs, n)).cycles
-            got = engine._group_cycles(tree, runs, n)
+            samples = {}
+            engine._time_samples(samples, engine._sample_keys(tree, runs, n))
+            got = engine._group_cycles(tree, runs, n, samples)
             if runs in self.EXACT:
                 assert got == want, n
             else:
@@ -382,32 +384,20 @@ class TestGroupCycles:
         engine.build_timing(cfg, plan, samples=memo)  # the shared memo holds every sample
         assert forests == []
 
-    def test_group_times_its_missing_samples_in_one_forest(self, monkeypatch):
-        forests, tree = self._forests(monkeypatch), build_tree(8, 16)
-        memo = {}
-        engine._group_cycles(tree, 16, 1 << 17, memo)  # the samples of 2048 and 4096 records
-        assert [(t, len(samples)) for t, samples in forests] == [(tree, 2)]
-        engine._group_cycles(tree, 16, 1 << 16, memo)
-        assert len(forests) == 1
-
     @pytest.mark.parametrize("records", [100003, 1 << 22])
     @pytest.mark.parametrize("geometry", [{}, *(g for g, _, _ in GEOMETRY_CYCLES.values())],
                              ids=["default", *GEOMETRY_CYCLES])
     def test_pass_timing_is_the_row_that_build_timing_reports(self, geometry, records, monkeypatch):
         cfg = SortConfig(records=records, **geometry)
         plan = plan_sort(cfg)
-        timing = engine.build_timing(cfg, plan)
+        memo = {}
+        timing = engine.build_timing(cfg, plan, samples=memo)
         forests = self._forests(monkeypatch)
         topo, profile = HbmTopology(), BandwidthProfile()
         for row, reported in zip(plan.passes, timing.phase1.passes + timing.phase2.passes,
                                  strict=True):
-            del forests[:]
-            memo = {}
             assert engine.pass_timing(row, cfg.clock_hz, topo, profile, memo) == reported
-            # a fresh memo: the row's samples are timed in one forest, and only once
-            assert [tree for tree, _ in forests] == [row.tree]
-            engine.pass_timing(row, cfg.clock_hz, topo, profile, memo)
-            assert len(forests) == 1
+        assert forests == []  # build_timing's memo holds every row's samples
 
     def test_sweep_times_each_sample_once(self, monkeypatch, capsys):
         # the sweep's sizes share one memo: 12 distinct samples, where a

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbmsort.mergenet import (
-    BLOCK_RATES,
     MAX_KEY,
     MergeOrderError,
     RateError,
@@ -20,6 +19,11 @@ from hbmsort.mergenet import (
     plan_units,
 )
 from oracles import MergeUnit, Source, first_unsorted_run, random_sorted_records, two_pointer_merge
+
+
+#: Unit rates under test: phase two's wide tree runs at four times the
+#: phase-one root rate, 64 for a rate-16 phase-one tree.
+RATES = (1, 2, 4, 8, 16, 32, 64)
 
 
 def recs(*keys):
@@ -72,7 +76,7 @@ class TestRecord:
 
 
 class TestNetwork:
-    @pytest.mark.parametrize("rate", BLOCK_RATES)
+    @pytest.mark.parametrize("rate", RATES)
     def test_enumeration_matches_stats(self, rate):
         """A bitonic merger over 2E lanes has log2(2E) stages of E
         comparators; a unit above rate 1 is two of them back to back."""
@@ -161,7 +165,7 @@ class TestBitonicMergeBlocks:
             bitonic_merge_blocks(*blocks)
         assert err.value.leaf == side
 
-    @pytest.mark.parametrize("rate", BLOCK_RATES)
+    @pytest.mark.parametrize("rate", RATES)
     def test_matches_two_pointer_oracle(self, rate):
         rng = np.random.default_rng(rate)
         for _ in range(500):
@@ -259,7 +263,8 @@ class TestMmsStep:
             plan_units(2, np.array([4, 5, 0, 1, 2, 3]), np.array([0, 3, 6]), np.arange(6))
 
     @pytest.mark.parametrize(
-        "na,nb,rate,steps", [(1, 5, 2, 4), (11, 6, 4, 5), (0, 3, 2, 2), (1, 1, 2, 2)]
+        "na,nb,rate,steps",
+        [(1, 5, 2, 4), (11, 6, 4, 5), (0, 3, 2, 2), (1, 1, 2, 2), (130, 64, 64, 4)],
     )
     def test_partial_tail_step_counts(self, na, nb, rate, steps):
         rng = np.random.default_rng(na + nb)

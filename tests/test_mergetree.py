@@ -110,14 +110,15 @@ class TestComposeWideTree:
 
 
 #: Trees checked against the heap merge, keyed by test id: (p, l) trees
-#: named by leaf count, the (4, 8) tree and four (2, 4) trees composed wide.
+#: named by leaf count, the (4, 8) tree and four (2, 8) trees composed wide
+#: (the (8, 32) tree, with an extra rate-1 level above its leaf buffers).
 ORACLE_TREES = {
     "2": build_tree(2, 2),
     "4": build_tree(4, 4),
     "16": build_tree(8, 16),
     "64": build_tree(8, 64),
     "4x8": build_tree(4, 8),
-    "wide": compose_wide_tree([build_tree(2, 4)] * 4),
+    "wide": compose_wide_tree([build_tree(2, 8)] * 4),
 }
 
 
@@ -198,11 +199,6 @@ class TestFunctionalPass:
         t = build_tree(1, 2)
         with pytest.raises(TreeShapeError):
             run_pass_functional(t, [np.arange(2, dtype=np.uint32)] * 3)
-
-    def test_record_feeds_accepted(self):
-        t = build_tree(1, 2)
-        out = run_pass_functional(t, [[Record(3), Record(9)], [Record(4)]])
-        assert list(out[:, 0]) == [3, 4, 9]
 
 
 #: Ragged passes that deadlock after units have fired in trees of FIFO depth 1
@@ -369,7 +365,8 @@ class TestCyclePass:
 
 
 #: Trees cross-checked against the cycle-stepped oracle: the shapes of
-#: ``golden/cycles.json``, a small composed wide tree, a one-level tree
+#: ``golden/cycles.json``, a composed wide tree with an extra rate-1 level (the
+#: (8, 32) tree, which no other entry holds), a one-level tree
 #: (its root reads leaf ports) and two-level trees (the root sits over the
 #: units over leaf ports).
 CROSS_TREES = {
@@ -380,7 +377,7 @@ CROSS_TREES = {
     "4x32": build_tree(4, 32),
     "16x16": build_tree(16, 16),
     "4x16": build_tree(4, 16),
-    "wide": compose_wide_tree([build_tree(2, 4)] * 4),
+    "wide": compose_wide_tree([build_tree(2, 8)] * 4),
 }
 
 
