@@ -1,5 +1,6 @@
-"""Resource, floorplan and burst-selection models, and the two formulas
-that compose phase bandwidths (``engine.build_timing`` times the phases).
+"""Resource, floorplan and burst models, and the two formulas that
+compose phase bandwidths (``engine.build_timing`` times the phases).  The
+resource model costs a plan's ``TreeSpec``; the burst rule returns a burst.
 
 Bandwidth figures follow the write-side convention: half of the system
 bandwidth feeds reads, half drains writes, and a tree's throughput is the
@@ -10,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .hbm import BandwidthProfile
-from .mergetree import build_tree
+from .mergetree import TreeSpec
 
 
 def ceil_log(base: int, n: int) -> int:
@@ -75,24 +76,17 @@ def buffer_luts(burst_bytes: int) -> int:
     return 512 * max(1, math.ceil(rows / 32))
 
 
-def resource_tree(
-    p: int,
-    leaves: Optional[int] = None,
-    params: Optional[ResourceModelParams] = None,
-    burst_bytes: int = 1024,
-) -> TreeResources:
-    """Comparator count and LUT estimate for one (p, leaves) tree: the
-    one source of a tree's cost, which the floorplan also places.
+def resource_tree(tree: TreeSpec, params: ResourceModelParams, burst_bytes: int) -> TreeResources:
+    """Comparator count and LUT estimate for one tree: the one source of a
+    tree's cost, which the floorplan also places.
 
-    Comparators are summed over the units of ``build_tree(p, leaves)``;
-    for the leaves == p family they follow the doubling recurrence
-    L(p) = 2 L(p/2) + L_unit(p).  The LUT estimate adds the AXI rate
-    converter and the LUT-implemented share of the leaf burst buffers.
+    Comparators are summed over the tree's units; for the leaves == p
+    family they follow the doubling recurrence L(p) = 2 L(p/2) +
+    L_unit(p).  The LUT estimate adds the AXI rate converter and the
+    LUT-implemented share of the leaf burst buffers.
     """
-    params = params or ResourceModelParams()
-    leaves = leaves if leaves is not None else p
-    comparators = build_tree(p, leaves).comparator_total()
-    buf = round(leaves * params.lut_buffer_fraction) * buffer_luts(burst_bytes)
+    comparators = tree.comparator_total()
+    buf = round(tree.leaves * params.lut_buffer_fraction) * buffer_luts(burst_bytes)
     luts = comparators * params.lut_per_comparator + params.axi_converter_luts + buf
     return TreeResources(
         comparators=comparators,
@@ -145,41 +139,11 @@ def floorplan_solve(prob: FloorplanProblem, tree_luts: int, trees: int) -> Floor
     return FloorplanSolution(u1, total - u1, total)
 
 
-class BurstChoice(NamedTuple):
-    burst_bytes: int
-    efficiency: float
-    buffer_luts: int
-    at_peak: bool
-
-
-class BurstSelection(NamedTuple):
-    phase1: BurstChoice
-    phase2: BurstChoice
-
-
-def _select_for_pattern(profile: BandwidthProfile, pattern: int) -> BurstChoice:
-    entries = sorted(
-        (b, eff) for (m, b), eff in profile.table.items() if m == pattern
-    )
-    if not entries:
-        raise ProfileCoverageError(f"profile has no entries for pattern {pattern}x{pattern}")
+def select_burst(profile: BandwidthProfile, pattern: int) -> int:
+    """The burst for `pattern` x `pattern` traffic (1 in phase one,
+    ``SortConfig.reuse`` in phase two): of the bursts at the pattern's peak
+    efficiency, the cheapest in buffer LUTs, then the largest among equals
+    (growing a burst is free until it needs another shift-register row)."""
+    entries = [(b, eff) for (m, b), eff in profile.table.items() if m == pattern]
     peak = max(eff for _, eff in entries)
-    at_peak = peak >= 0.95
-    candidates = [(b, eff) for b, eff in entries if eff == peak]
-    # Cheapest buffers first, then the largest burst among equals: growing
-    # the burst is free until it needs another shift-register row.
-    burst, eff = min(candidates, key=lambda be: (buffer_luts(be[0]), -be[0]))
-    return BurstChoice(burst, eff, buffer_luts(burst), at_peak)
-
-
-class ProfileCoverageError(ValueError):
-    pass
-
-
-def select_burst_sizes(profile: BandwidthProfile, phase2_pattern: int) -> BurstSelection:
-    """Pick per-phase burst sizes: the cheapest burst that reaches the
-    pattern's peak efficiency (1x1 traffic in phase one, `phase2_pattern`,
-    the reuse factor ``SortConfig.reuse``, in phase two).  A pattern whose
-    profile never reaches 95% of peak efficiency is flagged via ``at_peak=False``."""
-    return BurstSelection(_select_for_pattern(profile, 1),
-                          _select_for_pattern(profile, phase2_pattern))
+    return min((b for b, eff in entries if eff == peak), key=lambda b: (buffer_luts(b), -b))

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import analytics, dataset, engine, mergenet
-from .analytics import floorplan_solve, resource_tree, select_burst_sizes
+from .analytics import buffer_luts, floorplan_solve, resource_tree, select_burst
 from .config import AppConfig, ConfigError, load_config
 from .engine import build_timing, plan_sort, verify_permutation
 from .hbm import CapacityError
@@ -250,13 +250,12 @@ def cmd_model(args) -> int:
     plan = plan_sort(cfg, app.topo)
     timing = _timing_dict(build_timing(cfg, plan, app.topo, app.profile))
 
-    tree1 = resource_tree(cfg.phase1_rate, cfg.phase1_leaves, app.resource,
-                          burst_bytes=cfg.phase1_burst)
-    tree_reused = resource_tree(cfg.phase1_rate, cfg.phase1_leaves, app.resource,
-                                burst_bytes=cfg.phase2_burst)
+    tree = plan.passes[0].tree
+    tree1 = resource_tree(tree, app.resource, cfg.phase1_burst)
+    tree_reused = resource_tree(tree, app.resource, cfg.phase2_burst)
     extra_comparators = plan.passes[-1].tree.comparator_total() - cfg.reuse * tree1.comparators
     plan_sol = floorplan_solve(app.floorplan, tree1.luts, cfg.parallel_trees)
-    bursts = select_burst_sizes(app.profile, cfg.reuse)
+    burst1, burst2 = select_burst(app.profile, 1), select_burst(app.profile, cfg.reuse)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -276,10 +275,10 @@ def cmd_model(args) -> int:
             "objective": plan_sol.objective,
         },
         "bursts": {
-            "phase1_bytes": bursts.phase1.burst_bytes,
-            "phase2_bytes": bursts.phase2.burst_bytes,
-            "phase1_buffer_luts": bursts.phase1.buffer_luts,
-            "phase2_buffer_luts": bursts.phase2.buffer_luts,
+            "phase1_bytes": burst1,
+            "phase2_bytes": burst2,
+            "phase1_buffer_luts": buffer_luts(burst1),
+            "phase2_buffer_luts": buffer_luts(burst2),
         },
     }
     _write_report(report, args.report)
@@ -288,7 +287,7 @@ def cmd_model(args) -> int:
           f"{report['reference']['hbm_traffic_gbps']} GB/s HBM traffic")
     _print_timing(timing)
     print(f"floorplan: {plan_sol.die1_trees} trees on die 1, {plan_sol.die2_trees} on die 2")
-    print(f"burst sizes: phase 1 {bursts.phase1.burst_bytes} B, phase 2 {bursts.phase2.burst_bytes} B")
+    print(f"burst sizes: phase 1 {burst1} B, phase 2 {burst2} B")
     print(f"tree LUT estimate: {tree1.luts} (phase-1 burst)")
     return EXIT_OK
 

@@ -368,7 +368,7 @@ def _balanced_feeds(leaves: int, runs: int, r_out: int) -> list[np.ndarray]:
     so the active quantum of each run lands on a distinct bottom unit.
     """
     keys = np.arange(r_out, dtype=np.uint32)
-    quanta = max(1, leaves // runs)
+    quanta = leaves // runs
     feeds = []
     for r in range(runs):
         size, extra = divmod((r_out - r + runs - 1) // runs, quanta)  # np.array_split's rule
@@ -382,10 +382,9 @@ def _sample_keys(tree: TreeSpec, runs: int, r_out: int) -> list[tuple[TreeSpec, 
     balanced runs merged into one of ``r_out`` records needs.
 
     A group of at most 2*S records, S = max(64 * runs, 2048), is its own
-    sample; a larger one needs the samples of S and 2*S records.  The run
-    count is clamped to the tree's leaves and the records.
+    sample; a larger one needs the samples of S and 2*S records.  Every
+    group of a pass has 1 <= runs <= min(tree.leaves, r_out).
     """
-    runs = max(1, min(runs, tree.leaves, r_out))
     s = max(64 * runs, 2048)
     return [(tree, runs, r_out)] if r_out <= 2 * s else [(tree, runs, s), (tree, runs, 2 * s)]
 

@@ -1,13 +1,14 @@
 """Merge trees: composition of streaming merge units and pass simulation.
 
-A tree is described by its root rate ``p`` (records emitted per cycle)
-and leaf count ``l``.  Rates halve level by level toward the leaves; when
-``l`` exceeds twice the root rate, extra rate-1 levels sit above the leaf
-buffers.  Phase two reuses ``R = SortConfig.reuse`` identical (p, l)
-trees as one tree that many times wider, adding units above them (two
-half-rate units and one full-rate unit for four trees).  That is the tree
-``build_tree(R * p, R * l)``: below its top levels, each of its levels is
-a level of the (p, l) tree repeated R times.
+A tree (:class:`TreeSpec`) is its root rate ``p`` (records emitted per
+cycle), leaf count ``l`` and FIFO depth.  Its unit rates halve level by
+level toward the leaves; when ``l`` exceeds twice the root rate, rate-1
+levels sit above the leaf buffers.  Phase two reuses ``R =
+SortConfig.reuse`` identical (p, l) trees as one tree that many times
+wider, adding units above them (two half-rate units and one full-rate
+unit for four trees).  That is the tree ``build_tree(R * p, R * l)``:
+below its top levels, each of its levels is a level of the (p, l) tree
+repeated R times.
 
 A pass is timed from the units' firing plans instead of stepping every
 unit every cycle.  One stable sort of the feeds is the pass output, and
@@ -74,11 +75,11 @@ class TreeShapeError(ValueError):
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """A (p, l) merge tree as levels of unit rates, root first."""
+    """A (p, l) merge tree at a FIFO depth.  Level j < log2(l) of its units,
+    root first, holds 2**j units of rate ``max(1, p >> j)``."""
 
     root_rate: int
     leaves: int
-    levels: tuple[tuple[int, ...], ...]
     #: Inter-level buffer depth, in blocks of the consuming unit.  Depth 2
     #: starves interior units on skewed consumption (random data runs a
     #: tree at ~77% of its rate); 8 blocks absorb the fluctuations.
@@ -87,18 +88,20 @@ class TreeSpec:
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        return self.leaves.bit_length() - 1
+
+    @property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        return tuple((max(1, self.root_rate >> j),) * (1 << j) for j in range(self.depth))
 
     def comparator_total(self) -> int:
         return sum(mms_stats(r).comparators for level in self.levels for r in level)
 
 
 def build_tree(p: int, l: int, fifo_blocks: int = TreeSpec.fifo_blocks) -> TreeSpec:
-    """Build the (p, l) tree: rates halve from the root, counts double.
-
-    The bottom level has rate ``max(1, 2p/l)``; if ``l > 2p`` the chain is
-    extended with rate-1 levels, each doubling the leaf count.
-    """
+    """Build the (p, l) tree: rates halve from the root and counts double,
+    down to the rate-``max(1, 2p/l)`` level; if ``l > 2p``, rate-1 levels
+    extend the chain, each doubling the leaf count."""
     if not is_power_of_two(p):
         raise TreeShapeError(f"root rate must be a power of two, got {p}")
     if not is_power_of_two(l) or l < 2:
@@ -107,20 +110,7 @@ def build_tree(p: int, l: int, fifo_blocks: int = TreeSpec.fifo_blocks) -> TreeS
         raise TreeShapeError(f"leaf count {l} below root rate {p}")
     if fifo_blocks < 0:
         raise TreeShapeError(f"FIFO depth must be at least 0 blocks, got {fifo_blocks}")
-
-    levels: list[tuple[int, ...]] = []
-    rate, count = p, 1
-    stop = max(1, (2 * p) // l)
-    while rate >= stop:
-        levels.append((rate,) * count)
-        rate //= 2
-        count *= 2
-    while count < l:  # extra rate-1 levels above the leaves
-        levels.append((1,) * count)
-        count *= 2
-    spec = TreeSpec(p, l, tuple(levels), fifo_blocks)
-    assert 2 * len(spec.levels[-1]) == l
-    return spec
+    return TreeSpec(p, l, fifo_blocks)
 
 
 def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
@@ -280,7 +270,6 @@ def _timing(times, tp, rooms, close_room, k0, k1, deps0, deps1, closer, level, i
     its parent, so the units of a pass form no reference cycle.
     """
     t0, t1 = k0.times, k1.times
-    run0, run1 = k0.run, k1.run
     t = 0
     known_p = known0 = known1 = 1  # lower bounds of the lengths: times only grow
     for r, a, b in zip(rooms, deps0, deps1):
@@ -289,19 +278,9 @@ def _timing(times, tp, rooms, close_room, k0, k1, deps0, deps1, closer, level, i
                 yield
             known_p = len(tp)
         if a >= known0:
-            while a >= len(t0):
-                known0 = len(t0)
-                next(run0, None)  # a producer may time everything without yielding
-                if len(t0) == known0:
-                    raise StuckPassError(level, index, len(times) - 1)
-            known0 = len(t0)
+            known0 = _pull(k0, a, level, index, len(times) - 1)
         if b >= known1:
-            while b >= len(t1):
-                known1 = len(t1)
-                next(run1, None)
-                if len(t1) == known1:
-                    raise StuckPassError(level, index, len(times) - 1)
-            known1 = len(t1)
+            known1 = _pull(k1, b, level, index, len(times) - 1)
         t += 1
         ready = t0[a]
         if ready >= t:
@@ -322,16 +301,18 @@ def _timing(times, tp, rooms, close_room, k0, k1, deps0, deps1, closer, level, i
     times.append(t)
 
 
-def _pull(kid: _Unit, need: int, level: int, index: int, firing: int):
-    """Resume `kid` until it has timed index `need`; firing `firing` of
-    unit `index` on `level` waits on it.  A kid that yields without
-    progress waits on that firing or a later one: the pass is stuck."""
+def _pull(kid: _Unit, need: int, level: int, index: int, firing: int) -> int:
+    """Resume `kid` until it has timed index `need`, and return the length
+    of its times; firing `firing` of unit `index` on `level` waits on it.
+    A kid that yields without progress waits on that firing or a later
+    one: the pass is stuck."""
     times = kid.times
     while len(times) <= need:
         known = len(times)
         next(kid.run, None)  # a kid may time everything without yielding
         if len(times) == known:
             raise StuckPassError(level, index, firing)
+    return len(times)
 
 
 def _by_node(leaf: np.ndarray, lengths: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
@@ -496,8 +477,9 @@ def _plan_level(tree: TreeSpec, level: int, ranks: np.ndarray, bounds: np.ndarra
     (:func:`_deps`).  Returns the plan and the row's units, each numbered
     within its own tree; the kids are started and wait on the row for
     room."""
-    width = len(tree.levels[level])
-    plan = plan_units(tree.levels[level][0], ranks, bounds, merged)
+    rates = tree.levels[level]
+    width = len(rates)
+    plan = plan_units(rates[0], ranks, bounds, merged)
     fires = plan.fires.tolist()
     if below is None:  # leaf ports are always full: the units wait only for room
         return plan, [_Unit(f) for f in fires]

@@ -88,6 +88,21 @@ def pass_ladder(records, leaves, wide_leaves):
     return tuple(ladder) + (subrun, n_pad)
 
 
+def halving_levels(p, l):
+    """The unit rates of the (p, l) tree by level, root first, built by
+    halving: rates halve and counts double from the root down to rate
+    max(1, 2p/l), then rate-1 levels double the count up to l / 2."""
+    levels, rate, count = [], p, 1
+    while rate >= max(1, 2 * p // l):
+        levels.append((rate,) * count)
+        rate //= 2
+        count *= 2
+    while count < l:
+        levels.append((1,) * count)
+        count *= 2
+    return tuple(levels)
+
+
 def brute_force_floorplan(prob: FloorplanProblem, tree_luts: int, trees: int):
     """Full-grid enumeration of the placement of at most `trees` trees,
     max (sum, u1)."""

@@ -6,7 +6,7 @@ from hbmsort.analytics import (
     FloorplanProblem,
     ceil_log,
     floorplan_solve,
-    select_burst_sizes,
+    select_burst,
 )
 from hbmsort.hbm import BandwidthProfile
 
@@ -27,9 +27,7 @@ class TestCeilLog:
 
 
 def test_default_bursts():
-    sel = select_burst_sizes(BandwidthProfile(), 4)
-    assert (sel.phase1.burst_bytes, sel.phase2.burst_bytes) == (1024, 4096)
-    assert sel.phase1.at_peak and sel.phase2.at_peak
+    assert (select_burst(BandwidthProfile(), 1), select_burst(BandwidthProfile(), 4)) == (1024, 4096)
 
 
 @settings(max_examples=60, deadline=None)

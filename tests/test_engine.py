@@ -130,6 +130,9 @@ class TestPlanRows:
         assert final.kind == "final" and final.tree == build_tree(4 * rate, 4 * leaves)
         assert (final.records, final.pattern, final.burst) == (ladder[-1], 4, burst2)
         assert plan.channel_records == ladder[-1] // trees
+        for row in plan.passes:  # the timing model relies on it
+            for _, runs, n in engine._pass_groups(row):
+                assert 1 <= runs <= min(row.tree.leaves, n), (row.kind, runs, n)
 
 
 class TestPhases:

@@ -48,6 +48,16 @@ class TestBuildTree:
         assert t.levels[-2:] == ((1,) * 8, (1,) * 16)
         assert t.leaves == 32
 
+    @pytest.mark.parametrize("p,l", [(2**i, 2**j) for i in range(8) for j in range(1, 11) if j >= i])
+    def test_levels_match_the_halving_construction(self, p, l):
+        """The closed-form levels against the halving oracle on every shape
+        with p <= 128 and l <= 1024; a tree is (p, l, FIFO depth)."""
+        t = build_tree(p, l)
+        assert t.levels == oracles.halving_levels(p, l)
+        assert t.depth == len(t.levels) and 2 * len(t.levels[-1]) == l
+        assert t == build_tree(p, l) and hash(t) == hash(build_tree(p, l))
+        assert t != build_tree(p, l, 4)
+
     @pytest.mark.parametrize("shape", [(3, 16), (8, 12), (8, 4), (8, 1), (0, 8), (8, 16, -1)])
     def test_invalid_shapes_rejected(self, shape):
         with pytest.raises(TreeShapeError):
