@@ -1,6 +1,6 @@
-"""Resource, floorplan and burst models, and the two formulas that
-compose phase bandwidths (``engine.build_timing`` times the phases).  The
-resource model costs a plan's ``TreeSpec``; the burst rule returns a burst.
+"""Resource and floorplan models, and the two formulas that compose phase
+bandwidths (``engine.build_timing`` times the phases).  The resource model
+costs a plan's ``TreeSpec`` at one of the plan's bursts.
 
 Bandwidth figures follow the write-side convention: half of the system
 bandwidth feeds reads, half drains writes, and a tree's throughput is the
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .hbm import BandwidthProfile
 from .mergetree import TreeSpec
 
 
@@ -137,13 +136,3 @@ def floorplan_solve(prob: FloorplanProblem, tree_luts: int, trees: int) -> Floor
         total = min(total, prob.crossing_budget // prob.axi_width)
     u1 = min(u1_cap, total)
     return FloorplanSolution(u1, total - u1, total)
-
-
-def select_burst(profile: BandwidthProfile, pattern: int) -> int:
-    """The burst for `pattern` x `pattern` traffic (1 in phase one,
-    ``SortConfig.reuse`` in phase two): of the bursts at the pattern's peak
-    efficiency, the cheapest in buffer LUTs, then the largest among equals
-    (growing a burst is free until it needs another shift-register row)."""
-    entries = [(b, eff) for (m, b), eff in profile.table.items() if m == pattern]
-    peak = max(eff for _, eff in entries)
-    return min((b for b, eff in entries if eff == peak), key=lambda b: (buffer_luts(b), -b))

@@ -6,8 +6,8 @@ gen       write a benchmark dataset (by default shuffled permutation keys 1..N)
 sort      run the two-phase pipeline over a dataset, or model a run dry;
           ``--mode cycles`` adds the dry-run model's timing to a real run
 model     print the modelled timing of one sort (the block ``sort --dry-run``
-          writes) beside the reference figures, with resources, floorplan
-          and burst selection
+          writes) beside the reference figures, with the resources,
+          floorplan and bursts of the plan's trees
 sweep     model a range of data sizes and tabulate pass counts/throughput
 validate  check that a dataset is the sorted permutation 1..N
 
@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import analytics, dataset, engine, mergenet
-from .analytics import buffer_luts, floorplan_solve, resource_tree, select_burst
+from .analytics import buffer_luts, floorplan_solve, resource_tree
 from .config import AppConfig, ConfigError, load_config
 from .engine import build_timing, plan_sort, verify_permutation
 from .hbm import CapacityError
@@ -250,12 +250,12 @@ def cmd_model(args) -> int:
     plan = plan_sort(cfg, app.topo)
     timing = _timing_dict(build_timing(cfg, plan, app.topo, app.profile))
 
-    tree = plan.passes[0].tree
-    tree1 = resource_tree(tree, app.resource, cfg.phase1_burst)
-    tree_reused = resource_tree(tree, app.resource, cfg.phase2_burst)
-    extra_comparators = plan.passes[-1].tree.comparator_total() - cfg.reuse * tree1.comparators
+    first, final = plan.passes[0], plan.passes[-1]  # the bursts and trees the timing costs
+    burst1, burst2 = first.burst, final.burst
+    tree1 = resource_tree(first.tree, app.resource, burst1)
+    tree_reused = resource_tree(first.tree, app.resource, burst2)
+    extra_comparators = final.tree.comparator_total() - cfg.reuse * tree1.comparators
     plan_sol = floorplan_solve(app.floorplan, tree1.luts, cfg.parallel_trees)
-    burst1, burst2 = select_burst(app.profile, 1), select_burst(app.profile, cfg.reuse)
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -11,10 +11,11 @@ sub-runs into one sorted run.
 :func:`plan_sort` derives every such count from :class:`SortConfig`.
 
 The functional data path computes what the passes produce, not each
-pass.  The padded input is one ``(trees, channel_records, 2)`` array
-whose row c is the channel tree c sorts; phase one sorts every row into
-one array of the same shape, and phase two reads that array in place as
-its ``phase2_leaves`` sub-runs.  A merge tree resolves equal keys in leaf
+pass, from the :class:`SortPlan` alone.  The padded input is one
+``(trees, channel_records, 2)`` array, ``trees = padded_records //
+channel_records``, whose row c is the channel tree c sorts; phase one
+sorts every row into one array of the same shape, and phase two reads
+that array in place as its sub-runs.  A merge tree resolves equal keys in leaf
 order, so the sub-runs of phase one are stable sorts of their input
 ranges and phase two is a stable merge of the sub-runs.  Both phases are
 one segment sort, :func:`_sort_segments`, and differ only in their
@@ -55,7 +56,6 @@ from .mergenet import MAX_KEY, RECORD_BYTES
 from .mergetree import (
     TreeShapeError,
     TreeSpec,
-    build_tree,
     run_pass_cycles,  # not called here: bench/run.py traces engine.run_pass_cycles
     run_passes_cycles,
 )
@@ -97,7 +97,7 @@ class SortConfig:
             raise ValueError("records must be positive")
         if not 1 <= self.parallel_trees <= CHANNELS // 2:
             raise ValueError(f"parallel_trees must be between 1 and {CHANNELS // 2}")
-        build_tree(self.phase1_rate, self.phase1_leaves)  # TreeShapeError on a bad shape
+        TreeSpec(self.phase1_rate, self.phase1_leaves)  # TreeShapeError on a bad shape
         r = 4  # the paper's reuse; other R wait on a phase-two supply model (ROADMAP item 5)
         if (self.phase2_rate, self.phase2_leaves) != (r * self.phase1_rate, r * self.phase1_leaves):
             raise TreeShapeError(f"phase two's ({self.phase2_rate}, {self.phase2_leaves}) tree is not a "
@@ -182,11 +182,11 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
         )
     l = cfg.phase1_leaves
     ladder = tuple(l**i for i in range(ceil_log(l, n_pad // align) + 1)) + (n_pad // cfg.phase2_leaves,)
-    tree, channel = build_tree(cfg.phase1_rate, l), n_pad // cfg.parallel_trees
+    tree, channel = TreeSpec(cfg.phase1_rate, l), n_pad // cfg.parallel_trees
     kinds = ("merge",) * (len(ladder) - 2) + ("tuned",)
     phase1 = tuple(PassRow(kind, tree, a, b, channel, 1, cfg.phase1_burst)
                    for kind, (a, b) in zip(kinds, pairwise(ladder)))
-    final = PassRow("final", build_tree(cfg.phase2_rate, cfg.phase2_leaves), ladder[-1], n_pad,
+    final = PassRow("final", TreeSpec(cfg.phase2_rate, cfg.phase2_leaves), ladder[-1], n_pad,
                     n_pad, cfg.reuse, cfg.phase2_burst)
     return SortPlan(cfg.records, phase1 + (final,))
 
@@ -204,9 +204,10 @@ def pad_input(records: np.ndarray, plan: SortPlan) -> np.ndarray:
     return np.concatenate([records.astype(np.uint32, copy=False), filler])
 
 
-def split_channels(padded: np.ndarray, cfg: SortConfig) -> np.ndarray:
-    """Contiguous split, as a view: row c holds records [c*N/k, (c+1)*N/k)."""
-    return padded.reshape(cfg.parallel_trees, -1, 2)
+def split_channels(padded: np.ndarray, plan: SortPlan) -> np.ndarray:
+    """Contiguous split over the plan's k trees, as a view: row c holds
+    records [c*N/k, (c+1)*N/k) of the N padded ones."""
+    return padded.reshape(plan.padded_records // plan.channel_records, -1, 2)
 
 
 def _workers(threads: int, tasks: int) -> int:
@@ -254,25 +255,23 @@ def _sort_segments(src: np.ndarray, cuts: np.ndarray, threads: int) -> np.ndarra
     return out
 
 
-def _check_phase(channels: np.ndarray, cfg: SortConfig, plan: SortPlan, threads: int):
-    want = (cfg.parallel_trees, plan.channel_records, 2)
+def _check_phase(channels: np.ndarray, plan: SortPlan, threads: int):
+    want = (plan.padded_records // plan.channel_records, plan.channel_records, 2)
     if channels.shape != want:
         raise ValueError(f"channels have shape {channels.shape}, expected {want}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
 
 
-def run_phase1(
-    channels: np.ndarray, cfg: SortConfig, plan: SortPlan, threads: int = 1
-) -> np.ndarray:
-    """Sort every channel into its independent sub-runs.
+def run_phase1(channels: np.ndarray, plan: SortPlan, threads: int = 1) -> np.ndarray:
+    """Sort every channel into its independent ``subrun_records`` sub-runs.
 
     The untuned passes only lengthen runs inside a channel, so the final
     sub-runs are stable sorts of their input ranges whatever the pass
     count.  Each sub-run is one segment of :func:`_sort_segments`, sorted
     into one array of the input's shape.
     """
-    _check_phase(channels, cfg, plan, threads)
+    _check_phase(channels, plan, threads)
     feeds = channels.reshape(-1, 2)
     cuts = np.arange(0, len(feeds) + 1, plan.subrun_records)[None, :]
     return _sort_segments(feeds, cuts, threads).reshape(channels.shape)
@@ -294,9 +293,7 @@ def _key_ranges(subruns: np.ndarray, ranges: int) -> np.ndarray:
     return cuts
 
 
-def run_phase2(
-    channels: np.ndarray, cfg: SortConfig, plan: SortPlan, threads: int = 1
-) -> np.ndarray:
+def run_phase2(channels: np.ndarray, plan: SortPlan, threads: int = 1) -> np.ndarray:
     """One pass of the wide tree over all sub-runs, read in place, into one
     sorted run of ``padded_records`` records.
 
@@ -309,7 +306,7 @@ def run_phase2(
     range count.  The composite buffers hold at most one composite per
     record, and one range's worth per worker when keys spread.
     """
-    _check_phase(channels, cfg, plan, threads)
+    _check_phase(channels, plan, threads)
     feeds = channels.reshape(-1, 2)
     keys = feeds[:, 0]
     per = plan.subrun_records
@@ -551,6 +548,6 @@ def sort_records(
     if cfg.records != len(records):
         raise ValueError(f"config says {cfg.records} records, input has {len(records)}")
     plan = plan_sort(cfg, topo)
-    channels = run_phase1(split_channels(pad_input(records, plan), cfg), cfg, plan, threads)
-    output = reconstruct_output(run_phase2(channels, cfg, plan, threads), plan)
+    channels = run_phase1(split_channels(pad_input(records, plan), plan), plan, threads)
+    output = reconstruct_output(run_phase2(channels, plan, threads), plan)
     return SortResult(output, plan)

@@ -135,24 +135,17 @@ def bitonic_merge_network(width: int) -> tuple[tuple[tuple[int, int], ...], ...]
     return tuple(stages)
 
 
-class UnitStats(NamedTuple):
-    comparators: int
-    stages: int
-
-
-def mms_stats(rate: int) -> UnitStats:
-    """Cost of a full streaming merge unit at the given rate.
+def mms_stats(rate: int) -> int:
+    """Comparator count of a full streaming merge unit at the given rate.
 
     Rates above 1 use two back-to-back bitonic mergers over ``2 * rate``
-    lanes, doubling both the comparator count and the pipeline depth of
-    :func:`bitonic_merge_network`.  The rate-1 unit degenerates to a
-    single compare-swap cell.
+    lanes, twice the comparators of :func:`bitonic_merge_network`.  The
+    rate-1 unit degenerates to a single compare-swap cell.
     """
     _check_rate(rate)
     if rate == 1:
-        return UnitStats(comparators=1, stages=1)
-    stages = bitonic_merge_network(2 * rate)
-    return UnitStats(comparators=2 * sum(map(len, stages)), stages=2 * len(stages))
+        return 1
+    return 2 * sum(map(len, bitonic_merge_network(2 * rate)))
 
 
 def _check_rate(rate):

@@ -6,7 +6,7 @@ level toward the leaves; when ``l`` exceeds twice the root rate, rate-1
 levels sit above the leaf buffers.  Phase two reuses ``R =
 SortConfig.reuse`` identical (p, l) trees as one tree that many times
 wider, adding units above them (two half-rate units and one full-rate
-unit for four trees).  That is the tree ``build_tree(R * p, R * l)``:
+unit for four trees).  That is the tree ``TreeSpec(R * p, R * l)``:
 below its top levels, each of its levels is a level of the (p, l) tree
 repeated R times.
 
@@ -75,8 +75,11 @@ class TreeShapeError(ValueError):
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """A (p, l) merge tree at a FIFO depth.  Level j < log2(l) of its units,
-    root first, holds 2**j units of rate ``max(1, p >> j)``."""
+    """A (p, l) merge tree at a FIFO depth, valid by type: construction
+    raises :class:`TreeShapeError` unless p is a power of two, l one of at
+    least 2 and p, and the depth at least 0.  Level j < log2(l) of its
+    units, root first, holds 2**j units of rate ``max(1, p >> j)``: rate-1
+    levels extend the chain when ``l > 2p``."""
 
     root_rate: int
     leaves: int
@@ -85,6 +88,17 @@ class TreeSpec:
     #: tree at ~77% of its rate); 8 blocks absorb the fluctuations.
     #: Depths 0 and 1 can leave a pass stuck (:class:`StuckPassError`).
     fifo_blocks: int = 8
+
+    def __post_init__(self):
+        p, l = self.root_rate, self.leaves
+        if not is_power_of_two(p):
+            raise TreeShapeError(f"root rate must be a power of two, got {p}")
+        if not is_power_of_two(l) or l < 2:
+            raise TreeShapeError(f"leaf count must be a power of two >= 2, got {l}")
+        if l < p:
+            raise TreeShapeError(f"leaf count {l} below root rate {p}")
+        if self.fifo_blocks < 0:
+            raise TreeShapeError(f"FIFO depth must be at least 0 blocks, got {self.fifo_blocks}")
 
     @property
     def depth(self) -> int:
@@ -95,22 +109,12 @@ class TreeSpec:
         return tuple((max(1, self.root_rate >> j),) * (1 << j) for j in range(self.depth))
 
     def comparator_total(self) -> int:
-        return sum(mms_stats(r).comparators for level in self.levels for r in level)
+        return sum(mms_stats(r) for level in self.levels for r in level)
 
 
-def build_tree(p: int, l: int, fifo_blocks: int = TreeSpec.fifo_blocks) -> TreeSpec:
-    """Build the (p, l) tree: rates halve from the root and counts double,
-    down to the rate-``max(1, 2p/l)`` level; if ``l > 2p``, rate-1 levels
-    extend the chain, each doubling the leaf count."""
-    if not is_power_of_two(p):
-        raise TreeShapeError(f"root rate must be a power of two, got {p}")
-    if not is_power_of_two(l) or l < 2:
-        raise TreeShapeError(f"leaf count must be a power of two >= 2, got {l}")
-    if l < p:
-        raise TreeShapeError(f"leaf count {l} below root rate {p}")
-    if fifo_blocks < 0:
-        raise TreeShapeError(f"FIFO depth must be at least 0 blocks, got {fifo_blocks}")
-    return TreeSpec(p, l, fifo_blocks)
+#: The name the benchmark and the tests build trees by: a tree is valid by
+#: type, so building one is constructing it.
+build_tree = TreeSpec
 
 
 def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
@@ -121,7 +125,7 @@ def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
     if len(subtrees) != 4 or len(kinds) != 1:
         raise TreeShapeError(f"need 4 identical subtrees, got {len(subtrees)}, {len(kinds)} distinct")
     (first,) = kinds
-    return build_tree(4 * first.root_rate, 4 * first.leaves, first.fifo_blocks)
+    return TreeSpec(4 * first.root_rate, 4 * first.leaves, first.fifo_blocks)
 
 
 # ----------------------------------------------------------------------

@@ -2,12 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbmsort.analytics import (
-    FloorplanProblem,
-    ceil_log,
-    floorplan_solve,
-    select_burst,
-)
+from hbmsort.analytics import FloorplanProblem, buffer_luts, ceil_log, floorplan_solve
+from hbmsort.engine import SortConfig, plan_sort
 from hbmsort.hbm import BandwidthProfile
 
 from oracles import brute_force_floorplan
@@ -26,8 +22,19 @@ class TestCeilLog:
             ceil_log(base, n)
 
 
-def test_default_bursts():
-    assert (select_burst(BandwidthProfile(), 1), select_burst(BandwidthProfile(), 4)) == (1024, 4096)
+def test_default_bursts_follow_the_burst_rule():
+    """The paper's 1 KB bursts in phase one (1x1) and 4 KB in phase two
+    (4x4): of the bursts at the pattern's peak efficiency in the default
+    profile, the cheapest in leaf-buffer LUTs, the largest among equals
+    (a burst grows for free until it needs another shift-register row)."""
+    plan = plan_sort(SortConfig(records=1 << 20))
+    rows = plan.passes[0], plan.passes[-1]
+    assert [(row.pattern, row.burst) for row in rows] == [(1, 1024), (4, 4096)]
+    for row in rows:
+        effs = {b: eff for (m, b), eff in BandwidthProfile().table.items() if m == row.pattern}
+        peak = [b for b, eff in effs.items() if eff == max(effs.values())]
+        cheapest = min(map(buffer_luts, peak))
+        assert row.burst == max(b for b in peak if buffer_luts(b) == cheapest)
 
 
 @settings(max_examples=60, deadline=None)

@@ -205,6 +205,19 @@ def test_model_reports_the_dry_run_timing_of_a_configured_sort(tmp_path, capsys)
     assert set(timing_lines) <= set(model_out.splitlines())
 
 
+def test_model_reports_and_costs_the_planned_bursts(tmp_path, capsys):
+    """A configured phase-two burst is the one the report prints and the one
+    its reused tree is costed at: 2048 B, 1024 LUTs per leaf buffer."""
+    report = tmp_path / "model.json"
+    argv = ["model", "--report", str(report), "--config", _write(tmp_path, "[sort]\nphase2_burst = 2048\n")]
+    assert cli.main(argv) == cli.EXIT_OK
+    got = json.loads(report.read_text())
+    assert got["bursts"] == {"phase1_bytes": 1024, "phase2_bytes": 2048,
+                             "phase1_buffer_luts": 512, "phase2_buffer_luts": 1024}
+    assert got["resources"]["tree_reused"]["buffer_luts"] == 12 * 1024  # 12 of 16 leaf buffers in LUTs
+    assert "burst sizes: phase 1 1024 B, phase 2 2048 B" in capsys.readouterr().out
+
+
 def test_removed_reference_key_is_named(tmp_path, capsys):
     argv = ["model", "--config", _write(tmp_path, "[reference]\nsingle_tree_leaves = 256\n")]
     assert cli.main(argv) == cli.EXIT_USAGE

@@ -46,7 +46,7 @@ def _phase1(records, threads=1):
     cfg = SortConfig(records=len(records))
     plan = plan_sort(cfg)
     padded = pad_input(records, plan)
-    return cfg, plan, padded, run_phase1(split_channels(padded, cfg), cfg, plan, threads)
+    return cfg, plan, padded, run_phase1(split_channels(padded, plan), plan, threads)
 
 
 class TestSortRecordsOracle:
@@ -151,7 +151,7 @@ class TestPhases:
     def test_phases_share_one_array(self):
         recs = _records(np.arange(4096)[::-1])
         cfg, plan, padded, channels = _phase1(recs)
-        assert np.shares_memory(split_channels(padded, cfg), padded)
+        assert np.shares_memory(split_channels(padded, plan), padded)
         assert channels.shape == (cfg.parallel_trees, plan.channel_records, 2)
 
     @pytest.mark.parametrize("phase", [run_phase1, run_phase2])
@@ -159,7 +159,7 @@ class TestPhases:
         recs = _records(np.arange(4096))
         cfg, plan, padded, _channels = _phase1(recs)
         with pytest.raises(ValueError, match="shape"):
-            phase(padded.reshape(8, -1, 2), cfg, plan)
+            phase(padded.reshape(8, -1, 2), plan)
 
     def test_phase2_matches_unit_level_wide_tree(self):
         rng = np.random.default_rng(6)
@@ -168,14 +168,14 @@ class TestPhases:
         per = plan.subrun_records
         subruns = list(channels.reshape(-1, per, 2))
         wide = compose_wide_tree([build_tree(8, 16)] * 4)
-        got = run_phase2(channels, cfg, plan)
+        got = run_phase2(channels, plan)
         np.testing.assert_array_equal(got, run_pass_cycles(wide, subruns).records)
 
     def test_reconstruct_without_padding_returns_every_record(self):
         recs = _records(np.arange(4096)[::-1])
         cfg, plan, _padded, channels = _phase1(recs)
         assert plan.padded_records == plan.records
-        merged = run_phase2(channels, cfg, plan)
+        merged = run_phase2(channels, plan)
         merged[-1, 0] = 3  # any key: no padding tail to check
         np.testing.assert_array_equal(reconstruct_output(merged, plan), merged)
 
@@ -183,7 +183,7 @@ class TestPhases:
     def test_reconstruct_rejects_a_record_in_the_padding_tail(self, at):
         recs = _records(np.arange(5000)[::-1])
         cfg, plan, _padded, channels = _phase1(recs)
-        merged = run_phase2(channels, cfg, plan)
+        merged = run_phase2(channels, plan)
         merged[at, 0] = MAX_KEY - 1
         with pytest.raises(IntegrityError, match="padding"):
             reconstruct_output(merged, plan)
@@ -192,7 +192,7 @@ class TestPhases:
     def test_reconstruct_rejects_a_run_of_the_wrong_length(self, delta):
         recs = _records(np.arange(5000)[::-1])
         cfg, plan, _padded, channels = _phase1(recs)
-        merged = run_phase2(channels, cfg, plan)
+        merged = run_phase2(channels, plan)
         run = np.concatenate([merged, merged[-1:]])[: len(merged) + delta]
         with pytest.raises(IntegrityError, match="expected"):
             reconstruct_output(run, plan)
@@ -202,7 +202,7 @@ class TestPhases:
         cfg, plan, _padded, channels = _phase1(recs)
         channels[1, plan.subrun_records + 1, 0] = 0  # inside channel 1, sub-run 1
         with pytest.raises(UnsortedFeedError) as err:
-            run_phase2(channels, cfg, plan)
+            run_phase2(channels, plan)
         assert err.value.leaf == plan.channel_records // plan.subrun_records + 1
 
 
@@ -242,9 +242,9 @@ class TestKeyRangeSplit:
         recs, cfg, plan, channels, want_sort, want_phase2 = _split_case(name)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
         padded = pad_input(recs, plan)
-        phase1 = run_phase1(split_channels(padded, cfg), cfg, plan, threads)
+        phase1 = run_phase1(split_channels(padded, plan), plan, threads)
         assert phase1.tobytes() == channels.tobytes()
-        phase2 = run_phase2(channels, cfg, plan, threads)
+        phase2 = run_phase2(channels, plan, threads)
         assert phase2.tobytes() == want_phase2.tobytes()
         assert sort_records(recs, threads=threads).output.tobytes() == want_sort.tobytes()
 
@@ -296,7 +296,7 @@ class TestKeyRangeSplit:
 
         monkeypatch.setattr(engine, "RANGE_RECORDS", 512)
         monkeypatch.setattr(engine, "_key_ranges", recording)
-        assert run_phase2(channels, cfg, plan, threads).tobytes() == want_phase2.tobytes()
+        assert run_phase2(channels, plan, threads).tobytes() == want_phase2.tobytes()
         assert sort_records(recs, threads=threads).output.tobytes() == want_sort.tobytes()
         want = -(-plan.padded_records // 512)
         assert want > threads and ranges == [want, want]
@@ -492,9 +492,9 @@ class TestInputValidation:
             sort_records(recs, threads=threads)
         cfg, plan, padded, channels = _phase1(recs)
         with pytest.raises(ValueError, match="threads must be at least 1"):
-            run_phase1(split_channels(padded, cfg), cfg, plan, threads)
+            run_phase1(split_channels(padded, plan), plan, threads)
         with pytest.raises(ValueError, match="threads must be at least 1"):
-            run_phase2(channels, cfg, plan, threads)
+            run_phase2(channels, plan, threads)
 
     def test_in_range_wide_ints_match_uint32(self):
         recs = np.array([[7, 1], [MAX_KEY, 2], [0, 3], [7, 4]], dtype=np.int64)

@@ -85,7 +85,7 @@ class TestNetwork:
         assert len(stages) == log
         assert sum(len(s) for s in stages) == rate * log
         if rate > 1:
-            assert mms_stats(rate) == (2 * rate * log, 2 * log)
+            assert mms_stats(rate) == 2 * rate * log
         # every stage touches each lane at most once
         for stage in stages:
             lanes = [l for pair in stage for l in pair]
@@ -106,9 +106,7 @@ class TestNetwork:
         assert (lanes[:, 1:] >= lanes[:, :-1]).all()
 
     def test_mms_doubles(self):
-        assert mms_stats(1) == (1, 1)
-        assert mms_stats(4) == (24, 6)
-        assert mms_stats(16).comparators == 160
+        assert (mms_stats(1), mms_stats(4), mms_stats(16)) == (1, 24, 160)
 
     def test_bad_width(self):
         with pytest.raises(RateError):

@@ -15,6 +15,7 @@ from hbmsort.mergetree import (
     FeedFormatError,
     StuckPassError,
     TreeShapeError,
+    TreeSpec,
     build_tree,
     compose_wide_tree,
     run_pass_cycles,
@@ -63,16 +64,36 @@ class TestBuildTree:
         with pytest.raises(TreeShapeError):
             build_tree(*shape)
 
+    @pytest.mark.parametrize("fifo", [-1, 0, 8])
+    def test_a_tree_is_valid_by_type(self, fifo):
+        """``TreeSpec(p, l, d)`` constructs exactly when p is a power of
+        two, l a power of two of at least 2 and p, and d at least 0, over
+        p in 0..33 and l in 0..66; every other shape raises."""
+        def power(n):
+            return n in {1 << k for k in range(8)}
+
+        for p in range(34):
+            for l in range(67):
+                if power(p) and power(l) and l >= max(2, p) and fifo >= 0:
+                    assert TreeSpec(p, l, fifo) == build_tree(p, l, fifo)
+                else:
+                    with pytest.raises(TreeShapeError):
+                        TreeSpec(p, l, fifo)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(TreeShapeError):
+            dataclasses.replace(build_tree(8, 16), leaves=12)
+
     def test_comparator_total_is_sum_over_units(self):
         t = build_tree(16, 16)
-        expect = sum(mms_stats(r).comparators for level in t.levels for r in level)
+        expect = sum(mms_stats(r) for level in t.levels for r in level)
         assert t.comparator_total() == expect == 448
 
     @pytest.mark.parametrize("p", [4, 8, 16, 32])
     def test_comparator_doubling_recurrence(self, p):
         whole = build_tree(p, p).comparator_total()
         half = build_tree(p // 2, p // 2).comparator_total()
-        assert whole == 2 * half + mms_stats(p).comparators
+        assert whole == 2 * half + mms_stats(p)
 
 
 class TestComposeWideTree:
@@ -103,7 +124,7 @@ class TestComposeWideTree:
     def test_extra_unit_cost(self):
         wide = compose_wide_tree([build_tree(8, 16)] * 4)
         extra = wide.comparator_total() - 4 * build_tree(8, 16).comparator_total()
-        assert extra == 2 * mms_stats(16).comparators + mms_stats(32).comparators
+        assert extra == 2 * mms_stats(16) + mms_stats(32)
 
     def test_subtrees_shared_not_copied(self):
         sub = build_tree(8, 16)
