@@ -16,17 +16,6 @@ from typing import NamedTuple
 from .mergetree import TreeSpec
 
 
-def ceil_log(base: int, n: int) -> int:
-    """Smallest j with base**j >= n (exact integer arithmetic)."""
-    if base < 2 or n < 1:
-        raise ValueError(f"need base >= 2 and n >= 1, got base={base} n={n}")
-    j, v = 0, 1
-    while v < n:
-        v *= base
-        j += 1
-    return j
-
-
 def perf_overall(beta1: float, beta2: float) -> float:
     """Two serial phases compose harmonically."""
     if beta1 <= 0 or beta2 <= 0:

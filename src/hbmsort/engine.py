@@ -50,15 +50,11 @@ from typing import Optional
 import numpy as np
 
 from . import mergenet
-from .analytics import bandwidth_utilization, ceil_log, perf_overall
+from .analytics import bandwidth_utilization, perf_overall
 from .hbm import CHANNELS, BandwidthProfile, CapacityError, HbmTopology
 from .mergenet import MAX_KEY, RECORD_BYTES
-from .mergetree import (
-    TreeShapeError,
-    TreeSpec,
-    run_pass_cycles,  # not called here: bench/run.py traces engine.run_pass_cycles
-    run_passes_cycles,
-)
+from .mergetree import TreeShapeError, TreeSpec, check_integer_fields, compose_wide_tree, run_passes_cycles
+from .mergetree import run_pass_cycles  # not called here: bench/run.py traces engine.run_pass_cycles
 
 PAD_VALUE = 0xFFFFFFFF
 # Records per phase-two key range, 4 MB of composites: merging 4M records
@@ -80,6 +76,9 @@ class SortConfig:
     At most ``CHANNELS // 2`` trees: one read and one write channel per
     tree.  The tree count must divide ``phase2_leaves``: each channel
     leaves ``phase2_leaves / parallel_trees`` sub-runs for the wide tree.
+    Phase two's tree must be :func:`~hbmsort.mergetree.compose_wide_tree`
+    of four phase-one trees, as :func:`plan_sort` builds it.  Every field
+    but ``clock_hz`` is an integer, not a bool.
     """
 
     records: int
@@ -93,15 +92,16 @@ class SortConfig:
     clock_hz: float = 214e6
 
     def __post_init__(self):
+        check_integer_fields(self, ValueError)
         if self.records < 1:
             raise ValueError("records must be positive")
         if not 1 <= self.parallel_trees <= CHANNELS // 2:
             raise ValueError(f"parallel_trees must be between 1 and {CHANNELS // 2}")
-        TreeSpec(self.phase1_rate, self.phase1_leaves)  # TreeShapeError on a bad shape
-        r = 4  # the paper's reuse; other R wait on a phase-two supply model (ROADMAP item 5)
-        if (self.phase2_rate, self.phase2_leaves) != (r * self.phase1_rate, r * self.phase1_leaves):
+        # The paper's reuse; other R wait on a phase-two supply model (ROADMAP item 16).
+        wide = compose_wide_tree([TreeSpec(self.phase1_rate, self.phase1_leaves)] * 4)
+        if (self.phase2_rate, self.phase2_leaves) != (wide.root_rate, wide.leaves):
             raise TreeShapeError(f"phase two's ({self.phase2_rate}, {self.phase2_leaves}) tree is not a "
-                                 f"{r}-fold composition of phase one's ({self.phase1_rate}, "
+                                 f"4-fold composition of phase one's ({self.phase1_rate}, "
                                  f"{self.phase1_leaves}) tree")
         if self.phase2_leaves % self.parallel_trees:
             raise ValueError(f"parallel_trees does not divide phase2_leaves = {self.phase2_leaves}")
@@ -133,14 +133,10 @@ class PassRow:
 class SortPlan:
     """The pass schedule: phase one's rows, each over one channel, then
     phase two's, over every record; the counts below are read from them.
-    ``run_lengths`` = (1, l, ..., l**j, subrun_records, padded_records)."""
+    The rows' ``in_run`` are (1, l, ..., l**j, subrun_records)."""
 
     records: int
     passes: tuple[PassRow, ...]
-
-    @property
-    def run_lengths(self) -> tuple[int, ...]:
-        return tuple(row.in_run for row in self.passes) + (self.passes[-1].out_run,)
 
     @property
     def channel_records(self) -> int:
@@ -180,13 +176,15 @@ def plan_sort(cfg: SortConfig, topo: Optional[HbmTopology] = None) -> SortPlan:
             f"{topo.channel_capacity} B capacity (max "
             f"{topo.channel_capacity // RECORD_BYTES * cfg.parallel_trees} records)"
         )
-    l = cfg.phase1_leaves
-    ladder = tuple(l**i for i in range(ceil_log(l, n_pad // align) + 1)) + (n_pad // cfg.phase2_leaves,)
-    tree, channel = TreeSpec(cfg.phase1_rate, l), n_pad // cfg.parallel_trees
+    ladder = [1]
+    while ladder[-1] * align < n_pad:
+        ladder.append(ladder[-1] * cfg.phase1_leaves)
+    ladder.append(n_pad // cfg.phase2_leaves)
+    tree, channel = TreeSpec(cfg.phase1_rate, cfg.phase1_leaves), n_pad // cfg.parallel_trees
     kinds = ("merge",) * (len(ladder) - 2) + ("tuned",)
     phase1 = tuple(PassRow(kind, tree, a, b, channel, 1, cfg.phase1_burst)
                    for kind, (a, b) in zip(kinds, pairwise(ladder)))
-    final = PassRow("final", TreeSpec(cfg.phase2_rate, cfg.phase2_leaves), ladder[-1], n_pad,
+    final = PassRow("final", compose_wide_tree([tree] * cfg.reuse), ladder[-1], n_pad,
                     n_pad, cfg.reuse, cfg.phase2_burst)
     return SortPlan(cfg.records, phase1 + (final,))
 

@@ -6,9 +6,9 @@ level toward the leaves; when ``l`` exceeds twice the root rate, rate-1
 levels sit above the leaf buffers.  Phase two reuses ``R =
 SortConfig.reuse`` identical (p, l) trees as one tree that many times
 wider, adding units above them (two half-rate units and one full-rate
-unit for four trees).  That is the tree ``TreeSpec(R * p, R * l)``:
-below its top levels, each of its levels is a level of the (p, l) tree
-repeated R times.
+unit for four trees).  :func:`compose_wide_tree` builds that tree for
+``engine.plan_sort`` and ``engine.SortConfig``: below its top levels,
+each of its levels is a level of the (p, l) tree repeated R times.
 
 A pass is timed from the units' firing plans instead of stepping every
 unit every cycle.  One stable sort of the feeds is the pass output, and
@@ -57,9 +57,10 @@ own pass.  :func:`run_pass_cycles` is the forest of one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import pairwise, repeat
+from numbers import Integral
 from operator import index
 from typing import Optional, Sequence
 
@@ -73,13 +74,22 @@ class TreeShapeError(ValueError):
     """Invalid (p, l) combination or FIFO depth, or mismatched composition."""
 
 
+def check_integer_fields(obj, error: type[Exception]):
+    """Raise `error` if a field of the dataclass `obj` declared ``int``
+    holds a bool or a non-integer; numpy integers pass."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise error(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TreeSpec:
     """A (p, l) merge tree at a FIFO depth, valid by type: construction
-    raises :class:`TreeShapeError` unless p is a power of two, l one of at
-    least 2 and p, and the depth at least 0.  Level j < log2(l) of its
-    units, root first, holds 2**j units of rate ``max(1, p >> j)``: rate-1
-    levels extend the chain when ``l > 2p``."""
+    raises :class:`TreeShapeError` unless p, l and the depth are integers,
+    p a power of two, l one of at least 2 and p, and the depth at least
+    0.  Level j < log2(l) of its units, root first, holds 2**j units of
+    rate ``max(1, p >> j)``: rate-1 levels extend the chain when ``l > 2p``."""
 
     root_rate: int
     leaves: int
@@ -90,6 +100,7 @@ class TreeSpec:
     fifo_blocks: int = 8
 
     def __post_init__(self):
+        check_integer_fields(self, TreeShapeError)
         p, l = self.root_rate, self.leaves
         if not is_power_of_two(p):
             raise TreeShapeError(f"root rate must be a power of two, got {p}")
@@ -120,7 +131,8 @@ build_tree = TreeSpec
 def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
     """Reuse four identical (p, l) trees, as phase two does
     (``SortConfig.reuse``), as one tree four times wider: the (4p, 4l)
-    tree, at their FIFO depth."""
+    tree, at their FIFO depth.  Phase two's tree, in ``engine.plan_sort``
+    and in ``engine.SortConfig``'s shape check."""
     kinds = set(subtrees)
     if len(subtrees) != 4 or len(kinds) != 1:
         raise TreeShapeError(f"need 4 identical subtrees, got {len(subtrees)}, {len(kinds)} distinct")

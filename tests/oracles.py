@@ -6,6 +6,8 @@ instead of a unit tree, plain grid enumeration for the floorplanner, a
 cycle-stepped tree of stateful merge units instead of firing plans timed
 in dependency order, and binary searches over a row's running counts
 instead of per-record maps for the dependency columns between two rows.
+:func:`timed_sort` times a whole sort from real keys, pass by pass,
+against the timing model's balanced feeds.
 """
 
 import heapq
@@ -14,7 +16,9 @@ from itertools import accumulate, pairwise
 import numpy as np
 
 from hbmsort.analytics import FloorplanProblem
+from hbmsort.engine import pad_input, plan_sort
 from hbmsort.mergenet import MergeOrderError, Record
+from hbmsort.mergetree import run_passes_cycles
 
 
 def two_pointer_merge(a, b):
@@ -86,6 +90,39 @@ def pass_ladder(records, leaves, wide_leaves):
     while ladder[-1] * leaves < subrun:
         ladder.append(ladder[-1] * leaves)
     return tuple(ladder) + (subrun, n_pad)
+
+
+def timed_sort(records, cfg):
+    """Walk the plan's rows over real records on the unit-level simulator;
+    returns the plan, each pass's cycles and each pass's merged output,
+    all ``padded_records`` of them.
+
+    A row's trees each take ``row.records`` consecutive records of the
+    pass before (one channel in phase one, every record in phase two),
+    which are sorted runs of ``in_run``.  Each group of ``out_run`` of
+    them (the last may be short) is cut into its runs, and each run into
+    ``leaves // runs`` consecutive quanta by ``np.array_split``'s rule,
+    the rule of the model's balanced feeds: one feed per leaf.  The
+    groups of one tree are timed as one forest, one pass each, and a
+    row's cycles are its slowest tree's sum plus one tree depth per
+    group boundary, the charge of ``engine.pass_timing``.
+    """
+    plan = plan_sort(cfg)
+    data, cycles, outputs = pad_input(records, plan), [], []
+    for row in plan.passes:
+        trees = []
+        for share in data.reshape(-1, row.records, 2):
+            feed_sets = []
+            for lo in range(0, row.records, row.out_run):
+                group = share[lo : lo + row.out_run]
+                runs = [group[at : at + row.in_run] for at in range(0, len(group), row.in_run)]
+                feed_sets.append([q for run in runs for q in np.array_split(run, row.tree.leaves // len(runs))])
+            trees.append(run_passes_cycles(row.tree, feed_sets))
+        boundaries = row.tree.depth * (len(feed_sets) - 1)
+        cycles.append(max(sum(res.cycles for res in tree) for tree in trees) + boundaries)
+        data = np.concatenate([res.records for tree in trees for res in tree])
+        outputs.append(data)
+    return plan, cycles, outputs
 
 
 def halving_levels(p, l):

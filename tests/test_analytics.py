@@ -1,25 +1,11 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbmsort.analytics import FloorplanProblem, buffer_luts, ceil_log, floorplan_solve
+from hbmsort.analytics import FloorplanProblem, buffer_luts, floorplan_solve
 from hbmsort.engine import SortConfig, plan_sort
 from hbmsort.hbm import BandwidthProfile
 
 from oracles import brute_force_floorplan
-
-
-class TestCeilLog:
-    @pytest.mark.parametrize("base,n,want", [
-        (2, 1, 0), (2, 2, 1), (2, 3, 2), (16, 16, 1), (16, 17, 2), (16, 1 << 24, 6),
-    ])
-    def test_values(self, base, n, want):
-        assert ceil_log(base, n) == want
-
-    @pytest.mark.parametrize("base,n", [(1, 5), (0, 5), (-2, 5), (2, 0)])
-    def test_rejects_degenerate_arguments(self, base, n):
-        with pytest.raises(ValueError):
-            ceil_log(base, n)
 
 
 def test_default_bursts_follow_the_burst_rule():

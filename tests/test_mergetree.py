@@ -59,10 +59,15 @@ class TestBuildTree:
         assert t == build_tree(p, l) and hash(t) == hash(build_tree(p, l))
         assert t != build_tree(p, l, 4)
 
-    @pytest.mark.parametrize("shape", [(3, 16), (8, 12), (8, 4), (8, 1), (0, 8), (8, 16, -1)])
+    @pytest.mark.parametrize("shape", [(3, 16), (8, 12), (8, 4), (8, 1), (0, 8), (8, 16, -1),
+                                       (8.0, 16), ("8", 16), (True, 2), (8, 16, 2.5), (8, 16.0)])
     def test_invalid_shapes_rejected(self, shape):
         with pytest.raises(TreeShapeError):
             build_tree(*shape)
+
+    def test_numpy_integers_make_the_same_tree(self):
+        assert TreeSpec(np.int64(8), np.int32(16), np.uint8(8)) == TreeSpec(8, 16)
+        assert hash(TreeSpec(np.int64(8), 16)) == hash(TreeSpec(8, 16))
 
     @pytest.mark.parametrize("fifo", [-1, 0, 8])
     def test_a_tree_is_valid_by_type(self, fifo):
