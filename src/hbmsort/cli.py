@@ -123,7 +123,7 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         raise _UsageError(exc) from None
     _write(dataset.save, dataset.generate(spec), args.out)
-    print(f"wrote {args.records} records ({args.records * engine.RECORD_BYTES} bytes) "
+    print(f"wrote {args.records} records ({args.records * mergenet.RECORD_BYTES} bytes) "
           f"to {args.out}")
     return EXIT_OK
 
@@ -135,6 +135,9 @@ def cmd_sort(args) -> int:
         raise _UsageError(f"--records must be at least 1, got {args.records}")
     if args.dry_run and args.mode == "functional":
         raise _UsageError("--dry-run models timing only; it cannot run --mode functional")
+    if args.dry_run and (args.input, args.out) != (None, None):
+        flag = "--out" if args.input is None else f"the input {args.input}"
+        raise _UsageError(f"--dry-run touches no data; it cannot take {flag}")
     app = load_config(args.config)
     if args.dry_run:
         if args.records is None and "records" not in app.sort_overrides:
@@ -306,9 +309,9 @@ def _parse_sizes(text: str) -> list[int]:
             size = Fraction(Decimal(t[:-1] if scale else t)) * (scale or 1)
         except (ArithmeticError, ValueError):  # not a number, or infinite
             size = 0
-        if size <= 0 or size % engine.RECORD_BYTES:
+        if size <= 0 or size % mergenet.RECORD_BYTES:
             raise argparse.ArgumentTypeError(f"bad size {item!r} in {text!r}: not a positive "
-                                             f"multiple of {engine.RECORD_BYTES} bytes")
+                                             f"multiple of {mergenet.RECORD_BYTES} bytes")
         sizes.append(int(size))
     return sizes
 
@@ -318,7 +321,7 @@ def cmd_sweep(args) -> int:
     sizes = args.sizes or [32 * (1 << 20) * (1 << i) for i in range(8)]  # 32 MB .. 4 GB
     rows, samples = [], {}  # every size shares the pass timings of one config
     for size in sizes:
-        records = size // engine.RECORD_BYTES
+        records = size // mergenet.RECORD_BYTES
         cfg = app.sort_config(records)
         try:
             plan = plan_sort(cfg, app.topo)

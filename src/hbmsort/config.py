@@ -25,6 +25,7 @@ from typing import Optional, get_type_hints
 from .analytics import FloorplanProblem, ResourceModelParams
 from .engine import SortConfig
 from .hbm import BandwidthProfile, HbmTopology, ProfileKeyError
+from .mergenet import check_integer_fields
 
 
 class ConfigError(ValueError):
@@ -40,6 +41,7 @@ class Reference:
     phase1_passes: int = 6
 
     def __post_init__(self):
+        check_integer_fields(self, ValueError)
         for name in ("phase1_gbps", "phase2_gbps"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mergenet import MAX_KEY, RECORD_BYTES
+from .mergenet import MAX_KEY, RECORD_BYTES, check_integer_fields, check_record_rows
 
 _VALUE_MASK = 0xA5A5A5A5
 
@@ -44,6 +44,7 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self, ValueError)
         if self.records < 1:
             raise ValueError(f"records must be positive, got {self.records}")
         if self.distribution not in DISTRIBUTIONS:
@@ -81,9 +82,9 @@ def generate(spec: DatasetSpec) -> np.ndarray:
 
 
 def save(records: np.ndarray, path: str):
-    arr = np.ascontiguousarray(records, dtype="<u4")
-    with open(path, "wb") as fh:
-        arr.tofile(fh)
+    """Write (n, 2) uint32 records, in either byte order, little-endian."""
+    check_record_rows(records, DatasetFormatError)
+    np.ascontiguousarray(records, dtype="<u4").tofile(path)
 
 
 def load(path: str) -> np.ndarray:

@@ -52,8 +52,8 @@ import numpy as np
 from . import mergenet
 from .analytics import bandwidth_utilization, perf_overall
 from .hbm import CHANNELS, BandwidthProfile, CapacityError, HbmTopology
-from .mergenet import MAX_KEY, RECORD_BYTES
-from .mergetree import TreeShapeError, TreeSpec, check_integer_fields, compose_wide_tree, run_passes_cycles
+from .mergenet import MAX_KEY, RECORD_BYTES, check_integer_fields
+from .mergetree import TreeShapeError, TreeSpec, compose_wide_tree, run_passes_cycles
 from .mergetree import run_pass_cycles  # not called here: bench/run.py traces engine.run_pass_cycles
 
 PAD_VALUE = 0xFFFFFFFF
@@ -66,7 +66,7 @@ class IntegrityError(ValueError):
 
 
 class RecordFormatError(ValueError):
-    """Input is not an (n, 2) integer array of 32-bit keys and payloads."""
+    """Input is not an (n, 2) uint32 array of (key, payload) rows."""
 
 
 @dataclass(frozen=True)
@@ -197,9 +197,9 @@ def pad_input(records: np.ndarray, plan: SortPlan) -> np.ndarray:
     """The records followed by sentinels up to the plan's padded count."""
     pad = plan.padded_records - len(records)
     if not pad:
-        return np.ascontiguousarray(records, dtype=np.uint32)
+        return records
     filler = np.full((pad, 2), (MAX_KEY, PAD_VALUE), dtype=np.uint32)
-    return np.concatenate([records.astype(np.uint32, copy=False), filler])
+    return np.concatenate([records, filler])
 
 
 def split_channels(padded: np.ndarray, plan: SortPlan) -> np.ndarray:
@@ -512,36 +512,24 @@ class SortResult:
     plan: SortPlan
 
 
-def _check_records(records: np.ndarray):
-    if records.ndim != 2 or records.shape[1] != 2:
-        raise RecordFormatError(f"records must have shape (n, 2), got {records.shape}")
-    if not np.issubdtype(records.dtype, np.integer):
-        raise RecordFormatError(f"records must be integers, got dtype {records.dtype}")
-    if not mergenet.fits_32_bits(records):
-        raise RecordFormatError(f"keys and payloads must lie in 0..{MAX_KEY}, "
-                                f"found {records.min()}..{records.max()}")
-
-
 def sort_records(
     records: np.ndarray,
     cfg: Optional[SortConfig] = None,
     threads: int = 1,
     topo: Optional[HbmTopology] = None,
 ) -> SortResult:
-    """Sort an (n, 2) array of records through both phases of the plan.
-
-    Keys and payloads must be integers in 0..MAX_KEY; any integer dtype is
-    accepted, others raise :class:`RecordFormatError`.  ``topo`` bounds
-    the plan's channel capacity.  ``threads`` (at least 1, else
-    ``ValueError``) caps each phase's pool, which also has at most one
-    thread per CPU (:func:`_workers`).  The input is padded with sentinels
+    """Sort an (n, 2) uint32 array of (key, payload) records through both
+    phases of the plan; any other input raises :class:`RecordFormatError`,
+    and none is converted.  ``topo`` bounds the plan's channel capacity.
+    ``threads`` (at least 1, else ``ValueError``) caps each phase's pool,
+    which also has at most one thread per CPU (:func:`_workers`).  The
+    input is padded with sentinels
     (:func:`pad_input`), sorted by both phases into one run, and the
     sentinels are cut from its tail (:func:`reconstruct_output`).  The
     output is the same for every thread count.  The sort is functional
     only: the run's timing is :func:`build_timing` of the returned plan.
     """
-    records = np.asarray(records)
-    _check_records(records)
+    mergenet.check_record_rows(records, RecordFormatError)
     cfg = cfg or SortConfig(records=len(records))
     if cfg.records != len(records):
         raise ValueError(f"config says {cfg.records} records, input has {len(records)}")

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .mergenet import check_integer_fields
+
 MiB = 1 << 20
 
 #: HBM pseudo-channels; each tree reads one and writes another.
@@ -35,6 +37,7 @@ class HbmTopology:
     channel_capacity: int = 256 * MiB            # bytes per pseudo-channel
 
     def __post_init__(self):
+        check_integer_fields(self, ValueError)
         for name in ("channel_bandwidth", "channel_capacity"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")

@@ -12,13 +12,15 @@ The building blocks of the hardware model, bottom up:
   :func:`mms_merge_runs` runs one over two whole runs.
 
 Rates and widths are powers of two (:func:`is_power_of_two`) with no cap:
-phase two's root rate is the reuse factor times phase one's.
+phase two's root rate is the reuse factor times phase one's.  Every
+``int`` field of a dataclass is checked by :func:`check_integer_fields`.
 
 Records are 64-bit: a 32-bit unsigned key that defines the order and a
 32-bit opaque payload that rides along.  All merges are stable with
 respect to port order (port A before port B).  This module owns the
 record format: packing (:func:`composite_keys`, :func:`sorted_low_words`),
-run order (:func:`check_runs_sorted`) and 32-bit range (:func:`fits_32_bits`).
+run order (:func:`check_runs_sorted`) and the one record input, a uint32
+array (:func:`is_uint32`) that no entry converts or range-checks.
 
 A unit's choices depend only on the heads of its sorted inputs, never
 on timing, so one stable sort of all records fixes what every unit
@@ -35,8 +37,7 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
-from operator import index
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +50,31 @@ RECORD_BYTES = 8
 def is_power_of_two(n: int) -> bool:
     """Whether `n` is 1, 2, 4, ...: the rule for rates, widths and tree shapes."""
     return n >= 1 and not n & (n - 1)
+
+
+def check_integer_fields(obj, error: type[Exception]):
+    """Raise `error` if a field of the dataclass `obj` declared ``int``
+    holds a bool or a non-integer; numpy integers pass."""
+    for name in _integer_fields(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
+_integer_fields = functools.cache(lambda cls: tuple(f.name for f in fields(cls) if f.type in ("int", int)))
+
+
+def is_uint32(a) -> bool:
+    """Whether `a` is a uint32 array, of either byte order (``dataset.load`` maps ``<u4``)."""
+    return isinstance(a, np.ndarray) and a.dtype.kind == "u" and a.itemsize == 4
+
+
+def check_record_rows(a, error: type[Exception]):
+    """Raise `error` unless `a` is an (n, 2) uint32 array of (key, value) rows."""
+    if not is_uint32(a):
+        raise error(f"records must be a uint32 array, got {getattr(a, 'dtype', type(a).__name__)}")
+    if a.shape[1:] != (2,):
+        raise error(f"records must have shape (n, 2), got {a.shape}")
 
 
 class RateError(ValueError):
@@ -65,12 +91,6 @@ class UnsortedFeedError(ValueError):
 
 class MergeOrderError(RuntimeError):
     """A merge unit emitted a record of its merged stream it has not read."""
-
-
-def fits_32_bits(a: np.ndarray) -> bool:
-    """Whether every key or payload in the integer array `a` lies in 0..MAX_KEY."""
-    narrow = a.dtype.kind == "u" and a.itemsize <= 4  # as np.can_cast(a.dtype, np.uint32), but faster
-    return narrow or not a.size or (a.min() >= 0 and a.max() <= MAX_KEY)
 
 
 _LOW_WORD = np.uint64(0xFFFFFFFF)
@@ -109,10 +129,11 @@ class Record:
     key: int
     value: int = 0
 
-    def __post_init__(self):  # operator.index raises TypeError on a non-integer
-        if not 0 <= index(self.key) <= MAX_KEY:
+    def __post_init__(self):
+        check_integer_fields(self, TypeError)
+        if not 0 <= self.key <= MAX_KEY:
             raise ValueError(f"key {self.key} outside 32-bit range")
-        if not 0 <= index(self.value) <= MAX_KEY:
+        if not 0 <= self.value <= MAX_KEY:
             raise ValueError(f"value {self.value} outside 32-bit range")
 
 

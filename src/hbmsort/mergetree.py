@@ -47,6 +47,10 @@ limited rate takes the larger of its compute cycles and its records over
 the supply that all leaves share, as the engine bounds a pass.
 :func:`run_pass_functional` only validates and sorts the feeds.
 
+A feed is a uint32 array (:func:`~hbmsort.mergenet.is_uint32`) of keys,
+their values 0, or of (key, value) rows, never converted.  A FIFO holds
+at least one block: with none, no unit below the root could ever fire.
+
 Passes of one tree shape are timed together as a forest
 (:func:`run_passes_cycles`): with each pass's ranks and leaves numbered
 after the passes before it, each row of every tree is planned and given
@@ -57,30 +61,19 @@ own pass.  :func:`run_pass_cycles` is the forest of one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise, repeat
-from numbers import Integral
-from operator import index
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .mergenet import (UnitPlans, check_runs_sorted, composite_keys, fits_32_bits,
-                       is_power_of_two, mms_stats, plan_units, sorted_low_words)
+from .mergenet import (UnitPlans, check_integer_fields, check_runs_sorted, composite_keys,
+                       is_power_of_two, is_uint32, mms_stats, plan_units, sorted_low_words)
 
 
 class TreeShapeError(ValueError):
     """Invalid (p, l) combination or FIFO depth, or mismatched composition."""
-
-
-def check_integer_fields(obj, error: type[Exception]):
-    """Raise `error` if a field of the dataclass `obj` declared ``int``
-    holds a bool or a non-integer; numpy integers pass."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type in ("int", int) and (isinstance(value, bool) or not isinstance(value, Integral)):
-            raise error(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,7 @@ class TreeSpec:
     """A (p, l) merge tree at a FIFO depth, valid by type: construction
     raises :class:`TreeShapeError` unless p, l and the depth are integers,
     p a power of two, l one of at least 2 and p, and the depth at least
-    0.  Level j < log2(l) of its units, root first, holds 2**j units of
+    1.  Level j < log2(l) of its units, root first, holds 2**j units of
     rate ``max(1, p >> j)``: rate-1 levels extend the chain when ``l > 2p``."""
 
     root_rate: int
@@ -96,7 +89,7 @@ class TreeSpec:
     #: Inter-level buffer depth, in blocks of the consuming unit.  Depth 2
     #: starves interior units on skewed consumption (random data runs a
     #: tree at ~77% of its rate); 8 blocks absorb the fluctuations.
-    #: Depths 0 and 1 can leave a pass stuck (:class:`StuckPassError`).
+    #: Depth 1 can leave a ragged pass stuck (:class:`StuckPassError`).
     fifo_blocks: int = 8
 
     def __post_init__(self):
@@ -108,8 +101,8 @@ class TreeSpec:
             raise TreeShapeError(f"leaf count must be a power of two >= 2, got {l}")
         if l < p:
             raise TreeShapeError(f"leaf count {l} below root rate {p}")
-        if self.fifo_blocks < 0:
-            raise TreeShapeError(f"FIFO depth must be at least 0 blocks, got {self.fifo_blocks}")
+        if self.fifo_blocks < 1:
+            raise TreeShapeError(f"FIFO depth must be at least 1 block, got {self.fifo_blocks}")
 
     @property
     def depth(self) -> int:
@@ -123,8 +116,8 @@ class TreeSpec:
         return sum(mms_stats(r) for level in self.levels for r in level)
 
 
-#: The name the benchmark and the tests build trees by: a tree is valid by
-#: type, so building one is constructing it.
+#: The name ``bench/run.py`` builds trees by, its only user: a tree is
+#: valid by type, so building one is constructing it.
 build_tree = TreeSpec
 
 
@@ -145,8 +138,8 @@ def compose_wide_tree(subtrees: Sequence[TreeSpec]) -> TreeSpec:
 # ----------------------------------------------------------------------
 
 class FeedFormatError(ValueError):
-    """A feed is not a run of integer keys or of (key, value) rows in the
-    32-bit range; `leaf` is its index."""
+    """A feed is not a uint32 array of (n,) keys or (n, 2) (key, value)
+    rows; `leaf` is its index."""
 
     def __init__(self, leaf: int, fault: str):
         super().__init__(f"feed {leaf} {fault}")
@@ -154,23 +147,12 @@ class FeedFormatError(ValueError):
 
 
 def _feed_columns(run, leaf: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uint32 keys and values of one feed: a 1-D key array (values 0), an
-    (n, 2) array of (key, value) rows, or a list of int keys (values 0)."""
-    if isinstance(run, np.ndarray):
-        if run.dtype.kind not in "iu":
-            raise FeedFormatError(leaf, f"is not integer: dtype {run.dtype}")
-        if run.ndim != 1 and run.shape[1:] != (2,):
-            raise FeedFormatError(leaf, f"has shape {run.shape}, neither (n,) nor (n, 2)")
-    else:
-        try:
-            run = np.array([index(r) for r in run], dtype=np.int64)
-        except TypeError as err:
-            raise FeedFormatError(leaf, f"is not integer: {err}") from None
-        except OverflowError:
-            raise FeedFormatError(leaf, "holds a key outside the 32-bit range") from None
-    if not fits_32_bits(run):
-        raise FeedFormatError(leaf, "holds a key or value outside the 32-bit range")
-    run = run.astype(np.uint32, copy=False)
+    """The keys and values of one feed: a uint32 array of keys (values 0)
+    or of (key, value) rows."""
+    if not is_uint32(run):
+        raise FeedFormatError(leaf, f"is not a uint32 array: {getattr(run, 'dtype', type(run).__name__)}")
+    if run.ndim != 1 and run.shape[1:] != (2,):
+        raise FeedFormatError(leaf, f"has shape {run.shape}, neither (n,) nor (n, 2)")
     return (run, np.zeros(len(run), np.uint32)) if run.ndim == 1 else (run[:, 0], run[:, 1])
 
 
@@ -179,7 +161,7 @@ def _merge_feeds(tree: TreeSpec, feeds) -> tuple[np.ndarray, np.ndarray, list[in
     (n, 2) uint32 records, the input position of each, and feed lengths."""
     if len(feeds) > tree.leaves:
         raise TreeShapeError(f"{len(feeds)} feeds for a {tree.leaves}-leaf tree")
-    cols = [_feed_columns(f, i) for i, f in enumerate(feeds)] or [_feed_columns([], 0)]
+    cols = [_feed_columns(f, i) for i, f in enumerate(feeds)] or [(np.empty(0, np.uint32),) * 2]
     lengths = [len(k) for k, _ in cols]
     keys, values = map(np.concatenate, zip(*cols))
     check_runs_sorted(keys, np.cumsum(lengths))
@@ -369,9 +351,7 @@ def _deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray, fifo_blocks: in
     index into the parent's times of the firing after which the FIFO, of
     ``cap = fifo_blocks * E`` records, holds at most ``cap - E`` (0: none;
     the parent fires first in a cycle).  Slot m of the reader map is the
-    first parent firing that has read m records of the input.  A need
-    past them, possible only with a FIFO smaller than a block, maps to the
-    parent's finish, which waits on this unit's: the pass is stuck.
+    first parent firing that has read m records of the input.
     """
     E, kids = plan.rate, len(bounds) - 1
     emits = bounds[:-1] + np.arange(kids)
@@ -383,11 +363,10 @@ def _deps(plan: UnitPlans, below: UnitPlans, bounds: np.ndarray, fifo_blocks: in
     del emitter, need
 
     slack = fifo_blocks * E - below.rate  # room needs records before a firing - slack
-    width = 1 + max(1, -slack)
-    reads = bounds[:-1] + width * np.arange(kids)
+    reads = bounds[:-1] + 2 * np.arange(kids)
     at = plan.pos + 1
     at += reads.reshape(-1, 2).T.repeat(plan.fires, axis=1)
-    reader = _counts(at, reads, plan.fires.repeat(2), bounds[-1] + width * kids, 1)
+    reader = _counts(at, reads, plan.fires.repeat(2), bounds[-1] + 2 * kids, 1)
     del at
     need = np.empty_like(below.out)
     need[0] = 0

@@ -1,7 +1,8 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbmsort.analytics import FloorplanProblem, buffer_luts, floorplan_solve
+from hbmsort.analytics import FloorplanProblem, ResourceModelParams, buffer_luts, floorplan_solve
 from hbmsort.engine import SortConfig, plan_sort
 from hbmsort.hbm import BandwidthProfile
 
@@ -21,6 +22,22 @@ def test_default_bursts_follow_the_burst_rule():
         peak = [b for b, eff in effs.items() if eff == max(effs.values())]
         cheapest = min(map(buffer_luts, peak))
         assert row.burst == max(b for b in peak if buffer_luts(b) == cheapest)
+
+
+@pytest.mark.parametrize("field", ["lut_per_comparator", "axi_converter_luts", "axi_converter_ffs"])
+@pytest.mark.parametrize("value", [True, 116.0])
+def test_resource_integer_fields_reject_other_types(field, value):
+    # a bool would cost 1 LUT per comparator
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ResourceModelParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["die1_available", "die2_available", "axi_width", "crossing_budget"])
+@pytest.mark.parametrize("value", [True, 2.5e5])
+def test_floorplan_integer_fields_reject_other_types(field, value):
+    # a float budget would place fractional trees
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        FloorplanProblem(**{field: value})
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from hbmsort import cli
-from hbmsort.config import _SECTIONS, ConfigError, load_config
+from hbmsort.config import _SECTIONS, ConfigError, Reference, load_config
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -326,17 +326,20 @@ def dataset_100003(tmp_path):
     (["gen", "{out}", "--records", "10", "--seed", "-1"], "error: seed must be non-negative, got -1"),
     (["sort", "--dry-run", "--mode", "functional", "--records", "1000"],
      "--dry-run models timing only; it cannot run --mode functional"),
+    (["sort", "--dry-run", "--records", "1000", "--out", "{out}"], "it cannot take --out"),
+    (["sort", "{data}", "--dry-run", "--records", "5"], "it cannot take the input"),
 ], ids=["sort-records-mismatch", "sweep-empty-size", "sweep-non-numeric-size",
         "sweep-infinite-size", "gen-zero-records", "sort-zero-threads",
         "sort-negative-threads", "sweep-size-not-whole-records", "sweep-zero-size",
         "sweep-negative-size", "sort-zero-records", "sort-negative-records",
         "gen-records-over-key-range", "gen-negative-seed",
-        "sort-dry-run-functional"])
+        "sort-dry-run-functional", "sort-dry-run-out", "sort-dry-run-input"])
 def test_usage_error_exits_with_usage_status(argv, bad, dataset_100003, tmp_path, capsys):
     argv = [a.format(data=dataset_100003, out=tmp_path / "out.bin") for a in argv]
     assert _status(argv) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert "error:" in err and bad in err
+    assert not (tmp_path / "out.bin").exists()
 
 
 @pytest.mark.parametrize("name,prefix", [
@@ -417,6 +420,12 @@ def test_every_key_loads_to_its_value(tmp_path):
 def test_unknown_section_or_key_raises(text, tmp_path):
     with pytest.raises(ConfigError, match="unknown"):
         load_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("value", [True, 6.0])
+def test_reference_passes_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="phase1_passes must be an integer"):
+        Reference(phase1_passes=value)
 
 
 def test_missing_file_raises(tmp_path):

@@ -20,6 +20,26 @@ def test_empty_file_rejected(tmp_path):
         dataset.load(str(path))
 
 
+@pytest.mark.parametrize("bad", [
+    np.array([[2**33 + 5, 1], [-1, 7]]), np.array([[1.7, 1.0]]), np.arange(6, dtype=np.uint32),
+    np.zeros((2, 2), dtype=np.uint64), [[1, 2]],
+], ids=["int64-wide", "float", "keys-only", "uint64", "list"])
+def test_save_rejects_anything_but_uint32_rows(bad, tmp_path):
+    # a wrap, a truncation or a reshape would write other records than given
+    path = tmp_path / "d.bin"
+    with pytest.raises(DatasetFormatError, match="records must"):
+        dataset.save(bad, str(path))
+    assert not path.exists()
+
+
+def test_save_writes_big_endian_words_as_little_endian(tmp_path):
+    data = dataset.generate(DatasetSpec(100, seed=2))
+    native, swapped = tmp_path / "native.bin", tmp_path / "swapped.bin"
+    dataset.save(data, str(native))
+    dataset.save(data.astype(">u4"), str(swapped))
+    assert swapped.read_bytes() == native.read_bytes() == data.astype("<u4").tobytes()
+
+
 def test_save_load_round_trip(tmp_path):
     data = dataset.generate(DatasetSpec(1000, "uniform", seed=3))
     path = str(tmp_path / "d.bin")
@@ -93,6 +113,14 @@ def test_zipf_draws_skewed_keys_spread_over_the_key_range():
 def test_unknown_distribution_rejected():
     with pytest.raises(ValueError, match="unknown distribution"):
         DatasetSpec(10, "normal")
+
+
+@pytest.mark.parametrize("kwargs", [{"records": True}, {"records": 3.0}, {"records": 3, "seed": 1.5},
+                                    {"records": 3, "seed": False}])
+def test_integer_fields_reject_other_types(kwargs):
+    with pytest.raises(ValueError, match="must be an integer"):
+        DatasetSpec(**kwargs)
+    assert DatasetSpec(np.int64(3), seed=np.uint8(1)) == DatasetSpec(3, seed=1)
 
 
 def test_negative_seed_rejected():

@@ -23,7 +23,7 @@ from hbmsort.hbm import BandwidthProfile, HbmTopology
 from hbmsort.mergenet import MAX_KEY, UnsortedFeedError
 from hbmsort.mergetree import (
     TreeShapeError,
-    build_tree,
+    TreeSpec,
     compose_wide_tree,
     run_pass_cycles,
     run_passes_cycles,
@@ -139,9 +139,9 @@ class TestPlanRows:
             assert row.out_run == after.in_run
         assert [row.kind for row in phase1] == ["merge"] * (len(phase1) - 1) + ["tuned"]
         for row in phase1:
-            assert row.tree == build_tree(rate, leaves)
+            assert row.tree == TreeSpec(rate, leaves)
             assert (row.records, row.pattern, row.burst) == (ladder[-1] // trees, 1, burst1)
-        assert final.kind == "final" and final.tree == build_tree(4 * rate, 4 * leaves)
+        assert final.kind == "final" and final.tree == TreeSpec(4 * rate, 4 * leaves)
         assert (final.records, final.pattern, final.burst) == (ladder[-1], 4, burst2)
         assert plan.channel_records == ladder[-1] // trees
         for row in plan.passes:  # the timing model relies on it
@@ -202,7 +202,7 @@ class TestPhases:
         cfg, plan, _padded, channels = _phase1(recs)
         per = plan.subrun_records
         subruns = list(channels.reshape(-1, per, 2))
-        wide = compose_wide_tree([build_tree(8, 16)] * 4)
+        wide = compose_wide_tree([TreeSpec(8, 16)] * 4)
         got = run_phase2(channels, plan)
         np.testing.assert_array_equal(got, run_pass_cycles(wide, subruns).records)
 
@@ -383,10 +383,10 @@ class TestGroupCycles:
     @pytest.mark.parametrize("runs", range(1, 17))
     def test_phase1_tree(self, runs):
         # The window holds 2 * 2048 records for up to 32 runs.
-        self._check(build_tree(8, 16), runs, (4097, 12345, 1 << 17))
+        self._check(TreeSpec(8, 16), runs, (4097, 12345, 1 << 17))
 
     def test_wide_tree(self):
-        wide = compose_wide_tree([build_tree(8, 16)] * 4)
+        wide = compose_wide_tree([TreeSpec(8, 16)] * 4)
         self._check(wide, 64, (8193, 40000, 1 << 17))
 
     @staticmethod
@@ -410,7 +410,7 @@ class TestGroupCycles:
         engine.build_timing(cfg, plan)
         first = list(forests)
         # one forest per tree shape, each sample in it once
-        assert [tree for tree, _ in first] == [build_tree(8, 16), build_tree(32, 64)]
+        assert [tree for tree, _ in first] == [TreeSpec(8, 16), TreeSpec(32, 64)]
         timed = [(tree, sample) for tree, samples in first for sample in samples]
         assert len(set(timed)) == len(timed)
         engine.build_timing(cfg, plan)  # a fresh memo per call times them again
@@ -536,17 +536,19 @@ class TestBalancedFeeds:
 
 
 class TestInputValidation:
-    def test_negative_key_rejected(self):
-        with pytest.raises(RecordFormatError):
-            sort_records(np.array([[-1, 0], [5, 0]], dtype=np.int64))
-
-    def test_key_over_range_rejected(self):
-        with pytest.raises(RecordFormatError):
-            sort_records(np.array([[MAX_KEY + 1, 0], [5, 0]], dtype=np.uint64))
-
-    def test_payload_over_range_rejected(self):
-        with pytest.raises(RecordFormatError):
-            sort_records(np.array([[1, MAX_KEY + 1], [5, 0]], dtype=np.int64))
+    @pytest.mark.parametrize("bad", [
+        np.array([[7, 1], [5, 0]], dtype=np.int64),
+        np.array([[-1, 0], [5, 0]], dtype=np.int64),
+        np.array([[MAX_KEY + 1, 0], [5, 0]], dtype=np.uint64),
+        np.array([[1, MAX_KEY + 1], [5, 0]], dtype=np.int64),
+        np.array([[1, 0], [5, 0]], dtype=np.uint16),
+        np.array([[1.0, 0.0], [0.5, 0.0]]),
+        [[1, 0], [5, 0]],
+    ], ids=["int64", "int64-negative", "uint64-wide", "int64-wide-payload", "uint16", "float", "list"])
+    def test_records_other_than_uint32_rejected(self, bad):
+        # records are checked by type, never converted or range-checked
+        with pytest.raises(RecordFormatError, match="must be a uint32 array"):
+            sort_records(bad)
 
     @pytest.mark.parametrize("bad", [
         np.arange(4, dtype=np.uint32),
@@ -556,10 +558,6 @@ class TestInputValidation:
     def test_bad_shape_rejected(self, bad):
         with pytest.raises(RecordFormatError):
             sort_records(bad)
-
-    def test_float_rejected(self):
-        with pytest.raises(RecordFormatError):
-            sort_records(np.array([[1.0, 0.0], [0.5, 0.0]]))
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_below_one_rejected(self, threads):
@@ -572,10 +570,13 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="threads must be at least 1"):
             run_phase2(channels, plan, threads)
 
-    def test_in_range_wide_ints_match_uint32(self):
-        recs = np.array([[7, 1], [MAX_KEY, 2], [0, 3], [7, 4]], dtype=np.int64)
-        want = sort_records(recs.astype(np.uint32)).output
-        np.testing.assert_array_equal(sort_records(recs).output, want)
+    @pytest.mark.parametrize("n", [4, 4096], ids=["padded", "unpadded"])
+    def test_big_endian_records_sort_as_native(self, n):
+        # dataset.load maps little-endian words on every host, so either
+        # byte order is a uint32 record array
+        recs = _records(np.random.default_rng(n).integers(0, 5, size=n))
+        got = sort_records(recs.astype(">u4")).output
+        np.testing.assert_array_equal(got, sort_records(recs).output)
 
 
 class TestCliSortCheck:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hbmsort.mergetree import build_tree, compose_wide_tree, run_pass_cycles
+from hbmsort.mergetree import TreeSpec, compose_wide_tree, run_pass_cycles
 
 GOLDEN = Path(__file__).parent / "golden" / "cycles.json"
 
@@ -44,13 +44,13 @@ def _ragged(seed, leaves, feeds):
 
 def cases():
     """Name -> (tree, feeds)."""
-    t16 = build_tree(8, 16)
+    t16 = TreeSpec(8, 16)
     return {
         "random-8x16": (t16, _split(_draw(1), 16)),
         "presorted-8x16": (t16, _split(np.sort(_draw(2)), 16)),
         "wide-64": (compose_wide_tree([t16] * 4), _split(_draw(4), 64)),
-        "random-4x32": (build_tree(4, 32), _split(_draw(5), 32)),
-        "ragged-4x16": (build_tree(4, 16), _ragged(8, 16, 13)),
+        "random-4x32": (TreeSpec(4, 32), _split(_draw(5), 32)),
+        "ragged-4x16": (TreeSpec(4, 16), _ragged(8, 16, 13)),
     }
 
 

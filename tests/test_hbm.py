@@ -1,6 +1,12 @@
 import pytest
 
-from hbmsort.hbm import BandwidthProfile, ProfileKeyError
+from hbmsort.hbm import BandwidthProfile, HbmTopology, ProfileKeyError
+
+
+@pytest.mark.parametrize("value", [True, 2.5e8, "268435456"])
+def test_channel_capacity_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="channel_capacity must be an integer"):
+        HbmTopology(channel_capacity=value)
 
 
 class TestBandwidthProfile:

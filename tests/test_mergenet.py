@@ -69,7 +69,7 @@ class TestRecord:
         with pytest.raises(ValueError):
             Record(key, value)
 
-    @pytest.mark.parametrize("key,value", [(2.5, 0), (1, 1.5), ("1", 0)])
+    @pytest.mark.parametrize("key,value", [(2.5, 0), (1, 1.5), ("1", 0), (True, 0)])
     def test_non_integer_fields_rejected(self, key, value):
         with pytest.raises(TypeError):
             Record(key, value)
