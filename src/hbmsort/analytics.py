@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .mergenet import check_integer_fields
+from .mergenet import check_field_types
 from .mergetree import TreeSpec
 
 
@@ -38,7 +38,7 @@ class ResourceModelParams:
     lut_buffer_fraction: float = 0.75  # share of leaf buffers built from LUT shift registers
 
     def __post_init__(self):
-        check_integer_fields(self, ValueError)
+        check_field_types(self, ValueError)
         for name in ("axi_converter_luts", "axi_converter_ffs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
@@ -100,7 +100,7 @@ class FloorplanProblem:
     crossing_budget: int = 18200      # W: signals available between dies 0 and 1
 
     def __post_init__(self):
-        check_integer_fields(self, ValueError)
+        check_field_types(self, ValueError)
         for name in ("die1_available", "die2_available", "axi_width", "crossing_budget"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

@@ -71,22 +71,38 @@ def _write_report(report: dict, path: str | None):
         _write(_save_json, report, path)
 
 
-def _timing_dict(t: engine.RunTiming) -> dict:
-    def phase(p: engine.PhaseTiming) -> dict:
+def _error_pct(gbps: float, reference_gbps: float) -> float:
+    """The signed % gap of a modelled GB/s from the reference's."""
+    return round((gbps - reference_gbps) / reference_gbps * 100, 4)
+
+
+def _timing_dict(t: engine.RunTiming, reference: dict) -> dict:
+    """The ``timing`` block: each pass with its ``bound``, the larger of
+    its compute and memory cycles (memory on a tie), and each phase and
+    the whole run with its signed error against ``reference``, a
+    :func:`_reference_dict`.  Every timing is built from balanced feeds."""
+    def phase(name: str) -> dict:
+        p: engine.PhaseTiming = getattr(t, name)
+        gbps = round(p.gbytes_per_s, 4)
         return {
             "cycles": p.cycles,
             "seconds": p.seconds,
-            "gbytes_per_s": round(p.gbytes_per_s, 4),
+            "gbytes_per_s": gbps,
             "root_rate": round(p.root_rate, 4),
-            "passes": [{"index": k, **asdict(x)} for k, x in enumerate(p.passes)],
+            "timing_model": "balanced",
+            "error_pct": _error_pct(gbps, reference[f"{name}_gbps"]),
+            "passes": [{"index": k, **asdict(x),
+                        "bound": "compute" if x.compute_cycles > x.memory_cycles else "memory"}
+                       for k, x in enumerate(p.passes)],
         }
 
+    overall = round(t.overall_gbytes_per_s, 4)
     return {
-        "phase1": phase(t.phase1),
-        "phase2": phase(t.phase2),
-        "overall_gbytes_per_s": round(t.overall_gbytes_per_s, 4),
+        "phase1": phase("phase1"),
+        "phase2": phase("phase2"),
+        "overall_gbytes_per_s": overall,
+        "overall_error_pct": _error_pct(overall, reference["overall_gbps"]),
         "hbm_traffic_gbytes_per_s": round(t.hbm_traffic_gbytes_per_s, 4),
-        "timing_model": "trace",
     }
 
 
@@ -162,6 +178,7 @@ def cmd_sort(args) -> int:
         validation = {"passed": message == "ok", "message": message}
         if args.out:
             _write(dataset.save, result.output, args.out)
+    reference = _reference_dict(app.reference)
     timing = build_timing(cfg, plan, app.topo, app.profile) if mode == "cycles" else None
 
     report = {
@@ -172,8 +189,8 @@ def cmd_sort(args) -> int:
         "config": asdict(cfg),
         "plan": _plan_dict(plan),
         **observed,
-        "timing": _timing_dict(timing) if timing else None,
-        "reference": _reference_dict(app.reference),
+        "timing": _timing_dict(timing, reference) if timing else None,
+        "reference": reference,
         "validation": validation,
     }
     _write_report(report, args.report)
@@ -238,10 +255,14 @@ def _print_sort_summary(report: dict):
 
 def _print_timing(timing: dict):
     """The lines of a report's ``timing`` block, for ``sort`` and ``model``."""
-    p1, p2 = timing["phase1"], timing["phase2"]
-    print(f"phase 1:        {p1['cycles']} cycles, {p1['gbytes_per_s']} GB/s")
-    print(f"phase 2:        {p2['cycles']} cycles, {p2['gbytes_per_s']} GB/s")
-    print(f"overall:        {timing['overall_gbytes_per_s']} GB/s modeled")
+    for name in ("phase1", "phase2"):
+        p = timing[name]
+        bounds = [x["bound"] for x in p["passes"]]
+        print(f"phase {name[-1]}:        {p['cycles']} cycles, {p['gbytes_per_s']} GB/s "
+              f"({p['error_pct']:+.2f}% vs reference), passes {bounds.count('compute')} "
+              f"compute-bound, {bounds.count('memory')} memory-bound")
+    print(f"overall:        {timing['overall_gbytes_per_s']} GB/s modeled "
+          f"({timing['overall_error_pct']:+.2f}% vs reference)")
     print(f"HBM traffic:    {timing['hbm_traffic_gbytes_per_s']} GB/s sustained in phase 1")
 
 
@@ -251,7 +272,8 @@ def cmd_model(args) -> int:
     n = app.sort_overrides.get("records", 1 << 29)
     cfg = app.sort_config(n)
     plan = plan_sort(cfg, app.topo)
-    timing = _timing_dict(build_timing(cfg, plan, app.topo, app.profile))
+    reference = _reference_dict(ref)
+    timing = _timing_dict(build_timing(cfg, plan, app.topo, app.profile), reference)
 
     first, final = plan.passes[0], plan.passes[-1]  # the bursts and trees the timing costs
     burst1, burst2 = first.burst, final.burst
@@ -264,7 +286,7 @@ def cmd_model(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "model",
         "records": n,
-        "reference": _reference_dict(ref),
+        "reference": reference,
         "phase1_planned_gbps": timing["phase1"]["gbytes_per_s"],
         "timing": timing,
         "resources": {

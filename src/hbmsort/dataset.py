@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mergenet import MAX_KEY, RECORD_BYTES, check_integer_fields, check_record_rows
+from .mergenet import MAX_KEY, RECORD_BYTES, check_field_types, check_record_rows
 
 _VALUE_MASK = 0xA5A5A5A5
 
@@ -44,7 +44,7 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer_fields(self, ValueError)
+        check_field_types(self, ValueError)
         if self.records < 1:
             raise ValueError(f"records must be positive, got {self.records}")
         if self.distribution not in DISTRIBUTIONS:

@@ -33,9 +33,12 @@ phase two against a timed pass of the wide tree.
 
 Timing is modelled from the plan's rows alone, one :class:`PassRow` per
 pass: :func:`pass_timing` costs a row from groups timed on balanced
-synthetic feeds, and :func:`build_timing` sums each phase's rows.  Timing
-therefore depends only on the plan, never on key values, and a dry run
-reports exactly what a materialized run would.
+synthetic feeds, and :func:`build_timing` sums each phase's rows.  A
+tree's groups hand off strictly back to back: the next group starts one
+cycle after the last root firing of the one before, and groups never
+overlap, so a pass's compute cycles are the sum of its groups' cycles.
+Timing therefore depends only on the plan, never on key values, and a dry
+run reports exactly what a materialized run would.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 from . import mergenet
 from .analytics import bandwidth_utilization, perf_overall
 from .hbm import CHANNELS, BandwidthProfile, CapacityError, HbmTopology
-from .mergenet import MAX_KEY, RECORD_BYTES, check_integer_fields
+from .mergenet import MAX_KEY, RECORD_BYTES, check_field_types
 from .mergetree import TreeShapeError, TreeSpec, compose_wide_tree, run_passes_cycles
 from .mergetree import run_pass_cycles  # not called here: bench/run.py traces engine.run_pass_cycles
 
@@ -78,7 +81,8 @@ class SortConfig:
     leaves ``phase2_leaves / parallel_trees`` sub-runs for the wide tree.
     Phase two's tree must be :func:`~hbmsort.mergetree.compose_wide_tree`
     of four phase-one trees, as :func:`plan_sort` builds it.  Every field
-    but ``clock_hz`` is an integer, not a bool.
+    but ``clock_hz`` is an integer, and ``clock_hz`` a number; none is a
+    bool (:func:`~hbmsort.mergenet.check_field_types`).
     """
 
     records: int
@@ -92,7 +96,7 @@ class SortConfig:
     clock_hz: float = 214e6
 
     def __post_init__(self):
-        check_integer_fields(self, ValueError)
+        check_field_types(self, ValueError)
         if self.records < 1:
             raise ValueError("records must be positive")
         if not 1 <= self.parallel_trees <= CHANNELS // 2:
@@ -454,15 +458,18 @@ def pass_timing(
 ) -> PassTiming:
     """The larger of a pass's compute and memory cycles.  Each tree merges
     every group of ``out_run`` records (the last may be short) in
-    :func:`_group_cycles`, plus one tree depth per group boundary; the
-    memory streams the records in the row's access pattern and burst.  The
-    memo `samples` holds the timings of the row's groups, as
+    :func:`_group_cycles`, and the groups hand off back to back: group
+    g+1's first firing comes one cycle after group g's last root firing,
+    so no unit primes a group while its parent still drains the one
+    before.  A group's timing holds its own fill and drain, so the compute
+    cycles are the sum of the groups' cycles and nothing else.  The memory
+    streams the records in the row's access pattern and burst.  The memo
+    `samples` holds the timings of the row's groups, as
     :func:`build_timing` fills it.
     """
     groups = _pass_groups(row)
     compute = sum(count * _group_cycles(row.tree, runs, n, samples) for count, runs, n in groups)
     n_groups = sum(count for count, _, _ in groups)
-    compute += row.tree.depth * (n_groups - 1)
     supply = row.pattern * (topo.channel_bandwidth / clock_hz) * \
         profile.efficiency(row.pattern, row.burst)
     memory = math.ceil(row.records * RECORD_BYTES / supply)

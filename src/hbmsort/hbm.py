@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .mergenet import check_integer_fields
+from .mergenet import check_field_types, check_value
 
 MiB = 1 << 20
 
@@ -37,7 +37,7 @@ class HbmTopology:
     channel_capacity: int = 256 * MiB            # bytes per pseudo-channel
 
     def __post_init__(self):
-        check_integer_fields(self, ValueError)
+        check_field_types(self, ValueError)
         for name in ("channel_bandwidth", "channel_capacity"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
@@ -78,6 +78,7 @@ class BandwidthProfile:
 
     def __post_init__(self):
         for (m, burst), eff in sorted(self.table.items()):
+            check_value(f"efficiency for {m}x{m},{burst}", eff, "float", ValueError)
             if not 0.0 < eff <= 1.0:
                 raise ValueError(f"efficiency {eff} for {m}x{m},{burst} outside (0, 1]")
         for m in sorted({m for m, _ in self.table}):

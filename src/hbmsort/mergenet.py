@@ -13,7 +13,8 @@ The building blocks of the hardware model, bottom up:
 
 Rates and widths are powers of two (:func:`is_power_of_two`) with no cap:
 phase two's root rate is the reuse factor times phase one's.  Every
-``int`` field of a dataclass is checked by :func:`check_integer_fields`.
+``int`` and ``float`` field of a dataclass is checked by
+:func:`check_field_types`.
 
 Records are 64-bit: a 32-bit unsigned key that defines the order and a
 32-bit opaque payload that rides along.  All merges are stable with
@@ -52,16 +53,33 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and not n & (n - 1)
 
 
-def check_integer_fields(obj, error: type[Exception]):
-    """Raise `error` if a field of the dataclass `obj` declared ``int``
-    holds a bool or a non-integer; numpy integers pass."""
-    for name in _integer_fields(type(obj)):
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise error(f"{name} must be an integer, got {value!r}")
+#: The one field-type rule, by declared type: an ``int`` takes an int or
+#: a numpy integer, a ``float`` also a float or a numpy float; neither
+#: takes a bool (nor a string).
+_FIELD_TYPES = {
+    "int": ((int, np.integer), "an integer"),
+    "float": ((int, float, np.integer, np.floating), "a number"),
+}
 
 
-_integer_fields = functools.cache(lambda cls: tuple(f.name for f in fields(cls) if f.type in ("int", int)))
+def check_value(name: str, value, kind: str, error: type[Exception]):
+    """Raise `error` unless `value` is of the ``kind`` ("int" or "float")
+    of :data:`_FIELD_TYPES`."""
+    allowed, what = _FIELD_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise error(f"{name} must be {what}, got {value!r}")
+
+
+def check_field_types(obj, error: type[Exception]):
+    """Raise `error` unless every field of the dataclass `obj` declared
+    ``int`` or ``float`` holds a value of that type (:data:`_FIELD_TYPES`)."""
+    for name, kind in _typed_fields(type(obj)):
+        check_value(name, getattr(obj, name), kind, error)
+
+
+_typed_fields = functools.cache(lambda cls: tuple(
+    (f.name, getattr(f.type, "__name__", f.type)) for f in fields(cls)
+    if f.type in ("int", int, "float", float)))
 
 
 def is_uint32(a) -> bool:
@@ -130,7 +148,7 @@ class Record:
     value: int = 0
 
     def __post_init__(self):
-        check_integer_fields(self, TypeError)
+        check_field_types(self, TypeError)
         if not 0 <= self.key <= MAX_KEY:
             raise ValueError(f"key {self.key} outside 32-bit range")
         if not 0 <= self.value <= MAX_KEY:

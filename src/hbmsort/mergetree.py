@@ -68,7 +68,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mergenet import (UnitPlans, check_integer_fields, check_runs_sorted, composite_keys,
+from .mergenet import (UnitPlans, check_field_types, check_runs_sorted, composite_keys,
                        is_power_of_two, is_uint32, mms_stats, plan_units, sorted_low_words)
 
 
@@ -93,7 +93,7 @@ class TreeSpec:
     fifo_blocks: int = 8
 
     def __post_init__(self):
-        check_integer_fields(self, TreeShapeError)
+        check_field_types(self, TreeShapeError)
         p, l = self.root_rate, self.leaves
         if not is_power_of_two(p):
             raise TreeShapeError(f"root rate must be a power of two, got {p}")

@@ -104,8 +104,8 @@ def timed_sort(records, cfg):
     ``leaves // runs`` consecutive quanta by ``np.array_split``'s rule,
     the rule of the model's balanced feeds: one feed per leaf.  The
     groups of one tree are timed as one forest, one pass each, and a
-    row's cycles are its slowest tree's sum plus one tree depth per
-    group boundary, the charge of ``engine.pass_timing``.
+    row's cycles are its slowest tree's sum: the groups hand off back to
+    back, with no charge between them, as in ``engine.pass_timing``.
     """
     plan = plan_sort(cfg)
     data, cycles, outputs = pad_input(records, plan), [], []
@@ -118,8 +118,7 @@ def timed_sort(records, cfg):
                 runs = [group[at : at + row.in_run] for at in range(0, len(group), row.in_run)]
                 feed_sets.append([q for run in runs for q in np.array_split(run, row.tree.leaves // len(runs))])
             trees.append(run_passes_cycles(row.tree, feed_sets))
-        boundaries = row.tree.depth * (len(feed_sets) - 1)
-        cycles.append(max(sum(res.cycles for res in tree) for tree in trees) + boundaries)
+        cycles.append(max(sum(res.cycles for res in tree) for tree in trees))
         data = np.concatenate([res.records for tree in trees for res in tree])
         outputs.append(data)
     return plan, cycles, outputs

@@ -32,6 +32,13 @@ def test_resource_integer_fields_reject_other_types(field, value):
         ResourceModelParams(**{field: value})
 
 
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_resource_float_field_rejects_a_bool_or_a_string(value):
+    # a bool would build every leaf buffer from LUTs
+    with pytest.raises(ValueError, match="lut_buffer_fraction must be a number"):
+        ResourceModelParams(lut_buffer_fraction=value)
+
+
 @pytest.mark.parametrize("field", ["die1_available", "die2_available", "axi_width", "crossing_budget"])
 @pytest.mark.parametrize("value", [True, 2.5e5])
 def test_floorplan_integer_fields_reject_other_types(field, value):

@@ -205,6 +205,48 @@ def test_model_reports_the_dry_run_timing_of_a_configured_sort(tmp_path, capsys)
     assert set(timing_lines) <= set(model_out.splitlines())
 
 
+@pytest.mark.parametrize("text", [None, "[sort]\nphase1_leaves = 8\nphase2_leaves = 32\n",
+                                  "[sort]\nphase1_rate = 16\nphase2_rate = 64\n"],
+                         ids=["default", "leaves8", "rate16"])
+def test_each_pass_reports_its_bound(text, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    config = ["--config", _write(tmp_path, text)] if text else []
+    argv = ["sort", "--dry-run", "--records", "33554432", "--report", str(report)] + config
+    assert cli.main(argv) == cli.EXIT_OK
+    timing, out = json.loads(report.read_text())["timing"], capsys.readouterr().out
+    bounds = []
+    for phase in ("phase1", "phase2"):
+        assert timing[phase]["timing_model"] == "balanced"
+        mix = [p["bound"] for p in timing[phase]["passes"]]
+        for p in timing[phase]["passes"]:
+            assert p["bound"] == ("compute" if p["compute_cycles"] > p["memory_cycles"] else "memory")
+        line = [x for x in out.splitlines() if x.startswith(f"phase {phase[-1]}:")]
+        assert line[0].endswith(f"passes {mix.count('compute')} compute-bound, "
+                                f"{mix.count('memory')} memory-bound")
+        bounds += mix
+    assert set(bounds) == {"compute", "memory"}  # both occur at 32 MB in every geometry
+
+
+def test_error_fields_are_the_benchmark_errors_at_4gb(tmp_path, capsys):
+    """The signed errors against the reference; their absolute values are
+    the benchmark's ``model_err_*`` formula on the same report."""
+    report = tmp_path / "model.json"
+    assert cli.main(["model", "--report", str(report)]) == cli.EXIT_OK
+    got = json.loads(report.read_text())
+    t, ref = got["timing"], got["reference"]
+    pairs = {
+        "phase1": (t["phase1"]["gbytes_per_s"], ref["phase1_gbps"], t["phase1"]["error_pct"]),
+        "phase2": (t["phase2"]["gbytes_per_s"], ref["phase2_gbps"], t["phase2"]["error_pct"]),
+        "overall": (t["overall_gbytes_per_s"], ref["overall_gbps"], t["overall_error_pct"]),
+    }
+    for name, (model, reference, error) in pairs.items():
+        assert abs(error) == round(abs(model - reference) / reference * 100, 4), name
+    assert [error for _, _, error in pairs.values()] == [-12.543, 38.1579, 2.9842]
+    out = capsys.readouterr().out
+    assert "(-12.54% vs reference)" in out and "(+2.98% vs reference)" in out
+    assert "timing_model" not in t
+
+
 def test_model_reports_and_costs_the_planned_bursts(tmp_path, capsys):
     """A configured phase-two burst is the one the report prints and the one
     its reused tree is costed at: 2048 B, 1024 LUTs per leaf buffer."""
@@ -426,6 +468,13 @@ def test_unknown_section_or_key_raises(text, tmp_path):
 def test_reference_passes_must_be_an_integer(value):
     with pytest.raises(ValueError, match="phase1_passes must be an integer"):
         Reference(phase1_passes=value)
+
+
+@pytest.mark.parametrize("field", ["phase1_gbps", "phase2_gbps"])
+@pytest.mark.parametrize("value", [True, "26.5"])
+def test_reference_figures_must_be_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        Reference(**{field: value})
 
 
 def test_missing_file_raises(tmp_path):
